@@ -1,38 +1,35 @@
-//! Batched-replay speedup benchmarks (DESIGN.md §9).
+//! Batched-replay benchmarks (DESIGN.md §9).
 //!
-//! One group, emitting `BENCH_batch_replay.json`, comparing the per-config
-//! replay kernel (one trace walk per configuration) against the one-pass
-//! batched engine (one walk per behavior class, the op stream decoded once
-//! and fanned out to every class) on the paper's two central sweeps, at
+//! One group, emitting `BENCH_batch_replay.json`, timing the one-pass
+//! batched replay engine (one walk per behavior class, the op stream decoded
+//! once and fanned out to every class) on the paper's two central sweeps, at
 //! `Scale::Small` *and* `Scale::Medium` (override with `BENCH_SCALE`, e.g.
 //! `BENCH_SCALE=large` on a machine with headroom):
 //!
-//! * `fig2_sweep_*` — the exhaustive d-cache sweep given a captured trace
-//!   (28 geometries, 18 walked classes → a single memory-stream pass);
-//! * `cost_table_*` — the full 52-variable measurement phase
-//!   (`measure_cost_table_traced` with `batch_replay` off vs. on).
+//! * `fig2_sweep_batched` — the exhaustive d-cache sweep given a captured
+//!   trace (28 geometries, 18 walked classes → a single memory-stream pass);
+//! * `cost_table_batched` — the full 52-variable measurement phase
+//!   (`measure_cost_table_traced`).
 //!
-//! Both sides run at `threads = 1`: this artifact isolates the one-pass
-//! batching speedup; thread-level scaling is tracked in
-//! `BENCH_campaign.json`.  Before anything is timed, `prepare` pins the
-//! contracts the numbers rely on: byte-identical rows/tables between the
-//! engines, and the `leon_sim::trace_walks_performed` budget (one fused
-//! memory pass for the sweep, at most one pass per stream for the table).
+//! Both run at `threads = 1`: this artifact isolates the one-pass walk;
+//! thread-level scaling is tracked in `BENCH_campaign.json`.  Before
+//! anything is timed, `prepare` pins the `leon_sim::trace_walks_performed`
+//! budget the numbers rely on (one fused memory pass for the sweep, at most
+//! one pass per stream for the table).
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use std::time::Duration;
 
 use autoreconf::{
-    dcache_exhaustive_traced, dcache_exhaustive_traced_per_config, measure_cost_table_traced,
-    MeasurementOptions, ParameterSpace,
+    dcache_exhaustive_traced, measure_cost_table_traced, MeasurementOptions, ParameterSpace,
 };
 use bench::MAX_CYCLES;
 use fpga_model::SynthesisModel;
 use leon_sim::{trace_walks_performed, LeonConfig, Trace};
 use workloads::{Blastn, Scale};
 
-fn options(batch_replay: bool) -> MeasurementOptions {
-    MeasurementOptions { max_cycles: MAX_CYCLES, threads: 1, use_replay: true, batch_replay }
+fn options() -> MeasurementOptions {
+    MeasurementOptions { max_cycles: MAX_CYCLES, threads: 1, use_replay: true }
 }
 
 struct Prepared {
@@ -41,8 +38,8 @@ struct Prepared {
     trace: Trace,
 }
 
-/// Capture the scale's trace once and pin the equivalence + walk-budget
-/// contracts before any timing.
+/// Capture the scale's trace once and pin the walk-budget contracts before
+/// any timing.
 fn prepare(scale: Scale) -> Prepared {
     let workload = Blastn::scaled(scale);
     let base = LeonConfig::base();
@@ -50,37 +47,20 @@ fn prepare(scale: Scale) -> Prepared {
     let space = ParameterSpace::paper();
     let (_, trace) = workloads::capture_verified(&workload, &base, MAX_CYCLES).unwrap();
 
-    // Figure 2 sweep: the batched engine must produce identical rows in a
-    // single memory-stream pass
+    // Figure 2 sweep: a single memory-stream pass
     let before = trace_walks_performed();
-    let batched = dcache_exhaustive_traced(&trace, &base, &model, MAX_CYCLES, 1).unwrap();
-    let batched_walks = trace_walks_performed() - before;
-    assert_eq!(batched_walks, 1, "batched sweep must fuse into one memory-stream pass");
-    let before = trace_walks_performed();
-    let per_config =
-        dcache_exhaustive_traced_per_config(&trace, &base, &model, MAX_CYCLES, 1).unwrap();
-    let per_config_walks = trace_walks_performed() - before;
-    assert_eq!(batched, per_config, "sweep rows must be identical between the engines");
-    assert!(per_config_walks > batched_walks, "per-config sweep walks once per geometry");
+    dcache_exhaustive_traced(&trace, &base, &model, MAX_CYCLES, 1).unwrap();
+    let sweep_walks = trace_walks_performed() - before;
+    assert_eq!(sweep_walks, 1, "batched sweep must fuse into one memory-stream pass");
 
-    // 52-variable cost table: at most one pass per trace stream, same table
+    // 52-variable cost table: at most one pass per trace stream
     let before = trace_walks_performed();
-    let table_batched =
-        measure_cost_table_traced(&space, &workload, &base, &model, &options(true), &trace)
-            .unwrap();
+    measure_cost_table_traced(&space, &workload, &base, &model, &options(), &trace).unwrap();
     let table_walks = trace_walks_performed() - before;
     assert!(table_walks <= 2, "batched table must walk each stream at most once");
-    let table_per_config =
-        measure_cost_table_traced(&space, &workload, &base, &model, &options(false), &trace)
-            .unwrap();
-    assert_eq!(
-        serde_json::to_string(&table_batched).unwrap(),
-        serde_json::to_string(&table_per_config).unwrap(),
-        "cost tables must be byte-identical between the engines"
-    );
     eprintln!(
-        "batch_replay: contracts verified at scale {:?} (sweep walks {} -> {}, table walks {})",
-        scale, per_config_walks, batched_walks, table_walks
+        "batch_replay bench: contracts verified at scale {:?} (sweep walks {}, table walks {})",
+        scale, sweep_walks, table_walks
     );
     Prepared { scale, workload, trace }
 }
@@ -93,26 +73,12 @@ fn register(group: &mut BenchmarkGroup, prepared: &Prepared) {
     let trace = &prepared.trace;
     let workload = &prepared.workload;
 
-    group.bench_function(format!("fig2_sweep_per_config/{scale}"), |b| {
-        b.iter(|| {
-            dcache_exhaustive_traced_per_config(trace, &base, &model, MAX_CYCLES, 1)
-                .unwrap()
-                .len()
-        })
-    });
     group.bench_function(format!("fig2_sweep_batched/{scale}"), |b| {
         b.iter(|| dcache_exhaustive_traced(trace, &base, &model, MAX_CYCLES, 1).unwrap().len())
     });
-    group.bench_function(format!("cost_table_per_config/{scale}"), |b| {
-        b.iter(|| {
-            measure_cost_table_traced(&space, workload, &base, &model, &options(false), trace)
-                .unwrap()
-                .len()
-        })
-    });
     group.bench_function(format!("cost_table_batched/{scale}"), |b| {
         b.iter(|| {
-            measure_cost_table_traced(&space, workload, &base, &model, &options(true), trace)
+            measure_cost_table_traced(&space, workload, &base, &model, &options(), trace)
                 .unwrap()
                 .len()
         })

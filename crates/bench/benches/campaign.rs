@@ -51,7 +51,7 @@ fn campaign_parallel_speedup(c: &mut Criterion) {
     // The whole multi-workload campaign over the paper's 52-variable space.
     for threads in THREAD_SETTINGS {
         let engine = Campaign::new().with_weights(Weights::runtime_optimized()).with_measurement(
-            MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay: true, batch_replay: true },
+            MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay: true },
         );
         group.bench_function(format!("multi_workload_campaign_threads_{threads}"), |b| {
             b.iter(|| {

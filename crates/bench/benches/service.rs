@@ -96,6 +96,7 @@ fn start_daemon(scale: Scale) -> Daemon {
         options: ExperimentOptions { scale, ..ExperimentOptions::default() },
         space: ParameterSpace::paper(),
         store: Some(ArtifactStore::open(&dir).unwrap()),
+        ..ServerConfig::default()
     };
     let server = Server::bind(config).expect("bind service listener");
     let addr = server.local_addr().expect("bound address");

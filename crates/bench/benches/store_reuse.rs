@@ -47,7 +47,7 @@ impl Workload for RetaggedArith {
 
 fn engine(store: Option<ArtifactStore>) -> Campaign {
     let mut c = Campaign::new().with_weights(Weights::runtime_optimized()).with_measurement(
-        MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0, use_replay: true, batch_replay: true },
+        MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0, use_replay: true },
     );
     if let Some(s) = store {
         c = c.with_store(s);

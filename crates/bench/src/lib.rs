@@ -40,7 +40,7 @@ pub const MAX_CYCLES: u64 = 2_000_000_000;
 
 /// Measurement options used by the harness (all cores).
 pub fn measurement() -> MeasurementOptions {
-    MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0, use_replay: true, batch_replay: true }
+    MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0, use_replay: true }
 }
 
 /// The paper's two weight settings plus the runtime-only validation weights.

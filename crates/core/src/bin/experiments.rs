@@ -22,12 +22,13 @@
 //! experiments store unpack --file FILE [--store DIR]
 //! ```
 //!
-//! `serve` runs the campaign daemon (same engine configuration as the
-//! `campaign` target, so they share store entries); `population` batch
-//! co-optimizes a fleet of tenant mixes (from a JSON profile file or
-//! generated deterministically) and prints the Pareto frontier of
-//! configurations covering every tenant within `--tolerance` percent of its
-//! own optimum; `search` runs the enumerate-then-prune design-space funnel
+//! `serve` runs the campaign daemon — `autoreconf-serve` behind the same
+//! flag parser ([`autoreconf::service::run_cli`]), with the same engine
+//! configuration as the `campaign` target, so they share store entries;
+//! `population` batch co-optimizes a fleet of tenant mixes (from a JSON
+//! profile file or generated deterministically) and prints the Pareto
+//! frontier of configurations covering every tenant within `--tolerance`
+//! percent of its own optimum; `search` runs the enumerate-then-prune design-space funnel
 //! over a shipped candidate space (`figure2` = the paper's 28 d-cache
 //! geometries, `expanded` = the 24 192-candidate i-cache × d-cache ×
 //! windows × timings cross) — `--mode exhaustive` walk-validates every
@@ -91,14 +92,9 @@ enum Command {
         gc_budget: Option<u64>,
         counters_file: Option<String>,
     },
-    /// Run the campaign-as-a-service daemon.
-    Serve {
-        addr: String,
-        options: ExperimentOptions,
-        space: SpaceChoice,
-        store_dir: Option<String>,
-        tuning: ServeTuning,
-    },
+    /// Run the campaign-as-a-service daemon; its flags (everything after
+    /// `serve`) go to the daemon's own parser.
+    Serve(Vec<String>),
     /// Batch co-optimize a population of tenant mixes.
     Population {
         source: MixSource,
@@ -128,54 +124,6 @@ enum MixSource {
     File(String),
     /// Deterministically generated mixes.
     Random { count: usize, seed: u64 },
-}
-
-/// Robustness knobs of the `serve` target, mirroring
-/// [`autoreconf::service::ServerConfig`]'s hardening fields.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct ServeTuning {
-    /// Run a `doctor --repair` pass over the store before serving.
-    doctor: bool,
-    /// In-flight compute cap (0 = unbounded).
-    max_in_flight: usize,
-    /// Per-connection io timeout in milliseconds (0 = none).
-    io_timeout_ms: u64,
-}
-
-impl Default for ServeTuning {
-    fn default() -> Self {
-        ServeTuning {
-            doctor: false,
-            max_in_flight: autoreconf::service::DEFAULT_MAX_IN_FLIGHT,
-            io_timeout_ms: autoreconf::service::DEFAULT_IO_TIMEOUT.as_millis() as u64,
-        }
-    }
-}
-
-/// Which decision-variable space `serve` optimizes over.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum SpaceChoice {
-    /// The paper's full 52-variable space (the `campaign` target's space).
-    Paper,
-    /// The restricted d-cache geometry study space (fast smoke runs).
-    Dcache,
-}
-
-impl SpaceChoice {
-    fn parse(name: &str) -> Result<SpaceChoice, String> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "paper" | "full" => Ok(SpaceChoice::Paper),
-            "dcache" => Ok(SpaceChoice::Dcache),
-            other => Err(format!("unknown space `{other}` (expected paper or dcache)")),
-        }
-    }
-
-    fn space(self) -> autoreconf::ParameterSpace {
-        match self {
-            SpaceChoice::Paper => autoreconf::ParameterSpace::paper(),
-            SpaceChoice::Dcache => autoreconf::ParameterSpace::dcache_geometry(),
-        }
-    }
 }
 
 #[derive(Clone, Debug, PartialEq)]
@@ -270,51 +218,6 @@ fn parse_store_args(args: &[String]) -> Result<Command, String> {
         }
     };
     Ok(Command::Store { action, store_dir })
-}
-
-/// Parse a `serve` invocation (everything after the `serve` word).
-fn parse_serve_args(args: &[String]) -> Result<Command, String> {
-    let mut addr = "127.0.0.1:0".to_string();
-    let mut options = ExperimentOptions::default();
-    let mut space = SpaceChoice::Paper;
-    let mut store_dir = None;
-    let mut tuning = ServeTuning::default();
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => addr = flag_value("--addr", &mut iter)?,
-            "--scale" => {
-                let value = flag_value("--scale", &mut iter)?;
-                options.scale = Scale::parse(&value).map_err(|e| e.to_string())?;
-            }
-            "--threads" => {
-                let value = flag_value("--threads", &mut iter)?;
-                options.threads = value.trim().parse().map_err(|_| {
-                    format!("invalid --threads value `{value}` (expected a number; 0 = all cores)")
-                })?;
-            }
-            "--space" => space = SpaceChoice::parse(&flag_value("--space", &mut iter)?)?,
-            "--store" => store_dir = Some(flag_value("--store", &mut iter)?),
-            "--doctor" => tuning.doctor = true,
-            "--max-inflight" => {
-                let value = flag_value("--max-inflight", &mut iter)?;
-                tuning.max_in_flight = value.trim().parse().map_err(|_| {
-                    format!(
-                        "invalid --max-inflight value `{value}` (expected a number; 0 = unbounded)"
-                    )
-                })?;
-            }
-            "--io-timeout-ms" => {
-                let value = flag_value("--io-timeout-ms", &mut iter)?;
-                tuning.io_timeout_ms = value.trim().parse().map_err(|_| {
-                    format!("invalid --io-timeout-ms value `{value}` (expected milliseconds; 0 = none)")
-                })?;
-            }
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("serve: unknown argument `{other}`")),
-        }
-    }
-    Ok(Command::Serve { addr, options, space, store_dir, tuning })
 }
 
 /// Parse a `population` invocation (everything after the `population` word).
@@ -437,7 +340,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         return parse_store_args(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("serve") {
-        return parse_serve_args(&args[1..]);
+        return Ok(Command::Serve(args[1..].to_vec()));
     }
     if args.first().map(String::as_str) == Some("population") {
         return parse_population_args(&args[1..]);
@@ -550,32 +453,6 @@ fn write_counters_file(path: &str) -> Result<(), String> {
         workloads::trace_payload_bytes_read()
     );
     std::fs::write(path, body).map_err(|e| format!("cannot write counters file `{path}`: {e}"))
-}
-
-/// Run the campaign daemon until a client sends `Shutdown`.
-fn run_serve(
-    addr: &str,
-    options: &ExperimentOptions,
-    space: SpaceChoice,
-    store_dir: &Option<String>,
-    tuning: ServeTuning,
-) -> Result<(), String> {
-    let config = autoreconf::service::ServerConfig {
-        addr: addr.to_string(),
-        options: *options,
-        space: space.space(),
-        store: open_store(store_dir)?,
-        io_timeout: (tuning.io_timeout_ms > 0)
-            .then(|| std::time::Duration::from_millis(tuning.io_timeout_ms)),
-        max_in_flight: tuning.max_in_flight,
-        doctor_on_start: tuning.doctor,
-    };
-    let server = autoreconf::service::Server::bind(config)
-        .map_err(|e| format!("cannot bind listener on `{addr}`: {e}"))?;
-    let bound = server.local_addr().map_err(|e| format!("no local address: {e}"))?;
-    println!("autoreconf-serve listening on {bound}");
-    std::io::stdout().flush().map_err(|e| format!("cannot flush address line: {e}"))?;
-    server.run().map_err(|e| format!("server failed: {e}"))
 }
 
 /// Run the `population` target: resolve the mix source, batch co-optimize,
@@ -798,9 +675,7 @@ fn main() {
             Ok(())
         }
         Command::Store { action, store_dir } => run_store_action(action, store_dir),
-        Command::Serve { addr, options, space, store_dir, tuning } => {
-            run_serve(addr, options, *space, store_dir, *tuning)
-        }
+        Command::Serve(args) => std::process::exit(autoreconf::service::run_cli(args)),
         Command::Population { source, tolerance_pct, options, json_dir, store_dir } => {
             run_population(source, *tolerance_pct, options, json_dir, store_dir)
         }
@@ -870,58 +745,11 @@ mod tests {
     }
 
     #[test]
-    fn serve_subcommand_parses() {
-        match parse(&["serve"]).unwrap() {
-            Command::Serve { addr, options, space, store_dir, tuning } => {
-                assert_eq!(addr, "127.0.0.1:0");
-                assert_eq!(options.scale, Scale::Small);
-                assert_eq!(space, SpaceChoice::Paper);
-                assert_eq!(store_dir, None);
-                assert_eq!(tuning, ServeTuning::default());
-            }
-            other => panic!("unexpected parse: {other:?}"),
-        }
-        match parse(&[
-            "serve", "--addr", "0.0.0.0:7071", "--scale", "tiny", "--threads", "2", "--space",
-            "dcache", "--store", "d",
-        ])
-        .unwrap()
-        {
-            Command::Serve { addr, options, space, store_dir, tuning } => {
-                assert_eq!(addr, "0.0.0.0:7071");
-                assert_eq!(options.scale, Scale::Tiny);
-                assert_eq!(options.threads, 2);
-                assert_eq!(space, SpaceChoice::Dcache);
-                assert_eq!(store_dir.as_deref(), Some("d"));
-                assert_eq!(tuning, ServeTuning::default());
-            }
-            other => panic!("unexpected parse: {other:?}"),
-        }
-        match parse(&[
-            "serve", "--doctor", "--max-inflight", "4", "--io-timeout-ms", "0",
-        ])
-        .unwrap()
-        {
-            Command::Serve { tuning, .. } => {
-                assert_eq!(
-                    tuning,
-                    ServeTuning { doctor: true, max_in_flight: 4, io_timeout_ms: 0 }
-                );
-            }
-            other => panic!("unexpected parse: {other:?}"),
-        }
-        assert_eq!(parse(&["serve", "--help"]).unwrap(), Command::Help);
-    }
-
-    #[test]
-    fn serve_errors_are_loud() {
-        assert!(parse_err(&["serve", "--scale", "big"]).contains("unknown scale"));
-        assert!(parse_err(&["serve", "--space", "everything"]).contains("unknown space"));
-        assert!(parse_err(&["serve", "--addr"]).contains("requires a value"));
-        assert!(parse_err(&["serve", "campaign"]).contains("serve: unknown argument"));
-        assert!(parse_err(&["serve", "--threads", "all"]).contains("invalid --threads"));
-        assert!(parse_err(&["serve", "--max-inflight", "many"]).contains("--max-inflight"));
-        assert!(parse_err(&["serve", "--io-timeout-ms", "soon"]).contains("--io-timeout-ms"));
+    fn serve_flags_go_to_the_daemon_parser() {
+        assert_eq!(
+            parse(&["serve", "--scale", "tiny", "--help"]).unwrap(),
+            Command::Serve(vec!["--scale".to_string(), "tiny".to_string(), "--help".to_string()])
+        );
     }
 
     #[test]

@@ -1875,7 +1875,6 @@ mod tests {
                 max_cycles: 400_000_000,
                 threads,
                 use_replay: true,
-                batch_replay: true,
             })
     }
 

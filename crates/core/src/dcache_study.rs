@@ -95,8 +95,8 @@ pub fn dcache_exhaustive(
 /// of classes instead of once per configuration, and `threads` partitions
 /// the *classes* over the worker pool.  Row order is the combination order,
 /// the first error propagated is the lowest-indexed one, and the rows are
-/// bit-identical to the per-config kernel
-/// ([`dcache_exhaustive_traced_per_config`]) at any thread count.
+/// bit-identical at any thread count — and to full simulation
+/// ([`dcache_exhaustive_full`]).
 pub fn dcache_exhaustive_traced(
     trace: &leon_sim::Trace,
     base: &LeonConfig,
@@ -227,52 +227,6 @@ pub fn dcache_exhaustive_traced_streamed(
             bram_pct: report.bram_percent,
             fits: true,
         });
-    }
-    Ok(rows)
-}
-
-/// The pre-batching sweep kernel: one [`leon_sim::replay`] — and therefore
-/// one full memory-stream walk — per feasible geometry, fanned out over the
-/// pool per configuration.  Kept as the baseline the `batch_replay`
-/// benchmark measures the one-pass engine against, and as the reference the
-/// equivalence tests compare bit-for-bit.
-pub fn dcache_exhaustive_traced_per_config(
-    trace: &leon_sim::Trace,
-    base: &LeonConfig,
-    model: &SynthesisModel,
-    max_cycles: u64,
-    threads: usize,
-) -> Result<Vec<DcacheRow>, SimError> {
-    let combos = dcache_combinations();
-    let results = crate::campaign::run_indexed(combos.len(), threads, |i| -> Result<DcacheRow, SimError> {
-        let (ways, way_kb) = combos[i];
-        let config = sweep_config(base, ways, way_kb);
-        let report = model.synthesize(&config);
-        if !report.fits {
-            return Ok(DcacheRow {
-                ways,
-                way_kb,
-                cycles: 0,
-                seconds: 0.0,
-                lut_pct: report.lut_percent,
-                bram_pct: report.bram_percent,
-                fits: false,
-            });
-        }
-        let stats = leon_sim::replay(trace, &config, max_cycles)?;
-        Ok(DcacheRow {
-            ways,
-            way_kb,
-            cycles: stats.cycles,
-            seconds: config.cycles_to_seconds(stats.cycles),
-            lut_pct: report.lut_percent,
-            bram_pct: report.bram_percent,
-            fits: true,
-        })
-    });
-    let mut rows = Vec::with_capacity(combos.len());
-    for result in results {
-        rows.push(result?);
     }
     Ok(rows)
 }

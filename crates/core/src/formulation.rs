@@ -403,7 +403,7 @@ mod tests {
             &w,
             &LeonConfig::base(),
             &SynthesisModel::default(),
-            &MeasurementOptions { max_cycles: 100_000_000, threads: 2, use_replay: true, batch_replay: true },
+            &MeasurementOptions { max_cycles: 100_000_000, threads: 2, use_replay: true },
         )
         .unwrap()
     }

@@ -63,7 +63,7 @@ pub use store::{
 };
 pub use dcache_study::{
     best_runtime_row, dcache_exhaustive, dcache_exhaustive_full, dcache_exhaustive_traced,
-    dcache_exhaustive_traced_per_config, DcacheRow,
+    DcacheRow,
 };
 pub use formulation::{
     blend_cost_tables, formulate, formulate_mixed, predict, ConstraintForm, FormulationOptions,

@@ -11,9 +11,10 @@
 //!
 //! The hot path is trace-driven: the application executes in full exactly
 //! once (capturing an execution trace, see [`leon_sim::trace`]), and every
-//! perturbation is retimed by [`leon_sim::replay`] over that trace instead
-//! of re-running the cycle-accurate interpreter.  All 52 Figure 1 variables
-//! are trace-invariant today — register-window changes included, because the
+//! perturbation is retimed in one batched replay over that trace
+//! ([`crate::campaign::replay_batch_indexed`]) instead of re-running the
+//! cycle-accurate interpreter.  All 52 Figure 1 variables are
+//! trace-invariant today — register-window changes included, because the
 //! trace records every `save`/`restore` rotation and replay re-derives the
 //! traps — but the classification ([`Variable::is_trace_invariant`]) stays
 //! explicit so a future stream-changing parameter falls back to full
@@ -38,16 +39,11 @@ pub struct MeasurementOptions {
     pub max_cycles: u64,
     /// Number of worker threads (0 = one per available CPU).
     pub threads: usize,
-    /// Measure trace-invariant perturbations by trace replay (the default).
-    /// Disable to force full simulation everywhere — only useful for
-    /// benchmarking the replay speedup and for equivalence testing.
+    /// Measure trace-invariant perturbations by batched trace replay (the
+    /// default; see [`leon_sim::ReplayBatch`]).  Disable to force full
+    /// simulation everywhere — the oracle the equivalence tests compare
+    /// against, and the baseline of the replay speedup benchmarks.
     pub use_replay: bool,
-    /// Retime all of a table's replayable configurations in one batched
-    /// trace walk per behavior class (the default; see
-    /// [`leon_sim::ReplayBatch`]).  Disable to fall back to one walk per
-    /// configuration — only useful for benchmarking the one-pass speedup
-    /// and for equivalence testing; results are bit-identical either way.
-    pub batch_replay: bool,
 }
 
 impl Default for MeasurementOptions {
@@ -56,7 +52,6 @@ impl Default for MeasurementOptions {
             max_cycles: leon_sim::DEFAULT_MAX_CYCLES,
             threads: 0,
             use_replay: true,
-            batch_replay: true,
         }
     }
 }
@@ -192,22 +187,14 @@ struct MeasureCtx<'a> {
     base: &'a LeonConfig,
     base_costs: &'a BaseCosts,
     options: &'a MeasurementOptions,
-    /// Execution trace of the base configuration (when replay is enabled).
-    trace: Option<&'a Trace>,
     synth: &'a SynthCache<'a>,
     references: &'a RefCache,
 }
 
 impl MeasureCtx<'_> {
-    /// Runtime of `config` in (cycles, seconds): by trace replay when the
-    /// perturbation permits it, by full verified simulation otherwise.
-    fn timed_run(&self, config: &LeonConfig, replayable: bool) -> Result<(u64, f64), SimError> {
-        if replayable {
-            if let Some(trace) = self.trace {
-                let stats = leon_sim::replay(trace, config, self.options.max_cycles)?;
-                return Ok((stats.cycles, config.cycles_to_seconds(stats.cycles)));
-            }
-        }
+    /// Runtime of `config` in (cycles, seconds), by full verified
+    /// simulation.
+    fn timed_run(&self, config: &LeonConfig) -> Result<(u64, f64), SimError> {
         let run = workloads::run_verified(self.workload, config, self.options.max_cycles)?;
         Ok((run.stats.cycles, run.seconds))
     }
@@ -215,16 +202,12 @@ impl MeasureCtx<'_> {
     /// Reference point of a variable: the base configuration plus its
     /// enabler (if any), so that the additive model `cost(enabler) +
     /// cost(change)` approximates the cost of the combined configuration.
-    fn reference_costs(
-        &self,
-        reference: &LeonConfig,
-        replayable: bool,
-    ) -> Result<(u64, f64, f64), SimError> {
+    fn reference_costs(&self, reference: &LeonConfig) -> Result<(u64, f64, f64), SimError> {
         if let Some(costs) = self.references.lock().unwrap().get(reference) {
             return Ok(*costs);
         }
         let report = self.synth.synthesize(reference);
-        let (cycles, _) = self.timed_run(reference, replayable)?;
+        let (cycles, _) = self.timed_run(reference)?;
         let costs = (
             cycles,
             exact_lut_pct(self.synth.model, report.luts),
@@ -234,9 +217,9 @@ impl MeasureCtx<'_> {
         Ok(costs)
     }
 
+    /// Measure one variable by full simulation (the batched kernel covers
+    /// every replayable one).
     fn measure_variable(&self, var: &Variable) -> Result<VariableCost, SimError> {
-        let replayable = self.options.use_replay && var.is_trace_invariant();
-
         let mut reference = *self.base;
         if let Some(enabler) = &var.enabler {
             enabler.apply(&mut reference);
@@ -245,13 +228,13 @@ impl MeasureCtx<'_> {
         var.change.apply(&mut perturbed);
 
         let (ref_cycles, ref_lut_pct, ref_bram_pct) = if var.enabler.is_some() {
-            self.reference_costs(&reference, replayable)?
+            self.reference_costs(&reference)?
         } else {
             (self.base_costs.cycles, self.base_costs.lut_pct, self.base_costs.bram_pct)
         };
 
         let report = self.synth.synthesize(&perturbed);
-        let (cycles, seconds) = self.timed_run(&perturbed, replayable)?;
+        let (cycles, seconds) = self.timed_run(&perturbed)?;
         let lut_pct = exact_lut_pct(self.synth.model, report.luts);
         let bram_pct = exact_bram_pct(self.synth.model, report.bram_blocks);
 
@@ -314,7 +297,6 @@ pub fn measure_variable(
         base,
         base_costs,
         options,
-        trace: None,
         synth: &synth,
         references: &references,
     };
@@ -327,13 +309,13 @@ pub fn measure_variable(
 /// regardless of worker scheduling — `threads = 1` and `threads = N` produce
 /// byte-identical tables.
 ///
-/// With a trace and batching enabled (the default), every replayable
+/// With a trace and replay enabled (the default), every replayable
 /// configuration of the table — perturbations and enabler references alike —
 /// is retimed through one batched walk per behavior class
 /// ([`crate::campaign::replay_batch_indexed`], which schedules class-span ×
 /// trace-segment units over the pool — segments of one span chain in order,
 /// while different spans interleave at segment granularity); otherwise each
-/// variable replays (or fully simulates) on its own, fanned out per variable.
+/// variable is fully simulated on its own, fanned out per variable.
 fn measure_all(
     space: &ParameterSpace,
     workload: &(dyn Workload + Sync),
@@ -351,12 +333,11 @@ fn measure_all(
         base,
         base_costs: &base_costs,
         options,
-        trace,
         synth: &synth,
         references: &references,
     };
 
-    if options.use_replay && options.batch_replay {
+    if options.use_replay {
         if let Some(trace) = trace {
             let costs = measure_all_batched(variables, &ctx, trace)?;
             return Ok(CostTable {
@@ -382,12 +363,12 @@ fn measure_all(
 /// enabler reference — retime them all with one trace walk per behavior
 /// class, then assemble the per-variable costs closed-form.
 ///
-/// Bit-identical to the per-variable path, including error order: variables
-/// are assembled in index order and each variable surfaces its reference's
-/// error before its perturbation's, exactly as `measure_variable` evaluates
-/// them.  Non-replayable variables (none exist in today's Figure 1 space,
-/// but the classification stays explicit) fall back to per-variable full
-/// simulation on the pool.
+/// Bit-identical to the per-variable full-simulation path, including error
+/// order: variables are assembled in index order and each variable surfaces
+/// its reference's error before its perturbation's, exactly as
+/// `measure_variable` evaluates them.  Non-replayable variables (none exist
+/// in today's Figure 1 space, but the classification stays explicit) fall
+/// back to per-variable full simulation on the pool.
 fn measure_all_batched(
     variables: &[Variable],
     ctx: &MeasureCtx<'_>,
@@ -547,7 +528,7 @@ mod tests {
     use workloads::{Arith, Blastn, Scale};
 
     fn options() -> MeasurementOptions {
-        MeasurementOptions { max_cycles: 100_000_000, threads: 2, use_replay: true, batch_replay: true }
+        MeasurementOptions { max_cycles: 100_000_000, threads: 2, use_replay: true }
     }
 
     fn no_replay() -> MeasurementOptions {

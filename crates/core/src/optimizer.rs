@@ -281,7 +281,7 @@ mod tests {
     use workloads::{Arith, Blastn, Scale};
 
     fn fast_measurement() -> MeasurementOptions {
-        MeasurementOptions { max_cycles: 200_000_000, threads: 0, use_replay: true, batch_replay: true }
+        MeasurementOptions { max_cycles: 200_000_000, threads: 0, use_replay: true }
     }
 
     #[test]

@@ -757,7 +757,6 @@ mod tests {
                 max_cycles: 100_000_000,
                 threads: 2,
                 use_replay: true,
-                batch_replay: true,
             },
         )
         .unwrap();

@@ -666,6 +666,127 @@ fn validate_mix(mix: &[f64], suite_len: usize) -> Result<(), String> {
     crate::campaign::canonical_shares(mix).map(|_| ()).map_err(|e| e.to_string())
 }
 
+// -- command line -----------------------------------------------------------
+
+/// Usage text of the daemon's flags, shared by `autoreconf-serve` and
+/// `experiments serve`.
+pub const USAGE: &str = "usage: autoreconf-serve | experiments serve [--addr HOST:PORT] \
+     [--scale tiny|small|medium|large] [--threads N] [--space paper|dcache] \
+     [--store DIR] [--doctor] [--max-inflight N] [--io-timeout-ms N]\n\
+\n\
+--addr defaults to 127.0.0.1:0 (a free port; the bound address is printed \
+on stdout). --store defaults to $AUTORECONF_STORE. --space dcache restricts \
+the optimization to the d-cache geometry variables (fast smoke runs). \
+--doctor repairs the store before serving. --max-inflight caps concurrently \
+computing requests (0 = unbounded); excess load is shed with Overloaded. \
+--io-timeout-ms bounds idle/stalled connections (0 = none).";
+
+/// Parse the `--space` flag: the paper's full 52-variable space or the
+/// restricted d-cache geometry study space.
+fn parse_space(name: &str) -> Result<ParameterSpace, String> {
+    match name.trim().to_ascii_lowercase().as_str() {
+        "paper" | "full" => Ok(ParameterSpace::paper()),
+        "dcache" => Ok(ParameterSpace::dcache_geometry()),
+        other => Err(format!("unknown space `{other}` (expected paper or dcache)")),
+    }
+}
+
+/// Parse the daemon's flags (the words after `autoreconf-serve` or
+/// `experiments serve`) into a [`ServerConfig`], opening `--store DIR` (or
+/// `$AUTORECONF_STORE` without it); `Ok(None)` asks for the usage text.
+/// Every malformed flag is an error naming it — never a silent fallback.
+pub fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
+    let mut config = ServerConfig::default();
+    let mut store_dir = None;
+    let mut iter = args.iter().peekable();
+    let flag_value = |flag: &str,
+                      iter: &mut std::iter::Peekable<std::slice::Iter<'_, String>>|
+     -> Result<String, String> {
+        match iter.peek() {
+            Some(v) if !v.starts_with("--") => Ok(iter.next().unwrap().clone()),
+            _ => Err(format!("{flag} requires a value")),
+        }
+    };
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--addr" => config.addr = flag_value("--addr", &mut iter)?,
+            "--scale" => {
+                let value = flag_value("--scale", &mut iter)?;
+                config.options.scale = Scale::parse(&value).map_err(|e| e.to_string())?;
+            }
+            "--threads" => {
+                let value = flag_value("--threads", &mut iter)?;
+                config.options.threads = value.trim().parse().map_err(|_| {
+                    format!("invalid --threads value `{value}` (expected a number; 0 = all cores)")
+                })?;
+            }
+            "--space" => config.space = parse_space(&flag_value("--space", &mut iter)?)?,
+            "--store" => store_dir = Some(flag_value("--store", &mut iter)?),
+            "--doctor" => config.doctor_on_start = true,
+            "--max-inflight" => {
+                let value = flag_value("--max-inflight", &mut iter)?;
+                config.max_in_flight = value.trim().parse().map_err(|_| {
+                    format!(
+                        "invalid --max-inflight value `{value}` (expected a number; 0 = unbounded)"
+                    )
+                })?;
+            }
+            "--io-timeout-ms" => {
+                let value = flag_value("--io-timeout-ms", &mut iter)?;
+                let ms: u64 = value.trim().parse().map_err(|_| {
+                    format!("invalid --io-timeout-ms value `{value}` (expected milliseconds; 0 = none)")
+                })?;
+                config.io_timeout = (ms > 0).then(|| Duration::from_millis(ms));
+            }
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    if let Some(dir) = store_dir {
+        let store = ArtifactStore::open(&dir)
+            .map_err(|e| format!("cannot open artifact store `{dir}`: {e}"))?;
+        config.store = Some(store);
+    }
+    Ok(Some(config))
+}
+
+/// The daemon's command-line front end, behind both `autoreconf-serve` and
+/// `experiments serve`: parse `args` ([`parse_args`]), bind, print
+/// `autoreconf-serve listening on ADDR` on stdout (machine parseable — port
+/// 0 picks a free port) and serve until a client sends `Shutdown`.  Returns
+/// the process exit code: 0 after `--help` or a clean shutdown, 2 for a
+/// malformed flag, 1 when binding or serving fails.
+pub fn run_cli(args: &[String]) -> i32 {
+    let config = match parse_args(args) {
+        Ok(Some(config)) => config,
+        Ok(None) => {
+            println!("{USAGE}");
+            return 0;
+        }
+        Err(message) => {
+            eprintln!("error: {message}");
+            eprintln!("{USAGE}");
+            return 2;
+        }
+    };
+    let addr = config.addr.clone();
+    let served = Server::bind(config)
+        .map_err(|e| format!("cannot bind listener on `{addr}`: {e}"))
+        .and_then(|server| {
+            let bound = server.local_addr().map_err(|e| format!("no local address: {e}"))?;
+            println!("autoreconf-serve listening on {bound}");
+            io::stdout().flush().map_err(|e| format!("cannot flush address line: {e}"))?;
+            server.run().map_err(|e| format!("server failed: {e}"))
+        });
+    match served {
+        Ok(()) => 0,
+        Err(message) => {
+            eprintln!("error: {message}");
+            1
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -955,5 +1076,58 @@ mod tests {
         let mut stream = TcpStream::connect(addr).unwrap();
         assert_eq!(roundtrip_on(&mut stream, &Request::Shutdown), Response::Bye);
         handle.join().unwrap();
+    }
+
+    fn parse(words: &[&str]) -> Result<Option<ServerConfig>, String> {
+        parse_args(&words.iter().map(|w| w.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn defaults_and_flags_parse() {
+        let config = parse(&[]).unwrap().unwrap();
+        assert_eq!(config.addr, "127.0.0.1:0");
+        assert_eq!(config.options.scale, Scale::Small);
+        let config = parse(&["--addr", "0.0.0.0:7071", "--scale", "tiny", "--threads", "2"])
+            .unwrap()
+            .unwrap();
+        assert_eq!(config.addr, "0.0.0.0:7071");
+        assert_eq!(config.options.scale, Scale::Tiny);
+        assert_eq!(config.options.threads, 2);
+        assert!(parse(&["--help"]).unwrap().is_none());
+    }
+
+    #[test]
+    fn malformed_flags_are_loud() {
+        assert!(parse(&["--scale", "big"]).unwrap_err().contains("unknown scale"));
+        assert!(parse(&["--threads", "all"]).unwrap_err().contains("invalid --threads"));
+        assert!(parse(&["--addr"]).unwrap_err().contains("requires a value"));
+        assert!(parse(&["--space", "everything"]).unwrap_err().contains("unknown space"));
+        assert!(parse(&["--frobnicate"]).unwrap_err().contains("unknown argument"));
+        assert!(parse(&["--max-inflight", "many"]).unwrap_err().contains("--max-inflight"));
+        assert!(parse(&["--io-timeout-ms", "soon"]).unwrap_err().contains("--io-timeout-ms"));
+    }
+
+    #[test]
+    fn hardening_flags_parse() {
+        let config = parse(&[]).unwrap().unwrap();
+        assert!(!config.doctor_on_start);
+        assert_eq!(config.max_in_flight, DEFAULT_MAX_IN_FLIGHT);
+        assert_eq!(config.io_timeout, Some(DEFAULT_IO_TIMEOUT));
+        let config =
+            parse(&["--doctor", "--max-inflight", "8", "--io-timeout-ms", "2500"]).unwrap().unwrap();
+        assert!(config.doctor_on_start);
+        assert_eq!(config.max_in_flight, 8);
+        assert_eq!(config.io_timeout, Some(Duration::from_millis(2500)));
+        let unbounded = parse(&["--max-inflight", "0", "--io-timeout-ms", "0"]).unwrap().unwrap();
+        assert_eq!(unbounded.max_in_flight, 0);
+        assert_eq!(unbounded.io_timeout, None);
+    }
+
+    #[test]
+    fn space_flag_selects_the_study_space() {
+        let config = parse(&["--space", "dcache"]).unwrap().unwrap();
+        assert!(config.space.len() < ParameterSpace::paper().len());
+        let full = parse(&["--space", "paper"]).unwrap().unwrap();
+        assert_eq!(full.space.len(), ParameterSpace::paper().len());
     }
 }

@@ -648,17 +648,14 @@ pub struct DoctorReport {
     /// `.pin-*` markers still inside their TTL: a session in this or
     /// another process holds the entry pinned.  Informational, never dirt.
     pub active_pins: usize,
-    /// Trace entries in the legacy version-1 (monolithic) codec.  They
-    /// still load — the decoder keeps v1 support — but re-serialising
-    /// (or re-capturing) upgrades them to the segmented format.
-    pub trace_v1_entries: usize,
-    /// Trace entries in the segmented version-2 codec whose segment index
-    /// and per-segment checksums all validate.
-    pub trace_v2_entries: usize,
+    /// Trace entries whose segment index and per-segment checksums all
+    /// validate.
+    pub trace_entries: usize,
     /// Trace entries whose envelope checksum passes but whose embedded
-    /// trace fails structural validation — a broken segment index (offsets
-    /// not monotone, payload mis-tiled) or a per-segment checksum mismatch
-    /// (deleted when repairing).
+    /// trace fails structural validation — a foreign format version (such
+    /// as the monolithic version 1 of earlier releases), a broken segment
+    /// index (offsets not monotone, payload mis-tiled) or a per-segment
+    /// checksum mismatch (deleted when repairing).
     pub segment_index_errors: usize,
     /// `search` entries whose payload deserialises as a search outcome.
     pub search_entries: usize,
@@ -724,17 +721,8 @@ impl DoctorReport {
                 self.active_pins
             ));
         }
-        if self.trace_v1_entries + self.trace_v2_entries > 0 {
-            out.push_str(&format!(
-                "  traces: {} segmented (v2), {} legacy (v1)\n",
-                self.trace_v2_entries, self.trace_v1_entries
-            ));
-            if self.trace_v1_entries > 0 && self.trace_v2_entries > 0 {
-                out.push_str(
-                    "  mixed-version store: v1 entries still load, and refresh to v2 \
-                     on the next capture\n",
-                );
-            }
+        if self.trace_entries > 0 {
+            out.push_str(&format!("  traces: {} well-formed\n", self.trace_entries));
         }
         if self.search_entries > 0 {
             out.push_str(&format!("  searches: {} well-formed outcome(s)\n", self.search_entries));
@@ -1712,14 +1700,15 @@ impl ArtifactStore {
         Some((bytes, checksum))
     }
 
-    /// Codec version of the trace embedded in a stored `trace` payload, or
-    /// `None` when its structure does not validate (`store doctor`'s inner
-    /// integrity pass): the 16-byte base-cost prefix must be present, the
-    /// trace header must parse, and — for the segmented v2 codec — the
-    /// segment index and every per-segment checksum must check out.
-    fn stored_trace_version(payload: &[u8]) -> Option<u32> {
-        let trace_bytes = payload.get(crate::campaign::STORED_TRACE_PREFIX_LEN..)?;
-        leon_sim::Trace::validate_segments(trace_bytes).ok().map(|h| h.version)
+    /// Whether the trace embedded in a stored `trace` payload validates
+    /// structurally (`store doctor`'s inner integrity pass): the 16-byte
+    /// base-cost prefix must be present, the trace header must parse at the
+    /// current format version, and the segment index and every per-segment
+    /// checksum must check out.
+    fn stored_trace_is_valid(payload: &[u8]) -> bool {
+        payload
+            .get(crate::campaign::STORED_TRACE_PREFIX_LEN..)
+            .is_some_and(|trace_bytes| leon_sim::Trace::validate_segments(trace_bytes).is_ok())
     }
 
     /// Store a serde-serialisable value as a JSON payload under `(kind, key)`.
@@ -1921,11 +1910,10 @@ impl ArtifactStore {
     /// Verify the store end to end: every entry's envelope *and payload
     /// checksum*, the manifest ↔ directory correspondence, and leftover
     /// temporary files.  Trace entries get a deeper pass — the embedded
-    /// trace's segment index and (v2) per-segment checksums are validated,
-    /// and the report breaks out legacy-v1 vs segmented-v2 counts so a
-    /// mixed-version store is visible.  With `repair`, corrupt entries and
-    /// stray files are deleted and the manifest is rebuilt to match the
-    /// surviving entries (preserving access stamps where known).
+    /// trace's format version, segment index and per-segment checksums are
+    /// validated.  With `repair`, corrupt entries and stray files are
+    /// deleted and the manifest is rebuilt to match the surviving entries
+    /// (preserving access stamps where known).
     pub fn doctor(&self, repair: bool) -> std::io::Result<DoctorReport> {
         let mut state = self.shared.manifest.lock().unwrap_or_else(|e| e.into_inner());
         self.sync_with_disk_locked(&mut state);
@@ -1941,23 +1929,16 @@ impl ArtifactStore {
             match (id, ok) {
                 (Some((kind, key)), Some((payload, checksum))) => {
                     // trace entries carry their own inner structure (segment
-                    // index + per-segment checksums in v2) that the envelope
+                    // index + per-segment checksums) that the envelope
                     // checksum cannot vouch for — validate it here, where
                     // the payload is already in hand
                     let trace_ok = if kind == "trace" {
-                        match Self::stored_trace_version(&payload) {
-                            Some(1) => {
-                                report.trace_v1_entries += 1;
-                                true
-                            }
-                            Some(_) => {
-                                report.trace_v2_entries += 1;
-                                true
-                            }
-                            None => {
-                                report.segment_index_errors += 1;
-                                false
-                            }
+                        if Self::stored_trace_is_valid(&payload) {
+                            report.trace_entries += 1;
+                            true
+                        } else {
+                            report.segment_index_errors += 1;
+                            false
                         }
                     } else if kind == "search" {
                         // search outcomes are structured JSON the envelope
@@ -2850,40 +2831,44 @@ mod tests {
         let program = a.assemble().unwrap();
         let (_, trace) =
             leon_sim::capture(&leon_sim::LeonConfig::base(), &program, 1_000_000).unwrap();
-        let v2 = trace.to_bytes();
-        let v1 = trace.to_bytes_v1();
+        let good = trace.to_bytes();
 
-        let k_v2 = FingerprintBuilder::new().str("trace-v2").finish();
-        let k_v1 = FingerprintBuilder::new().str("trace-v1").finish();
-        store.save("trace", k_v2, &stored_trace_payload(&v2)).unwrap();
-        store.save("trace", k_v1, &stored_trace_payload(&v1)).unwrap();
+        let k_good = FingerprintBuilder::new().str("trace-good").finish();
+        store.save("trace", k_good, &stored_trace_payload(&good)).unwrap();
         let report = store.doctor(false).unwrap();
         assert!(report.is_clean(), "{report:?}");
-        assert_eq!((report.trace_v2_entries, report.trace_v1_entries), (1, 1));
-        assert!(report.render().contains("mixed-version store"));
+        assert_eq!(report.trace_entries, 1);
+        assert!(report.render().contains("traces: 1 well-formed"));
 
         // flip the last payload byte of the trace (just ahead of its
         // trailing whole-file checksum) and re-save: the store envelope is
         // recomputed over the damaged bytes and validates, so only the
         // inner per-segment checksum can catch it
-        let mut bad = v2.clone();
+        let mut bad = good.clone();
         let at = bad.len() - 9;
         bad[at] ^= 0xff;
         let k_bad = FingerprintBuilder::new().str("trace-bad").finish();
         store.save("trace", k_bad, &stored_trace_payload(&bad)).unwrap();
+        // an entry in a retired format version (the monolithic version 1
+        // of earlier releases) is no longer decodable, so it is damage too
+        let mut retired = good.clone();
+        retired[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let k_retired = FingerprintBuilder::new().str("trace-v1").finish();
+        store.save("trace", k_retired, &stored_trace_payload(&retired)).unwrap();
         let report = store.doctor(false).unwrap();
         assert!(!report.is_clean());
-        assert_eq!(report.segment_index_errors, 1);
-        assert_eq!(report.corrupt_entries, 0, "the envelope itself is fine");
+        assert_eq!(report.segment_index_errors, 2);
+        assert_eq!(report.corrupt_entries, 0, "the envelopes themselves are fine");
         assert!(report.render().contains("broken segment index"));
 
-        // repair deletes the damaged entry; the healthy ones survive
+        // repair deletes the damaged entries; the healthy one survives
         assert!(store.doctor(true).unwrap().repaired);
         let after = store.doctor(false).unwrap();
         assert!(after.is_clean(), "{after:?}");
-        assert_eq!((after.trace_v2_entries, after.trace_v1_entries), (1, 1));
+        assert_eq!(after.trace_entries, 1);
         assert_eq!(store.load("trace", k_bad), None);
-        assert!(store.load("trace", k_v2).is_some());
+        assert_eq!(store.load("trace", k_retired), None);
+        assert!(store.load("trace", k_good).is_some());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -87,59 +87,24 @@ pub struct Cache {
 const LFSR_SEED: u32 = 0xace1;
 
 impl Cache {
-    /// Build a cache from its configuration.
+    /// Build a cache from its configuration: every line invalid, the
+    /// replacement state (LRU clock, LRR pointers, LFSR) at its seed.
     pub fn new(config: CacheConfig) -> Cache {
-        let mut cache = Cache {
-            config,
-            lines: Vec::new(),
-            sets: 1,
-            line_shift: 0,
-            index_mask: 0,
-            tag_shift: 0,
-            clock: 0,
-            lfsr: LFSR_SEED,
-            lrr_next: Vec::new(),
-            stats: CacheStats::default(),
-        };
-        cache.reconfigure(config);
-        cache
-    }
-
-    /// Reset the cache to its just-constructed state: every line invalid,
-    /// the replacement state (LRU clock, LRR pointers, LFSR) back at its
-    /// seed, and the statistics cleared.  `c.reset()` is observably
-    /// identical to `*c = Cache::new(*c.config())` but reuses the line
-    /// allocation — walk engines re-walking one trace under many
-    /// configurations call this between walks instead of paying a fresh
-    /// `Vec<Line>` per configuration.
-    pub fn reset(&mut self) {
-        self.lines.fill(Line::default());
-        self.lrr_next.fill(0);
-        self.clock = 0;
-        self.lfsr = LFSR_SEED;
-        self.stats = CacheStats::default();
-    }
-
-    /// Re-shape the cache for a (possibly different) configuration and
-    /// [`Cache::reset`] it, reusing the line and pointer allocations where
-    /// capacity allows.  After the call the cache is observably identical
-    /// to `Cache::new(config)`.
-    pub fn reconfigure(&mut self, config: CacheConfig) {
         let sets = config.lines_per_way();
         debug_assert!(sets.is_power_of_two(), "way_kb and line size are powers of two");
         let line_shift = config.line_bytes().trailing_zeros();
-        self.config = config;
-        self.sets = sets;
-        self.line_shift = line_shift;
-        self.index_mask = sets - 1;
-        self.tag_shift = line_shift + sets.trailing_zeros();
-        self.lines.clear();
-        self.lines.resize((sets * config.ways as u32) as usize, Line::default());
-        self.lrr_next.clear();
-        self.lrr_next.resize(sets as usize, 0);
-        self.clock = 0;
-        self.lfsr = LFSR_SEED;
-        self.stats = CacheStats::default();
+        Cache {
+            config,
+            lines: vec![Line::default(); (sets * config.ways as u32) as usize],
+            sets,
+            line_shift,
+            index_mask: sets - 1,
+            tag_shift: line_shift + sets.trailing_zeros(),
+            clock: 0,
+            lfsr: LFSR_SEED,
+            lrr_next: vec![0; sets as usize],
+            stats: CacheStats::default(),
+        }
     }
 
     /// The configuration this cache was built from.
@@ -213,19 +178,13 @@ impl Cache {
 
     /// Perform a read (or instruction fetch) access.  Misses fill the line.
     pub fn read(&mut self, addr: u32) -> Access {
-        self.read_at(addr).0
-    }
-
-    /// Read access that also reports which way now holds the line.
-    #[inline]
-    fn read_at(&mut self, addr: u32) -> (Access, u32) {
         self.clock += 1;
         let clock = self.clock;
         let (index, tag) = self.index_and_tag(addr);
         if let Some(way) = self.lookup(addr) {
             self.line_mut(way, index).last_used = clock;
             self.stats.read_hits += 1;
-            return (Access::Hit, way);
+            return Access::Hit;
         }
         let victim = self.victim_way(index);
         let line = self.line_mut(victim, index);
@@ -234,26 +193,7 @@ impl Cache {
         line.last_used = clock;
         line.filled_at = clock;
         self.stats.read_misses += 1;
-        (Access::Miss, victim)
-    }
-
-    /// One read access at `addr` followed by `extra` further accesses that are
-    /// guaranteed to touch the same line (e.g. sequential instruction fetches
-    /// within one line).  Equivalent — in end state *and* statistics — to
-    /// `extra + 1` individual [`Cache::read`] calls on that line, but the
-    /// trailing guaranteed hits cost O(1): the clock advances `extra` ticks,
-    /// the line's LRU stamp lands on the final tick, and `read_hits` grows by
-    /// `extra`, exactly as the per-access path would have produced.
-    pub fn read_run(&mut self, addr: u32, extra: u64) -> Access {
-        let (access, way) = self.read_at(addr);
-        if extra > 0 {
-            let (index, _) = self.index_and_tag(addr);
-            self.clock += extra;
-            let clock = self.clock;
-            self.line_mut(way, index).last_used = clock;
-            self.stats.read_hits += extra;
-        }
-        access
+        Access::Miss
     }
 
     /// Perform a write access.  The cache is write-through and does not
@@ -331,52 +271,31 @@ pub(crate) struct TagCache {
 }
 
 impl TagCache {
-    /// Build a lean model of `config`.
+    /// Build a lean model of `config`, empty and at its seed state.
     pub(crate) fn new(config: CacheConfig) -> TagCache {
-        let mut cache = TagCache {
-            ways: 0,
-            line_shift: 0,
-            index_mask: 0,
-            tag_shift: 0,
+        let sets = config.lines_per_way();
+        debug_assert!(sets.is_power_of_two(), "way_kb and line size are powers of two");
+        let line_shift = config.line_bytes().trailing_zeros();
+        let tag_shift = line_shift + sets.trailing_zeros();
+        debug_assert!(tag_shift >= 9, "tags must stay clear of INVALID_TAG");
+        let ways = config.ways as u32;
+        let lines = (sets * ways) as usize;
+        let lru = config.replacement == ReplacementPolicy::Lru;
+        let lrr = config.replacement == ReplacementPolicy::Lrr;
+        TagCache {
+            ways,
+            line_shift,
+            index_mask: sets - 1,
+            tag_shift,
             replacement: config.replacement,
-            tags: Vec::new(),
-            stamps: Vec::new(),
-            lrr_next: Vec::new(),
+            tags: vec![INVALID_TAG; lines],
+            stamps: if lru { vec![0; lines] } else { Vec::new() },
+            lrr_next: if lrr { vec![0; sets as usize] } else { Vec::new() },
             clock: 0,
             lfsr: LFSR_SEED,
             read_misses: 0,
             write_misses: 0,
-        };
-        cache.reconfigure(config);
-        cache
-    }
-
-    /// Re-shape for `config` (reusing allocations) and reset all state, as
-    /// [`Cache::reconfigure`] does for the full model.
-    pub(crate) fn reconfigure(&mut self, config: CacheConfig) {
-        let sets = config.lines_per_way();
-        debug_assert!(sets.is_power_of_two(), "way_kb and line size are powers of two");
-        let line_shift = config.line_bytes().trailing_zeros();
-        self.ways = config.ways as u32;
-        self.line_shift = line_shift;
-        self.index_mask = sets - 1;
-        self.tag_shift = line_shift + sets.trailing_zeros();
-        debug_assert!(self.tag_shift >= 9, "tags must stay clear of INVALID_TAG");
-        self.replacement = config.replacement;
-        let lines = (sets * self.ways) as usize;
-        self.tags.clear();
-        self.tags.resize(lines, INVALID_TAG);
-        self.stamps.clear();
-        self.lrr_next.clear();
-        match config.replacement {
-            ReplacementPolicy::Lru => self.stamps.resize(lines, 0),
-            ReplacementPolicy::Lrr => self.lrr_next.resize(sets as usize, 0),
-            ReplacementPolicy::Random => {}
         }
-        self.clock = 0;
-        self.lfsr = LFSR_SEED;
-        self.read_misses = 0;
-        self.write_misses = 0;
     }
 
     /// Reconstruct the full statistics from the class's total access
@@ -476,9 +395,10 @@ impl TagCache {
     }
 
     /// One read at `addr` plus `extra` guaranteed same-line accesses —
-    /// identical in decisions and end state to [`Cache::read_run`] (the
-    /// `extra` hits surface through the derived totals in
-    /// [`TagCache::stats`]).
+    /// identical in decisions and end state to `extra + 1` [`Cache::read`]
+    /// calls on that line: the trailing hits cost O(1), advancing the LRU
+    /// clock and leaving the line's stamp on the final tick (the `extra`
+    /// hits surface through the derived totals in [`TagCache::stats`]).
     #[inline]
     pub(crate) fn read_run(&mut self, addr: u32, extra: u64) -> Access {
         let (access, slot) = self.read_at(addr);
@@ -776,28 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn read_run_is_equivalent_to_sequential_reads() {
-        for policy in [ReplacementPolicy::Random, ReplacementPolicy::Lru] {
-            let ways = if policy == ReplacementPolicy::Lru { 2 } else { 1 };
-            let mut batched = Cache::new(cfg(ways, 1, 4, policy));
-            let mut serial = Cache::new(cfg(ways, 1, 4, policy));
-            // interleave runs with conflicting single accesses so LRU state
-            // divergence would be caught
-            for (addr, extra) in [(0u32, 3u64), (1024, 0), (4, 2), (2048, 1), (8, 3), (0, 2)] {
-                batched.read_run(addr, extra);
-                for _ in 0..=extra {
-                    serial.read(addr);
-                }
-            }
-            assert_eq!(batched.stats(), serial.stats());
-            // subsequent behaviour must agree exactly
-            for addr in [0u32, 4, 1024, 2048, 4096, 8] {
-                assert_eq!(batched.read(addr), serial.read(addr), "addr {addr}");
-            }
-        }
-    }
-
-    #[test]
     fn flush_invalidates_everything() {
         let mut c = Cache::new(cfg(2, 1, 4, ReplacementPolicy::Lru));
         c.read(0);
@@ -877,8 +775,14 @@ mod tests {
                         (full.write(addr), lean.write(addr))
                     }
                     _ => {
+                        // the reference for a run is `extra + 1` plain reads;
+                        // the first decides the outcome, the rest must hit
                         reads += extra + 1;
-                        (full.read_run(addr, extra), lean.read_run(addr, extra))
+                        let first = full.read(addr);
+                        for _ in 0..extra {
+                            assert_eq!(full.read(addr), Access::Hit);
+                        }
+                        (first, lean.read_run(addr, extra))
                     }
                 };
                 assert_eq!(a, b, "{config:?}: diverged at addr {addr:#x}");
@@ -949,7 +853,9 @@ mod tests {
                     let addr = addr & !15;
                     let extra = extra.min(3);
                     fetches += extra + 1;
-                    full.read_run(addr, extra);
+                    for _ in 0..=extra {
+                        full.read(addr);
+                    }
                     addr as u64 | extra << TagCache::MEM_RUN_SHIFT
                 })
                 .collect();
@@ -960,77 +866,6 @@ mod tests {
             for addr in [0u32, 64, 4096, 1 << 16] {
                 assert_eq!(full.read(addr), lean.read(addr), "{config:?}: post-block fetch");
             }
-        }
-    }
-
-    #[test]
-    fn reset_restores_the_just_constructed_state() {
-        for config in all_geometries() {
-            let mut reused = Cache::new(config);
-            // dirty every piece of state, then reset
-            for (kind, addr, extra) in torture_sequence(7) {
-                match kind {
-                    0 => {
-                        reused.read(addr);
-                    }
-                    1 => {
-                        reused.write(addr);
-                    }
-                    _ => {
-                        reused.read_run(addr, extra);
-                    }
-                }
-            }
-            reused.reset();
-            assert_eq!(reused.stats(), CacheStats::default());
-            let mut fresh = Cache::new(config);
-            for (kind, addr, extra) in torture_sequence(11) {
-                let (a, b) = match kind {
-                    0 => (fresh.read(addr), reused.read(addr)),
-                    1 => (fresh.write(addr), reused.write(addr)),
-                    _ => (fresh.read_run(addr, extra), reused.read_run(addr, extra)),
-                };
-                assert_eq!(a, b, "{config:?}: reset cache diverged from fresh");
-            }
-            assert_eq!(fresh.stats(), reused.stats());
-        }
-    }
-
-    #[test]
-    fn reconfigure_is_equivalent_to_new_for_both_models() {
-        // one model re-shaped across every geometry must behave exactly like
-        // a freshly constructed one each time (the walk engines' reuse path)
-        let mut reused_full = Cache::new(cfg(4, 4, 8, ReplacementPolicy::Lru));
-        let mut reused_lean = TagCache::new(cfg(4, 4, 8, ReplacementPolicy::Lru));
-        for config in all_geometries() {
-            reused_full.reconfigure(config);
-            reused_lean.reconfigure(config);
-            let mut fresh = Cache::new(config);
-            let (mut reads, mut writes) = (0u64, 0u64);
-            for (kind, addr, extra) in torture_sequence(config.ways as u64) {
-                let (a, b, c) = match kind {
-                    0 => {
-                        reads += 1;
-                        (fresh.read(addr), reused_full.read(addr), reused_lean.read(addr))
-                    }
-                    1 => {
-                        writes += 1;
-                        (fresh.write(addr), reused_full.write(addr), reused_lean.write(addr))
-                    }
-                    _ => {
-                        reads += extra + 1;
-                        (
-                            fresh.read_run(addr, extra),
-                            reused_full.read_run(addr, extra),
-                            reused_lean.read_run(addr, extra),
-                        )
-                    }
-                };
-                assert_eq!(a, b, "{config:?}: reconfigured Cache diverged");
-                assert_eq!(a, c, "{config:?}: reconfigured TagCache diverged");
-            }
-            assert_eq!(fresh.stats(), reused_full.stats());
-            assert_eq!(fresh.stats(), reused_lean.stats(reads, writes));
         }
     }
 

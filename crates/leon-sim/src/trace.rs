@@ -6,8 +6,8 @@
 //! timing perturbations cannot change the instruction or memory-address
 //! stream — only how many cycles each event costs.  So the stream only has to
 //! be produced once: the first functional run records a compact execution
-//! trace, and every perturbation is retimed by [`replay`] — no decode, no
-//! ALU, no architectural state.
+//! trace, and every perturbation is retimed over it — no decode, no ALU, no
+//! architectural state.
 //!
 //! # What the trace stores
 //!
@@ -16,33 +16,43 @@
 //!   event-free sequential fetches inside one 16-byte block (the minimum
 //!   line size, so "same cache line" holds under every valid geometry)
 //!   run-length compressed into a single record;
-//! * [`Trace::mem`] — just the data-cache-relevant stream: load/store
-//!   effective addresses and `save`/`restore` rotations with their
+//! * [`Trace::folded`] — the data-cache-relevant stream, pre-folded at
+//!   capture: load/store run leaders (an access strictly following a read
+//!   of its own 16-byte line folds into the leader, a guaranteed hit under
+//!   every geometry) and `save`/`restore` markers with their
 //!   (architecturally configuration-independent) stack pointers;
+//! * [`Trace::segments`] — per-segment checkpoints, so each segment decodes
+//!   and walks on its own;
 //! * [`Trace::summary`] — configuration-independent event *counts*;
 //! * the capturing configuration and its cache statistics.
 //!
 //! # How replay retimes a configuration
 //!
 //! Total cycles decompose into `Σ events × cost(event, config)`, and only
-//! cache hit/miss behaviour needs stateful re-simulation:
+//! cache hit/miss behaviour needs stateful re-simulation.  A batch of
+//! configurations ([`ReplayBatch`]; [`replay`] is a batch of one) is
+//! partitioned into *behavior classes*, and each tier costs:
 //!
-//! 1. **i-cache**: if the replayed i-cache geometry equals the capturing
-//!    one, its statistics are reused verbatim; otherwise the fetch stream in
-//!    `ops` is re-walked through a fresh [`Cache`].
+//! 1. **i-cache**: a configuration whose i-cache geometry equals the
+//!    capturing one reuses its statistics verbatim; every other distinct
+//!    i-cache geometry is one fetch class, and all fetch classes are
+//!    re-simulated together in one walk of `ops` through lean tag-only
+//!    cache models ([`crate::cache`]'s `TagCache`).
 //! 2. **d-cache + window traps**: if both the d-cache geometry and the
 //!    register-window count match, the captured statistics are reused;
-//!    otherwise `mem` is re-walked — a resident-window automaton re-derives
-//!    overflow/underflow traps for the window count under evaluation and
-//!    expands each trap into its 16 spill/fill accesses.
+//!    otherwise each distinct (geometry, window count) pair is one memory
+//!    class, and all memory classes share one walk of `folded` — a
+//!    resident-window automaton per window count re-derives overflow/
+//!    underflow traps and expands each trap into its 16 spill/fill
+//!    accesses.
 //! 3. **everything else** (latency options, decode/jump/interlock, fast
 //!    read/write, multiplier/divider, memory timing) is closed-form
 //!    arithmetic over [`TraceSummary`] — O(1).
 //!
 //! A cost-table measurement of the paper's 52-variable space therefore runs
-//! the full simulator once and replays 52 times, where 14 IU-only replays
-//! are O(1), 28 walk only the memory stream, and 11 walk only the fetch
-//! stream.
+//! the full simulator once and then at most one walk per stream (one per
+//! class span when the classes are spread over a worker pool); the 14
+//! IU-only variables are O(1).
 //!
 //! Replay is bit-identical to full simulation — same final `cycles` and
 //! cache statistics — which `tests/replay_equivalence.rs` asserts across the
@@ -54,23 +64,22 @@
 //! Traces are plain data (`Send + Sync`): one captured trace is shared
 //! read-only by every replay worker of a measurement campaign.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cache::{Cache, CacheStats, TagCache};
+use crate::cache::{CacheStats, TagCache};
 use crate::config::{CacheConfig, LeonConfig};
 use crate::error::SimError;
 use crate::profiler::Stats;
 
-/// Process-wide count of trace-stream walks: one tick per pass over a trace's
-/// record or memory stream, whether it re-simulates one cache model (the
-/// per-config [`replay`] path) or a whole span of behavior classes at once
-/// (the batched [`ReplayBatch`] path).  Closed-form retimes never walk and
-/// never tick.
+/// Process-wide count of trace-stream walks: one tick per span walker, i.e.
+/// per pass over a trace's record or folded memory stream that
+/// re-simulates a span of behavior classes at once ([`ReplayBatch`], which
+/// [`replay`] runs as a one-configuration batch).  Closed-form retimes never
+/// walk and never tick.
 ///
-/// This is the batched engine's headline counter, next to
+/// This is the replay engine's headline counter, next to
 /// `workloads::guest_instructions_executed` and
 /// `workloads::trace_payload_bytes_read`: a batched 52-variable cost-table
 /// measurement must perform at most one walk per distinct behavior class —
@@ -182,23 +191,6 @@ impl TraceOp {
     }
 }
 
-/// The data-cache-relevant events, extracted into their own dense stream so
-/// that d-cache and register-window perturbations replay without touching
-/// the (much longer) fetch stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemOp {
-    /// Data-cache read at this effective address.
-    Load(u32),
-    /// Data-cache write at this effective address.
-    Store(u32),
-    /// Window rotation forward; spills write through this stack pointer when
-    /// the replayed window file overflows.
-    Save(u32),
-    /// Window rotation backward; fills read through this stack pointer when
-    /// the replayed window file underflows.
-    Restore(u32),
-}
-
 /// Configuration-independent event counts of a captured run: everything the
 /// cycle model charges for, minus the cache behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -261,10 +253,6 @@ const FOLD_NONE: u32 = u32::MAX;
 pub struct SegmentMeta {
     /// First record of this segment in [`Trace::ops`].
     pub ops_start: usize,
-    /// First event of this segment in [`Trace::mem`] (in-memory offset; the
-    /// serialised index stores the folded offset instead, from which this is
-    /// re-derived on decode).
-    pub mem_start: usize,
     /// First item of this segment in [`Trace::folded`].
     pub folded_start: usize,
     /// Dynamic instructions retired before this segment (the segment's
@@ -301,7 +289,6 @@ fn derive_segments(
 ) -> (Vec<SegmentMeta>, Vec<u64>) {
     let mut segments = Vec::with_capacity(boundaries.len());
     let mut folded: Vec<u64> = Vec::new();
-    let mut mem_index = 0usize;
     let mut instructions = 0u64;
     let mut resident: u32 = 1;
     let mut run_line: Option<u32> = None;
@@ -320,7 +307,6 @@ fn derive_segments(
         let end = boundaries.get(index + 1).copied().unwrap_or(ops.len());
         segments.push(SegmentMeta {
             ops_start: start,
-            mem_start: mem_index,
             folded_start: folded.len(),
             instructions_before: instructions,
             resident_entry: resident,
@@ -336,16 +322,13 @@ fn derive_segments(
             }
             if op.flags & flags::LOAD != 0 {
                 fold_push(&mut folded, &mut run_line, op.aux, false);
-                mem_index += 1;
             }
             if op.flags & flags::STORE != 0 {
                 fold_push(&mut folded, &mut run_line, op.aux, true);
-                mem_index += 1;
             }
             if op.flags & flags::SAVE != 0 {
                 folded.push(FOLD_MARKER_BIT | op.aux as u64);
                 run_line = None;
-                mem_index += 1;
                 if resident < nwindows - 1 {
                     resident += 1;
                 }
@@ -353,7 +336,6 @@ fn derive_segments(
             if op.flags & flags::RESTORE != 0 {
                 folded.push(FOLD_MARKER_BIT | FOLD_RESTORE_BIT | op.aux as u64);
                 run_line = None;
-                mem_index += 1;
                 if resident > 1 {
                     resident -= 1;
                 }
@@ -370,12 +352,11 @@ fn derive_segments(
 pub struct Trace {
     /// Per-instruction records with fetch-run compression, in execution order.
     pub ops: Vec<TraceOp>,
-    /// The data-cache/window event stream (see [`MemOp`]), in execution order.
-    pub mem: Vec<MemOp>,
-    /// The capture-folded memory stream: one item per run leader or window
-    /// marker (see [`derive_segments`]), segment-aligned.  The batched
-    /// walkers consume this instead of re-deriving the guaranteed-hit
-    /// elision from [`Trace::mem`] on every batch build.
+    /// The capture-folded data-cache/window event stream, in execution
+    /// order: one item per load/store run leader or `save`/`restore` marker
+    /// (see [`derive_segments`]), segment-aligned.  The memory walkers
+    /// consume it directly, so the guaranteed-hit elision is derived once,
+    /// at capture.
     pub folded: Vec<u64>,
     /// Segment checkpoints, in segment order ([`SegmentMeta`]); every trace
     /// with records has at least one segment.
@@ -414,7 +395,6 @@ impl Trace {
     /// Approximate in-memory footprint of the trace buffers, in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.ops.len() * std::mem::size_of::<TraceOp>()
-            + self.mem.len() * std::mem::size_of::<MemOp>()
             + self.folded.len() * std::mem::size_of::<u64>()
             + self.segments.len() * std::mem::size_of::<SegmentMeta>()
     }
@@ -475,15 +455,13 @@ impl Trace {
         self.folded = folded;
     }
 
-    /// Build the derived streams (`mem`, `summary`) from a raw record stream.
+    /// Count a raw record stream's events into its [`TraceSummary`].
     ///
-    /// The derived streams are a pure function of `ops`, so they are *not*
-    /// serialised by [`Trace::to_bytes`]: a decoded trace rebuilds them here,
-    /// which both shrinks the on-disk format and makes an internally
-    /// inconsistent (ops vs. mem/summary) trace unrepresentable.
-    fn derive_streams(ops: &[TraceOp]) -> (TraceSummary, Vec<MemOp>) {
+    /// The summary is a pure function of `ops`: a decoded trace re-derives
+    /// it here and must match the stored copy, which makes an internally
+    /// inconsistent (ops vs. summary) trace unrepresentable.
+    fn derive_summary(ops: &[TraceOp]) -> TraceSummary {
         let mut summary = TraceSummary::default();
-        let mut mem = Vec::new();
         for op in ops {
             let f = op.flags;
             if f == 0 {
@@ -499,30 +477,18 @@ impl Trace {
             summary.branches += (f & flags::BRANCH != 0) as u64;
             summary.taken_branches += (f & flags::TAKEN != 0) as u64;
             summary.calls += (f & flags::CALL != 0) as u64;
-            if f & flags::LOAD != 0 {
-                summary.loads += 1;
-                mem.push(MemOp::Load(op.aux));
-            }
-            if f & flags::STORE != 0 {
-                summary.stores += 1;
-                mem.push(MemOp::Store(op.aux));
-            }
-            if f & flags::SAVE != 0 {
-                summary.saves += 1;
-                mem.push(MemOp::Save(op.aux));
-            }
-            if f & flags::RESTORE != 0 {
-                summary.restores += 1;
-                mem.push(MemOp::Restore(op.aux));
-            }
+            summary.loads += (f & flags::LOAD != 0) as u64;
+            summary.stores += (f & flags::STORE != 0) as u64;
+            summary.saves += (f & flags::SAVE != 0) as u64;
+            summary.restores += (f & flags::RESTORE != 0) as u64;
         }
-        (summary, mem)
+        summary
     }
 
-    /// Build the derived streams (`mem`, `summary`, segments, folded) from a
-    /// raw record stream and the capturing run's results.
+    /// Build the derived data (summary, segments, folded stream) from a raw
+    /// record stream and the capturing run's results.
     fn assemble(ops: Vec<TraceOp>, captured: &LeonConfig, stats: &Stats) -> Trace {
-        let (summary, mem) = Trace::derive_streams(&ops);
+        let summary = Trace::derive_summary(&ops);
         debug_assert_eq!(summary.instructions, stats.instructions);
         debug_assert_eq!(summary.loads, stats.loads);
         debug_assert_eq!(summary.stores, stats.stores);
@@ -532,7 +498,6 @@ impl Trace {
             derive_segments(&ops, &boundaries, captured.iu.reg_windows as u32);
         Trace {
             ops,
-            mem,
             folded,
             segments,
             summary,
@@ -554,14 +519,11 @@ impl Trace {
 /// Bump this whenever the record layout, the captured-configuration encoding
 /// or the semantics of any serialised field change: persisted traces carry
 /// the version they were written with, and [`Trace::from_bytes`] refuses to
-/// decode any *newer* version, so stale artifacts fall back to recapture
-/// instead of silently mis-replaying.  Version 2 adds the segment index, the
-/// stored summary and the capture-folded payload; version-1 traces
-/// ([`Trace::to_bytes_v1`]) still decode, with the segmentation re-derived.
+/// decode any other version, so stale artifacts fall back to recapture
+/// instead of silently mis-replaying.  Version 2 is the segmented format
+/// (segment index, stored summary, capture-folded payload); the monolithic
+/// version 1 of earlier releases is such a stale version.
 pub const TRACE_FORMAT_VERSION: u32 = 2;
-
-/// The previous (monolithic, unsegmented) format version, still decodable.
-const TRACE_FORMAT_V1: u32 = 1;
 
 /// Magic bytes opening every serialised trace.
 const TRACE_MAGIC: [u8; 4] = *b"LTRC";
@@ -774,7 +736,7 @@ fn decode_cache_stats(r: &mut ByteReader) -> Result<CacheStats, TraceCodecError>
     })
 }
 
-/// One entry of the serialised v2 segment index: the [`SegmentMeta`]
+/// One entry of the serialised segment index: the [`SegmentMeta`]
 /// checkpoint plus where the segment's payload lives and its integrity
 /// checksum, so a streaming reader can locate, fetch and verify any segment
 /// independently.
@@ -801,15 +763,10 @@ pub struct SegmentInfo {
 const SEGMENT_INFO_LEN: usize = 48;
 
 /// The header of a serialised trace, decodable without touching the record
-/// payload (see [`Trace::peek_header`]).  For version-2 traces this includes
-/// the stored [`TraceSummary`] and the segment index; for version-1 traces
-/// `summary` is `None` and `segments` is empty (the segmentation is
-/// re-derived on full decode).
+/// payload (see [`Trace::peek_header`]): the capture results, the stored
+/// [`TraceSummary`] and the segment index.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceHeader {
-    /// The serialised format version ([`TRACE_FORMAT_VERSION`] or
-    /// [`TRACE_FORMAT_V1`] on a successful peek).
-    pub version: u32,
     /// The configuration the trace was captured on.
     pub captured: LeonConfig,
     /// I-cache statistics of the capturing run.
@@ -822,11 +779,11 @@ pub struct TraceHeader {
     pub base_underflows: u64,
     /// Number of trace records in the (unread) record stream.
     pub records: u64,
-    /// Number of items in the folded stream (0 for v1 headers).
+    /// Number of items in the folded stream.
     pub folded: u64,
-    /// The stored event summary (v2 only; v1 derives it on full decode).
-    pub summary: Option<TraceSummary>,
-    /// The segment index (empty for v1 headers).
+    /// The stored event summary.
+    pub summary: TraceSummary,
+    /// The segment index.
     pub segments: Vec<SegmentInfo>,
 }
 
@@ -868,16 +825,16 @@ fn decode_summary(r: &mut ByteReader) -> Result<TraceSummary, TraceCodecError> {
     })
 }
 
-/// Parse a serialised trace header (fixed fields, and for v2 the stored
-/// summary, stream counts and segment index) from `r`, leaving `r` at the
-/// first payload byte.  Structural payload-length validation is the
-/// caller's job (via [`validate_segment_index`]).
+/// Parse a serialised trace header (fixed fields, the stored summary,
+/// stream counts and segment index) from `r`, leaving `r` at the first
+/// payload byte.  Structural payload-length validation is the caller's job
+/// (via [`validate_segment_index`]).
 fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
     if r.take(4)? != TRACE_MAGIC {
         return Err(TraceCodecError::new("bad magic (not a serialised trace)"));
     }
     let version = r.u32()?;
-    if version != TRACE_FORMAT_VERSION && version != TRACE_FORMAT_V1 {
+    if version != TRACE_FORMAT_VERSION {
         return Err(TraceCodecError::new(format!(
             "unsupported trace format version {version} (expected {TRACE_FORMAT_VERSION})"
         )));
@@ -891,23 +848,8 @@ fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
     let base_overflows = r.u64()?;
     let base_underflows = r.u64()?;
     let records = r.u64()?;
-    let mut header = TraceHeader {
-        version,
-        captured,
-        base_icache,
-        base_dcache,
-        base_overflows,
-        base_underflows,
-        records,
-        folded: 0,
-        summary: None,
-        segments: Vec::new(),
-    };
-    if version == TRACE_FORMAT_V1 {
-        return Ok(header);
-    }
-    header.summary = Some(decode_summary(r)?);
-    header.folded = r.u64()?;
+    let summary = decode_summary(r)?;
+    let folded = r.u64()?;
     let count = r.u32()? as usize;
     let mut segments = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
@@ -921,8 +863,17 @@ fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
             checksum: r.u64()?,
         });
     }
-    header.segments = segments;
-    Ok(header)
+    Ok(TraceHeader {
+        captured,
+        base_icache,
+        base_dcache,
+        base_overflows,
+        base_underflows,
+        records,
+        folded,
+        summary,
+        segments,
+    })
 }
 
 /// Byte length of segment `i`'s payload per the index in `header`.
@@ -938,16 +889,10 @@ fn segment_payload_len(header: &TraceHeader, i: usize) -> (u64, u64, u64) {
 /// Structurally validate a parsed header's segment index — offsets start at
 /// 0 and increase monotonically, per-segment payloads tile the payload
 /// region contiguously — and return the total payload byte count the body
-/// must still hold.  This is the `store doctor` half of the v2 integrity
+/// must still hold.  This is the `store doctor` half of the integrity
 /// contract (per-segment checksums are verified where the payload is
 /// actually read: [`Trace::from_bytes`] and [`StreamedTrace::load_segment`]).
 fn validate_segment_index(header: &TraceHeader) -> Result<u64, TraceCodecError> {
-    if header.version == TRACE_FORMAT_V1 {
-        return header
-            .records
-            .checked_mul(10)
-            .ok_or_else(|| TraceCodecError::new("record count overflows the payload size"));
-    }
     let segs = &header.segments;
     if header.records == 0 {
         if !segs.is_empty() || header.folded != 0 {
@@ -1001,10 +946,9 @@ impl Trace {
     /// (one [`SegmentInfo`] per segment, with per-segment payload offsets
     /// and checksums), the per-segment payloads (each segment's records at
     /// 10 bytes apiece followed by its capture-folded items at 8), and a
-    /// trailing 64-bit FNV-1a checksum over everything before it.  `mem` is
-    /// rebuilt on decode, not stored; the folded stream *is* stored, so a
-    /// decoder (streaming or not) never re-derives the guaranteed-hit
-    /// elision.
+    /// trailing 64-bit FNV-1a checksum over everything before it.  The
+    /// folded stream is stored, so a streaming decoder never re-derives the
+    /// guaranteed-hit elision across segments.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = ByteWriter(Vec::with_capacity(self.ops.len() * 10 + self.folded.len() * 8));
         let mut locations: Vec<(u64, u64)> = Vec::with_capacity(self.segments.len());
@@ -1049,30 +993,6 @@ impl Trace {
         w.0
     }
 
-    /// Serialise the trace into the previous, version-1 monolithic format
-    /// (no segment index, no stored summary or folded stream).  Kept so the
-    /// mixed-store path — v1 entries written by earlier releases must still
-    /// load — stays testable, and as the migration writer's reference.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut w = ByteWriter(Vec::with_capacity(32 + self.ops.len() * 10 + 8));
-        w.0.extend_from_slice(&TRACE_MAGIC);
-        w.u32(TRACE_FORMAT_V1);
-        encode_config(&mut w, &self.captured);
-        encode_cache_stats(&mut w, &self.base_icache);
-        encode_cache_stats(&mut w, &self.base_dcache);
-        w.u64(self.base_overflows);
-        w.u64(self.base_underflows);
-        w.u64(self.ops.len() as u64);
-        for op in &self.ops {
-            w.u32(op.pc);
-            w.u16(op.flags);
-            w.u32(op.aux);
-        }
-        let checksum = fnv1a64(&w.0);
-        w.u64(checksum);
-        w.0
-    }
-
     /// Decode only the fixed-size header of a serialised trace — O(header)
     /// regardless of how many records follow, because neither the record
     /// stream nor the trailing checksum is read.
@@ -1091,8 +1011,8 @@ impl Trace {
         let body = &bytes[..bytes.len() - 8];
         let mut r = ByteReader { bytes: body, pos: 0 };
         let header = parse_header(&mut r)?;
-        // the declared payload (v1: records × 10; v2: the tiled per-segment
-        // payloads) must exactly match the input
+        // the declared payload (the tiled per-segment payloads) must
+        // exactly match the input
         let payload = validate_segment_index(&header)?;
         if payload != (body.len() - r.pos) as u64 {
             return Err(TraceCodecError::new(format!(
@@ -1105,20 +1025,15 @@ impl Trace {
 
     /// Structurally validate a serialised trace without decoding it: the
     /// header fields, the segment index (offset monotonicity, contiguous
-    /// payload tiling, total length) and — for version 2 — every
-    /// per-segment payload checksum.  Returns the parsed header.
+    /// payload tiling, total length) and every per-segment payload
+    /// checksum.  Returns the parsed header.
     ///
     /// Cheaper than [`Trace::from_bytes`] (no record decode, no derived
     /// stream rebuild or cross-check), which makes it the right integrity
     /// pass for `store doctor`: it catches exactly the damage the streaming
-    /// reader would trip over.  For version-1 traces this is header
-    /// validation only (their single checksum is the whole-file one, which
-    /// the store envelope already covers).
+    /// reader would trip over.
     pub fn validate_segments(bytes: &[u8]) -> Result<TraceHeader, TraceCodecError> {
         let header = Trace::peek_header(bytes)?;
-        if header.version == TRACE_FORMAT_V1 {
-            return Ok(header);
-        }
         let total = validate_segment_index(&header)?;
         let base = bytes.len() - 8 - total as usize;
         for (i, info) in header.segments.iter().enumerate() {
@@ -1139,9 +1054,9 @@ impl Trace {
     ///
     /// Fails — rather than ever producing a wrong trace — on a bad magic, a
     /// different format version, a checksum mismatch, truncated or trailing
-    /// bytes, or any malformed field.  On success the decoded trace is
-    /// exactly the one serialised (`mem` and `summary` are re-derived from
-    /// the record stream).
+    /// bytes, or any malformed field — including stored derived data
+    /// (summary, folded stream, checkpoints) that disagrees with the record
+    /// stream.  On success the decoded trace is exactly the one serialised.
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceCodecError> {
         if bytes.len() < TRACE_MAGIC.len() + 4 + 8 {
             return Err(TraceCodecError::new("input shorter than the fixed header"));
@@ -1167,40 +1082,30 @@ impl Trace {
 
         let mut ops = Vec::with_capacity(header.records as usize);
         let mut stored_folded: Vec<u64> = Vec::with_capacity(header.folded as usize);
-        if header.version == TRACE_FORMAT_V1 {
-            for _ in 0..header.records {
-                ops.push(TraceOp { pc: r.u32()?, flags: r.u16()?, aux: r.u32()? });
+        // segment payloads tile the region in index order (validated above),
+        // so a sequential read visits each one exactly
+        for (i, info) in header.segments.iter().enumerate() {
+            let (recs, folded, len) = segment_payload_len(&header, i);
+            let seg_bytes = r.take(len as usize)?;
+            let computed = fnv1a64(seg_bytes);
+            if computed != info.checksum {
+                return Err(TraceCodecError::new(format!(
+                    "segment {i} checksum mismatch: stored {:#018x}, computed {computed:#018x}",
+                    info.checksum
+                )));
             }
-        } else {
-            // segment payloads tile the region in index order (validated
-            // above), so a sequential read visits each one exactly
-            for (i, info) in header.segments.iter().enumerate() {
-                let (recs, folded, len) = segment_payload_len(&header, i);
-                let seg_bytes = r.take(len as usize)?;
-                let computed = fnv1a64(seg_bytes);
-                if computed != info.checksum {
-                    return Err(TraceCodecError::new(format!(
-                        "segment {i} checksum mismatch: stored {:#018x}, computed \
-                         {computed:#018x}",
-                        info.checksum
-                    )));
-                }
-                let mut sr = ByteReader { bytes: seg_bytes, pos: 0 };
-                for _ in 0..recs {
-                    ops.push(TraceOp { pc: sr.u32()?, flags: sr.u16()?, aux: sr.u32()? });
-                }
-                for _ in 0..folded {
-                    stored_folded.push(sr.u64()?);
-                }
+            let mut sr = ByteReader { bytes: seg_bytes, pos: 0 };
+            for _ in 0..recs {
+                ops.push(TraceOp { pc: sr.u32()?, flags: sr.u16()?, aux: sr.u32()? });
+            }
+            for _ in 0..folded {
+                stored_folded.push(sr.u64()?);
             }
         }
 
-        let (summary, mem) = Trace::derive_streams(&ops);
-        let boundaries: Vec<usize> = if header.version == TRACE_FORMAT_V1 {
-            Trace::default_boundaries(ops.len())
-        } else {
-            header.segments.iter().map(|s| s.ops_start as usize).collect()
-        };
+        let summary = Trace::derive_summary(&ops);
+        let boundaries: Vec<usize> =
+            header.segments.iter().map(|s| s.ops_start as usize).collect();
         let (segments, folded) =
             derive_segments(&ops, &boundaries, header.captured.iu.reg_windows as u32);
 
@@ -1208,33 +1113,28 @@ impl Trace {
         // match re-derivation from the record stream: a file can checksum
         // correctly and still be internally inconsistent, and the streaming
         // replay path trusts the stored form without re-deriving it
-        if header.version != TRACE_FORMAT_V1 {
-            if header.summary != Some(summary) {
-                return Err(TraceCodecError::new(
-                    "stored summary does not match the record stream",
-                ));
-            }
-            if stored_folded != folded {
-                return Err(TraceCodecError::new(
-                    "stored folded stream does not match the record stream",
-                ));
-            }
-            for (i, (meta, info)) in segments.iter().zip(&header.segments).enumerate() {
-                if meta.folded_start as u64 != info.folded_start
-                    || meta.instructions_before != info.instructions_before
-                    || meta.resident_entry != info.resident_entry
-                    || meta.fold_carry != info.fold_carry
-                {
-                    return Err(TraceCodecError::new(format!(
-                        "segment {i} checkpoint does not match the record stream"
-                    )));
-                }
+        if header.summary != summary {
+            return Err(TraceCodecError::new("stored summary does not match the record stream"));
+        }
+        if stored_folded != folded {
+            return Err(TraceCodecError::new(
+                "stored folded stream does not match the record stream",
+            ));
+        }
+        for (i, (meta, info)) in segments.iter().zip(&header.segments).enumerate() {
+            if meta.folded_start as u64 != info.folded_start
+                || meta.instructions_before != info.instructions_before
+                || meta.resident_entry != info.resident_entry
+                || meta.fold_carry != info.fold_carry
+            {
+                return Err(TraceCodecError::new(format!(
+                    "segment {i} checkpoint does not match the record stream"
+                )));
             }
         }
 
         Ok(Trace {
             ops,
-            mem,
             folded,
             segments,
             summary,
@@ -1247,88 +1147,8 @@ impl Trace {
     }
 }
 
-thread_local! {
-    /// Per-worker scratch model reused by the per-config walkers
-    /// ([`walk_mem`], [`walk_fetches`]): a sweep over N geometries re-shapes
-    /// one model N times ([`Cache::reconfigure`]) instead of allocating N
-    /// line vectors.  Reconfiguring restores the exact just-constructed
-    /// state, so reuse is invisible to the walk results.
-    static WALK_SCRATCH: RefCell<Option<Cache>> = const { RefCell::new(None) };
-}
-
-/// Run `walk` on a scratch [`Cache`] shaped as `config` (fresh-state
-/// semantics, reused allocation).
-fn with_scratch_cache<R>(config: CacheConfig, walk: impl FnOnce(&mut Cache) -> R) -> R {
-    WALK_SCRATCH.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let cache = slot.get_or_insert_with(|| Cache::new(config));
-        cache.reconfigure(config);
-        walk(cache)
-    })
-}
-
-/// Re-walk the memory stream for a d-cache and/or window-count perturbation:
-/// re-derives window traps with the resident-window automaton (mirroring
-/// [`crate::regwin::RegisterWindows`]) and expands each trap into its 16
-/// spill/fill accesses.  Returns the d-cache statistics plus trap counts.
-fn walk_mem(trace: &Trace, config: &LeonConfig) -> (CacheStats, u64, u64) {
-    record_trace_walk();
-    with_scratch_cache(config.dcache, |dcache| {
-        let nwindows = config.iu.reg_windows as u32;
-        let mut resident: u32 = 1;
-        let mut overflows: u64 = 0;
-        let mut underflows: u64 = 0;
-        for op in &trace.mem {
-            match *op {
-                MemOp::Load(addr) => {
-                    dcache.read(addr);
-                }
-                MemOp::Store(addr) => {
-                    dcache.write(addr);
-                }
-                MemOp::Save(sp) => {
-                    if resident >= nwindows - 1 {
-                        overflows += 1;
-                        for i in 0..crate::cpu::WINDOW_TRAP_REGS {
-                            dcache.write(sp.wrapping_sub(4 + i * 4));
-                        }
-                    } else {
-                        resident += 1;
-                    }
-                }
-                MemOp::Restore(sp) => {
-                    if resident <= 1 {
-                        underflows += 1;
-                        for i in 0..crate::cpu::WINDOW_TRAP_REGS {
-                            dcache.read(sp.wrapping_sub(4 + i * 4));
-                        }
-                    } else {
-                        resident -= 1;
-                    }
-                }
-            }
-        }
-        (dcache.stats(), overflows, underflows)
-    })
-}
-
-/// Re-walk the fetch stream for an i-cache perturbation.
-fn walk_fetches(trace: &Trace, icache_config: CacheConfig) -> CacheStats {
-    record_trace_walk();
-    with_scratch_cache(icache_config, |icache| {
-        for op in &trace.ops {
-            if op.flags == 0 {
-                icache.read_run(op.pc, op.aux as u64 - 1);
-            } else {
-                icache.read(op.pc);
-            }
-        }
-        icache.stats()
-    })
-}
-
-/// Closed-form cycle reconstruction shared by [`replay`] and
-/// [`ReplayBatch::finish`] (mirrors `Cpu::step`'s charges): given a
+/// Closed-form cycle reconstruction behind every replay result (mirrors
+/// `Cpu::step`'s charges): given a
 /// configuration's cache behaviour and window-trap counts, rebuild the exact
 /// [`Stats`] a full run would produce, enforcing the cycle budget as a bound
 /// on the run total.
@@ -1392,37 +1212,15 @@ fn reconstruct_stats(
 /// full simulation of the same program on `config` would produce — in a
 /// fraction of the time, because only the caches (and only the *changed*
 /// caches) are re-simulated while every other cost is closed-form.
+///
+/// A one-configuration [`replay_batch`]: at most one walk per trace stream
+/// (none when both cache geometries and the window count match the
+/// capturing configuration), and the same errors — `InvalidConfig` for a
+/// structurally invalid configuration, `CycleLimitExceeded` past the budget.
 pub fn replay(trace: &Trace, config: &LeonConfig, max_cycles: u64) -> Result<Stats, SimError> {
-    config
-        .validate()
-        .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
-
-    // 1. i-cache behaviour (identical geometry => identical statistics)
-    let icache = if config.icache == trace.captured.icache {
-        trace.base_icache
-    } else {
-        walk_fetches(trace, config.icache)
-    };
-
-    // 2. d-cache + window-trap behaviour
-    let same_mem_behaviour = config.dcache == trace.captured.dcache
-        && config.iu.reg_windows == trace.captured.iu.reg_windows;
-    let (dcache, window_overflows, window_underflows) = if same_mem_behaviour {
-        (trace.base_dcache, trace.base_overflows, trace.base_underflows)
-    } else {
-        walk_mem(trace, config)
-    };
-
-    // 3. closed-form cycle reconstruction
-    reconstruct_stats(
-        &trace.summary,
-        config,
-        icache,
-        dcache,
-        window_overflows,
-        window_underflows,
-        max_cycles,
-    )
+    replay_batch(trace, std::slice::from_ref(config), max_cycles)
+        .pop()
+        .expect("a one-configuration batch has one result")
 }
 
 // ---------------------------------------------------------------------------
@@ -1462,7 +1260,7 @@ struct WindowGroup {
 /// Per-configuration disposition within a [`ReplayBatch`].
 #[derive(Clone, Debug)]
 enum Disposition {
-    /// Failed validation; [`replay`] would fail with exactly this error.
+    /// Failed validation; [`crate::simulate`] fails with exactly this error.
     Invalid(SimError),
     /// Valid: which walk classes (if any) this configuration's cache
     /// statistics come from.  `None` means the captured geometry matches and
@@ -1476,12 +1274,12 @@ enum Disposition {
 ///
 /// The paper's central experiments — the 52-variable cost table and the
 /// exhaustive d-cache sweep — evaluate many configurations against one fixed
-/// program behaviour.  Per-config [`replay`] walks the trace once per
-/// configuration; this plan walks each stream **once**, updating one lean
-/// cache model per distinct class simultaneously ([`crate::cache`]'s
+/// program behaviour.  This plan walks each stream **once**, updating one
+/// lean cache model per distinct class simultaneously ([`crate::cache`]'s
 /// `TagCache`), and reconstructs every configuration's [`Stats`] closed-form
-/// from its class's walk results — bit-identical to element-wise [`replay`]
-/// (pinned by `tests/replay_equivalence.rs`).
+/// from its class's walk results — bit-identical to full simulation and to
+/// any other partition of the same configurations into batches (pinned by
+/// `tests/replay_equivalence.rs`).
 ///
 /// The classes of each stream are exposed as an indexable axis
 /// ([`ReplayBatch::walk_mem_span`] / [`ReplayBatch::walk_fetch_span`]) so a
@@ -1631,7 +1429,7 @@ impl<'a> ReplayBatch<'a> {
 
     /// Walk the memory stream **once**, re-simulating every memory class in
     /// `span` simultaneously: each class's lean d-cache model sees exactly
-    /// the access sequence the per-config walk would have produced, and one
+    /// the access sequence a full simulation would have produced, and one
     /// resident-window automaton per distinct window count re-derives the
     /// traps shared by every class with that count.  Returns each class's
     /// `(dcache stats, overflows, underflows)` in span order.
@@ -2175,8 +1973,9 @@ impl FetchSpanWalker<'_> {
 /// but a batch of N configurations performs at most **two** trace walks —
 /// one over the memory stream for all distinct (d-cache geometry, window
 /// count) classes, one over the record stream for all distinct i-cache
-/// geometries — instead of up to N.  Callers with a worker pool should
-/// partition the classes instead (see [`ReplayBatch`]).
+/// geometries — where N one-configuration replays perform up to 2N.
+/// Callers with a worker pool should partition the classes instead (see
+/// [`ReplayBatch`]).
 pub fn replay_batch(
     trace: &Trace,
     configs: &[LeonConfig],
@@ -2250,7 +2049,7 @@ pub struct TraceSegment {
     pub folded: Vec<u64>,
 }
 
-/// A version-2 serialised trace opened for streaming: the header and the
+/// A serialised trace opened for streaming: the header and the
 /// segment index are resident, the payload is fetched one segment at a time
 /// through a [`SegmentRead`], so peak memory is O(largest segment) instead
 /// of O(trace).
@@ -2285,11 +2084,9 @@ impl std::fmt::Debug for StreamedTrace {
 const V2_PREFIX_LEN: usize = 252;
 
 impl StreamedTrace {
-    /// Open a serialised version-2 trace for streaming access.
+    /// Open a serialised trace for streaming access.
     ///
-    /// Reads O(header + index) bytes.  Version-1 traces are rejected —
-    /// their monolithic layout has no segment index to stream from; decode
-    /// them with [`Trace::from_bytes`] (re-serialising writes version 2).
+    /// Reads O(header + index) bytes.
     pub fn open(source: Box<dyn SegmentRead>) -> Result<StreamedTrace, TraceCodecError> {
         let total = source
             .total_len()
@@ -2310,12 +2107,6 @@ impl StreamedTrace {
             return Err(TraceCodecError::new("bad magic (not a serialised trace)"));
         }
         let version = u32::from_le_bytes(probe[4..8].try_into().unwrap());
-        if version == TRACE_FORMAT_V1 {
-            return Err(TraceCodecError::new(
-                "version 1 traces have no segment index and cannot be streamed; decode with \
-                 Trace::from_bytes (re-serialising writes version 2)",
-            ));
-        }
         if version != TRACE_FORMAT_VERSION {
             return Err(TraceCodecError::new(format!(
                 "unsupported trace format version {version} (expected {TRACE_FORMAT_VERSION})"
@@ -2417,8 +2208,7 @@ pub fn replay_batch_streamed(
     max_cycles: u64,
 ) -> Result<Vec<Result<Stats, SimError>>, TraceCodecError> {
     let header = streamed.header();
-    let summary =
-        header.summary.as_ref().expect("a streamed trace is v2 and stores its summary");
+    let summary = &header.summary;
     let plan = BatchPlan::new(&header.captured, configs, max_cycles);
 
     let mut mem_core = (!plan.mem_classes.is_empty()).then(|| {
@@ -2665,7 +2455,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_batch_enforces_the_cycle_budget_per_configuration() {
+    fn replay_batch_enforces_the_cycle_budget_for_each_configuration() {
         let base = LeonConfig::base();
         let program = demo_program();
         let (run, trace) = capture(&base, &program, 1_000_000).unwrap();
@@ -2735,7 +2525,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Trace>();
         assert_send_sync::<TraceOp>();
-        assert_send_sync::<MemOp>();
     }
 
     #[test]
@@ -2783,7 +2572,6 @@ mod tests {
         let bytes = trace.to_bytes();
 
         let header = Trace::peek_header(&bytes).unwrap();
-        assert_eq!(header.version, TRACE_FORMAT_VERSION);
         assert_eq!(header.captured, config);
         assert_eq!(header.base_icache, run.stats.icache);
         assert_eq!(header.base_dcache, run.stats.dcache);
@@ -2827,15 +2615,22 @@ mod tests {
             assert!(Trace::from_bytes(&bad).is_err(), "bit flip at {pos} must be detected");
         }
 
-        // a different format version must be rejected even with a valid
-        // checksum over the altered body
-        let mut versioned = good.clone();
-        versioned[4..8].copy_from_slice(&(TRACE_FORMAT_VERSION + 1).to_le_bytes());
-        let body_len = versioned.len() - 8;
-        let checksum = fnv1a64(&versioned[..body_len]);
-        versioned[body_len..].copy_from_slice(&checksum.to_le_bytes());
-        let err = Trace::from_bytes(&versioned).unwrap_err();
-        assert!(err.to_string().contains("version"), "got: {err}");
+        // a different format version — newer, or the retired monolithic
+        // version 1 — must be rejected even with a valid checksum over the
+        // altered body, by every decoder
+        for version in [TRACE_FORMAT_VERSION + 1, 1] {
+            let mut versioned = good.clone();
+            versioned[4..8].copy_from_slice(&version.to_le_bytes());
+            let body_len = versioned.len() - 8;
+            let checksum = fnv1a64(&versioned[..body_len]);
+            versioned[body_len..].copy_from_slice(&checksum.to_le_bytes());
+            let err = Trace::from_bytes(&versioned).unwrap_err();
+            assert!(err.to_string().contains("version"), "got: {err}");
+            let err = Trace::validate_segments(&versioned).unwrap_err();
+            assert!(err.to_string().contains("version"), "got: {err}");
+            let err = StreamedTrace::open(Box::new(versioned)).unwrap_err();
+            assert!(err.to_string().contains("version"), "got: {err}");
+        }
 
         // trailing garbage is rejected (record count no longer matches)
         let mut padded = good[..good.len() - 8].to_vec();
@@ -2846,7 +2641,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_and_mem_stream_are_consistent() {
+    fn summary_and_folded_stream_are_consistent() {
         let base = LeonConfig::base();
         let program = recursing_program();
         let (run, trace) = capture(&base, &program, 1_000_000).unwrap();
@@ -2857,10 +2652,11 @@ mod tests {
         assert_eq!(s.branches, run.stats.branches);
         assert_eq!(s.taken_branches, run.stats.taken_branches);
         assert_eq!(s.calls, run.stats.calls);
-        let mem_loads = trace.mem.iter().filter(|m| matches!(m, MemOp::Load(_))).count() as u64;
-        let saves = trace.mem.iter().filter(|m| matches!(m, MemOp::Save(_))).count() as u64;
-        assert_eq!(mem_loads, s.loads);
-        assert_eq!(saves, s.saves);
+        // every rotation is one folded marker; loads and stores fold into
+        // at most one leader each
+        let markers = trace.folded.iter().filter(|&&item| item & FOLD_MARKER_BIT != 0).count();
+        assert_eq!(markers as u64, s.saves + s.restores);
+        assert!((trace.folded.len() - markers) as u64 <= s.loads + s.stores);
         assert!(s.saves > 0 && s.restores > 0, "recursion must rotate windows");
     }
 
@@ -2932,30 +2728,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_traces_still_decode_and_replay() {
-        let base = LeonConfig::base();
-        let (_, trace) = capture(&base, &recursing_program(), 1_000_000).unwrap();
-        let bytes = trace.to_bytes_v1();
-
-        let header = Trace::peek_header(&bytes).unwrap();
-        assert_eq!(header.version, 1);
-        assert!(header.segments.is_empty() && header.summary.is_none());
-
-        // full decode re-derives the default segmentation and folded stream
-        let decoded = Trace::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded, trace);
-        let configs = mixed_batch(&base);
-        assert_eq!(
-            replay_batch(&decoded, &configs, 1_000_000),
-            replay_batch(&trace, &configs, 1_000_000)
-        );
-
-        // the streaming opener refuses v1 with a pointed error
-        let err = StreamedTrace::open(Box::new(bytes)).unwrap_err();
-        assert!(err.to_string().contains("streamed"), "unexpected error: {err}");
-    }
-
-    #[test]
     fn segment_walkers_tick_the_segment_counter() {
         let base = LeonConfig::base();
         let (_, mut trace) = capture(&base, &recursing_program(), 1_000_000).unwrap();
@@ -2983,5 +2755,16 @@ mod tests {
         let partials: Vec<FetchSegmentPartial> =
             (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
         assert_eq!(plan.reduce_fetch_partials(0..plan.fetch_class_count(), &partials), fetch);
+
+        // a one-configuration `replay` is a batch too: a config changing
+        // both caches walks each stream once, segment by segment
+        let mut both = base;
+        both.dcache.way_kb = 1;
+        both.icache.way_kb = 1;
+        let walks_before = trace_walks_performed();
+        let segs_before = trace_segments_walked();
+        replay(&trace, &both, 1_000_000).unwrap();
+        assert_eq!(trace_walks_performed() - walks_before, 2);
+        assert_eq!(trace_segments_walked() - segs_before, 2 * segments);
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! ```text
 //! autoreconf-serve [--addr HOST:PORT] [--scale tiny|small|medium|large] \
-//!     [--threads N] [--store DIR] [--doctor] [--max-inflight N] \
-//!     [--io-timeout-ms N]
+//!     [--threads N] [--space paper|dcache] [--store DIR] [--doctor] \
+//!     [--max-inflight N] [--io-timeout-ms N]
 //! ```
 //!
 //! `--store DIR` defaults to `$AUTORECONF_STORE`; with neither, every query
@@ -16,97 +16,9 @@
 //! concurrently computing requests (0 = unbounded — excess load is shed
 //! with `Overloaded`); `--io-timeout-ms` bounds how long an idle or stalled
 //! client may hold a connection thread (0 = no timeout).  Every malformed
-//! flag is a hard error — never a silent fallback.
-
-use std::io::Write;
-
-use autoreconf::experiments::ExperimentOptions;
-use autoreconf::service::{Server, ServerConfig};
-use autoreconf::{ArtifactStore, ParameterSpace};
-use workloads::Scale;
-
-const USAGE: &str = "usage: autoreconf-serve [--addr HOST:PORT] \
-     [--scale tiny|small|medium|large] [--threads N] [--space paper|dcache] \
-     [--store DIR] [--doctor] [--max-inflight N] [--io-timeout-ms N]\n\
-\n\
---addr defaults to 127.0.0.1:0 (a free port; the bound address is printed \
-on stdout). --store defaults to $AUTORECONF_STORE. --space dcache restricts \
-the optimization to the d-cache geometry variables (fast smoke runs). \
---doctor repairs the store before serving. --max-inflight caps concurrently \
-computing requests (0 = unbounded); excess load is shed with Overloaded. \
---io-timeout-ms bounds idle/stalled connections (0 = none).";
-
-/// Parse the `--space` flag: the paper's full 52-variable space or the
-/// restricted d-cache geometry study space.
-fn parse_space(name: &str) -> Result<ParameterSpace, String> {
-    match name.trim().to_ascii_lowercase().as_str() {
-        "paper" | "full" => Ok(ParameterSpace::paper()),
-        "dcache" => Ok(ParameterSpace::dcache_geometry()),
-        other => Err(format!("unknown space `{other}` (expected paper or dcache)")),
-    }
-}
-
-fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
-    let mut config = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        options: ExperimentOptions::default(),
-        space: ParameterSpace::paper(),
-        store: None,
-        ..ServerConfig::default()
-    };
-    let mut store_dir: Option<String> = None;
-    let mut iter = args.iter().peekable();
-    let flag_value = |flag: &str,
-                         iter: &mut std::iter::Peekable<std::slice::Iter<'_, String>>|
-     -> Result<String, String> {
-        match iter.peek() {
-            Some(v) if !v.starts_with("--") => Ok(iter.next().unwrap().clone()),
-            _ => Err(format!("{flag} requires a value")),
-        }
-    };
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => config.addr = flag_value("--addr", &mut iter)?,
-            "--scale" => {
-                let value = flag_value("--scale", &mut iter)?;
-                config.options.scale = Scale::parse(&value).map_err(|e| e.to_string())?;
-            }
-            "--threads" => {
-                let value = flag_value("--threads", &mut iter)?;
-                config.options.threads = value.trim().parse().map_err(|_| {
-                    format!("invalid --threads value `{value}` (expected a number; 0 = all cores)")
-                })?;
-            }
-            "--space" => config.space = parse_space(&flag_value("--space", &mut iter)?)?,
-            "--store" => store_dir = Some(flag_value("--store", &mut iter)?),
-            "--doctor" => config.doctor_on_start = true,
-            "--max-inflight" => {
-                let value = flag_value("--max-inflight", &mut iter)?;
-                config.max_in_flight = value.trim().parse().map_err(|_| {
-                    format!("invalid --max-inflight value `{value}` (expected a number; 0 = unbounded)")
-                })?;
-            }
-            "--io-timeout-ms" => {
-                let value = flag_value("--io-timeout-ms", &mut iter)?;
-                let ms: u64 = value.trim().parse().map_err(|_| {
-                    format!("invalid --io-timeout-ms value `{value}` (expected milliseconds; 0 = none)")
-                })?;
-                config.io_timeout =
-                    (ms > 0).then(|| std::time::Duration::from_millis(ms));
-            }
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    config.store = match store_dir {
-        Some(dir) => Some(
-            ArtifactStore::open(&dir)
-                .map_err(|e| format!("cannot open artifact store `{dir}`: {e}"))?,
-        ),
-        None => ArtifactStore::from_env(),
-    };
-    Ok(Some(config))
-}
+//! flag is a hard error — never a silent fallback.  `experiments serve` is
+//! the same daemon behind the same parser
+//! ([`autoreconf::service::run_cli`]).
 
 fn main() {
     // fail fast on a malformed AUTORECONF_THREADS instead of panicking in a
@@ -127,88 +39,5 @@ fn main() {
         std::process::exit(2);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = match parse_args(&args) {
-        Ok(Some(config)) => config,
-        Ok(None) => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let server = match Server::bind(config) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: cannot bind listener: {e}");
-            std::process::exit(1);
-        }
-    };
-    let addr = server.local_addr().expect("bound listener has an address");
-    println!("autoreconf-serve listening on {addr}");
-    std::io::stdout().flush().expect("flush address line");
-    if let Err(e) = server.run() {
-        eprintln!("error: server failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parse(words: &[&str]) -> Result<Option<ServerConfig>, String> {
-        parse_args(&words.iter().map(|w| w.to_string()).collect::<Vec<_>>())
-    }
-
-    #[test]
-    fn defaults_and_flags_parse() {
-        let config = parse(&[]).unwrap().unwrap();
-        assert_eq!(config.addr, "127.0.0.1:0");
-        assert_eq!(config.options.scale, Scale::Small);
-        let config = parse(&["--addr", "0.0.0.0:7071", "--scale", "tiny", "--threads", "2"])
-            .unwrap()
-            .unwrap();
-        assert_eq!(config.addr, "0.0.0.0:7071");
-        assert_eq!(config.options.scale, Scale::Tiny);
-        assert_eq!(config.options.threads, 2);
-        assert!(parse(&["--help"]).unwrap().is_none());
-    }
-
-    #[test]
-    fn malformed_flags_are_loud() {
-        assert!(parse(&["--scale", "big"]).unwrap_err().contains("unknown scale"));
-        assert!(parse(&["--threads", "all"]).unwrap_err().contains("invalid --threads"));
-        assert!(parse(&["--addr"]).unwrap_err().contains("requires a value"));
-        assert!(parse(&["--space", "everything"]).unwrap_err().contains("unknown space"));
-        assert!(parse(&["--frobnicate"]).unwrap_err().contains("unknown argument"));
-        assert!(parse(&["--max-inflight", "many"]).unwrap_err().contains("--max-inflight"));
-        assert!(parse(&["--io-timeout-ms", "soon"]).unwrap_err().contains("--io-timeout-ms"));
-    }
-
-    #[test]
-    fn hardening_flags_parse() {
-        let config = parse(&[]).unwrap().unwrap();
-        assert!(!config.doctor_on_start);
-        assert_eq!(config.max_in_flight, autoreconf::service::DEFAULT_MAX_IN_FLIGHT);
-        assert_eq!(config.io_timeout, Some(autoreconf::service::DEFAULT_IO_TIMEOUT));
-        let config =
-            parse(&["--doctor", "--max-inflight", "8", "--io-timeout-ms", "2500"]).unwrap().unwrap();
-        assert!(config.doctor_on_start);
-        assert_eq!(config.max_in_flight, 8);
-        assert_eq!(config.io_timeout, Some(std::time::Duration::from_millis(2500)));
-        let unbounded = parse(&["--max-inflight", "0", "--io-timeout-ms", "0"]).unwrap().unwrap();
-        assert_eq!(unbounded.max_in_flight, 0);
-        assert_eq!(unbounded.io_timeout, None);
-    }
-
-    #[test]
-    fn space_flag_selects_the_study_space() {
-        let config = parse(&["--space", "dcache"]).unwrap().unwrap();
-        assert!(config.space.len() < ParameterSpace::paper().len());
-        let full = parse(&["--space", "paper"]).unwrap().unwrap();
-        assert_eq!(full.space.len(), ParameterSpace::paper().len());
-    }
+    std::process::exit(autoreconf::service::run_cli(&args));
 }

@@ -25,7 +25,7 @@ fn main() {
             workload.name(),
             s.instructions,
             trace.len(),
-            trace.mem.len(),
+            s.loads + s.stores + s.saves + s.restores,
             s.branches,
             s.loads,
             s.stores,

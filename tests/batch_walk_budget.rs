@@ -8,13 +8,14 @@
 //!   behavior class** — and exactly one pass per trace stream when the
 //!   classes are not partitioned across workers (`threads = 1`);
 //! * the Figure 2 exhaustive d-cache sweep collapses to a single
-//!   memory-stream pass, where the per-config kernel pays one walk per
-//!   feasible non-base geometry;
+//!   memory-stream pass, where one `leon_sim::replay` per configuration
+//!   pays one walk per feasible non-base geometry;
 //! * the segmented engine's finer-grained `trace_segments_walked` counter
 //!   stays within classes × segments (parallel table) and hits exactly one
 //!   tick per segment for the fused Figure 2 pass;
-//! * both engines produce byte-identical tables/sweeps (`serde_json`
-//!   compared), so the walk budget is a pure cost change.
+//! * batching changes no result: the tables are byte-identical across
+//!   thread counts, and every batched cycle count equals its per-config
+//!   `replay`, so the walk budget is a pure cost change.
 //!
 //! The walk counter is process-global, so every test in this binary takes
 //! one shared lock around its delta measurements (the
@@ -26,11 +27,12 @@ use std::sync::Mutex;
 use liquid_autoreconf::apps::{capture_verified, Blastn, Scale};
 use liquid_autoreconf::fpga::SynthesisModel;
 use liquid_autoreconf::sim::{
-    trace_segments_walked, trace_walks_performed, CacheConfig, LeonConfig,
+    replay, trace_segments_walked, trace_walks_performed, CacheConfig, LeonConfig,
+    ReplacementPolicy,
 };
 use liquid_autoreconf::tuner::{
-    dcache_exhaustive_traced, dcache_exhaustive_traced_per_config, measure_cost_table_traced,
-    MeasurementOptions, ParameterSpace,
+    dcache_exhaustive_traced, measure_cost_table_traced, DcacheRow, MeasurementOptions,
+    ParameterSpace, Variable,
 };
 
 const MAX_CYCLES: u64 = 400_000_000;
@@ -38,16 +40,32 @@ const MAX_CYCLES: u64 = 400_000_000;
 /// Serialises this binary's counter-delta measurements.
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
-fn options(threads: usize, batch_replay: bool) -> MeasurementOptions {
-    MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay: true, batch_replay }
+fn options(threads: usize) -> MeasurementOptions {
+    MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay: true }
+}
+
+/// The configurations a cost table times for `var`: its perturbation first,
+/// then its enabler reference when it has one.
+fn timed_configs(var: &Variable, base: &LeonConfig) -> Vec<LeonConfig> {
+    let mut reference = *base;
+    if let Some(enabler) = &var.enabler {
+        enabler.apply(&mut reference);
+    }
+    let mut perturbed = reference;
+    var.change.apply(&mut perturbed);
+    if var.enabler.is_some() {
+        vec![perturbed, reference]
+    } else {
+        vec![perturbed]
+    }
 }
 
 /// Independently re-derive the batch's behavior classes from the parameter
 /// space: every distinct (d-cache geometry, window count) pair and every
 /// distinct i-cache geometry — over perturbations *and* enabler references —
 /// that differs from the capturing configuration.  Also counts the timed
-/// configurations that would walk at least one stream under the per-config
-/// engine.
+/// configurations that walk at least one stream when replayed one at a
+/// time.
 fn distinct_classes(
     space: &ParameterSpace,
     base: &LeonConfig,
@@ -56,17 +74,7 @@ fn distinct_classes(
     let mut fetch: HashSet<CacheConfig> = HashSet::new();
     let mut walked_configs: HashSet<LeonConfig> = HashSet::new();
     for var in space.variables() {
-        let mut reference = *base;
-        if let Some(enabler) = &var.enabler {
-            enabler.apply(&mut reference);
-        }
-        let mut perturbed = reference;
-        var.change.apply(&mut perturbed);
-        let mut timed = vec![perturbed];
-        if var.enabler.is_some() {
-            timed.push(reference);
-        }
-        for config in timed {
+        for config in timed_configs(var, base) {
             let mut walks = false;
             if config.dcache != base.dcache || config.iu.reg_windows != base.iu.reg_windows {
                 mem.insert((config.dcache, config.iu.reg_windows));
@@ -105,7 +113,7 @@ fn cost_table_walks_at_most_once_per_behavior_class() {
     // threads = 1: the whole table fuses into one pass per trace stream
     let before = trace_walks_performed();
     let serial =
-        measure_cost_table_traced(&space, &workload, &base, &model, &options(1, true), &trace)
+        measure_cost_table_traced(&space, &workload, &base, &model, &options(1), &trace)
             .unwrap();
     let serial_walks = trace_walks_performed() - before;
     assert!(
@@ -120,7 +128,7 @@ fn cost_table_walks_at_most_once_per_behavior_class() {
     let before = trace_walks_performed();
     let seg_before = trace_segments_walked();
     let parallel =
-        measure_cost_table_traced(&space, &workload, &base, &model, &options(4, true), &trace)
+        measure_cost_table_traced(&space, &workload, &base, &model, &options(4), &trace)
             .unwrap();
     let parallel_walks = trace_walks_performed() - before;
     let parallel_segment_walks = trace_segments_walked() - seg_before;
@@ -134,16 +142,23 @@ fn cost_table_walks_at_most_once_per_behavior_class() {
          segments ({segments})"
     );
 
-    // the per-config engine pays one walk per walked configuration — the
-    // cost the batched engine amortises away
+    // one `replay` per timed configuration pays a walk per stream each one
+    // changes — the cost the batched engine amortises away
     let before = trace_walks_performed();
-    let per_config =
-        measure_cost_table_traced(&space, &workload, &base, &model, &options(1, false), &trace)
-            .unwrap();
+    let per_config: Vec<Vec<u64>> = space
+        .variables()
+        .iter()
+        .map(|var| {
+            timed_configs(var, &base)
+                .iter()
+                .map(|config| replay(&trace, config, MAX_CYCLES).unwrap().cycles)
+                .collect()
+        })
+        .collect();
     let per_config_walks = trace_walks_performed() - before;
     assert!(
         per_config_walks >= classes as u64,
-        "per-config engine must walk at least once per class ({classes}), \
+        "per-config replays must walk at least once per class ({classes}), \
          walked {per_config_walks}"
     );
     assert!(
@@ -151,10 +166,13 @@ fn cost_table_walks_at_most_once_per_behavior_class() {
         "batching must reduce the walk count ({serial_walks} vs {per_config_walks})"
     );
 
-    // and the budget is a pure cost change: all three tables byte-identical
+    // and the budget is a pure cost change: the tables are byte-identical,
+    // and every perturbation's batched cycles equal its per-config replay
     let serial_json = serde_json::to_string(&serial).unwrap();
     assert_eq!(serial_json, serde_json::to_string(&parallel).unwrap());
-    assert_eq!(serial_json, serde_json::to_string(&per_config).unwrap());
+    for (var, cycles) in space.variables().iter().zip(&per_config) {
+        assert_eq!(serial.by_index(var.index).unwrap().cycles, cycles[0], "{}", var.name);
+    }
 }
 
 #[test]
@@ -181,21 +199,36 @@ fn fig2_sweep_collapses_to_one_memory_stream_pass() {
         "that one pass visits each of the trace's segments exactly once"
     );
 
+    // one `replay` per feasible row, on the geometry the sweep times
     let before = trace_walks_performed();
-    let per_config =
-        dcache_exhaustive_traced_per_config(&trace, &base, &model, MAX_CYCLES, 1).unwrap();
+    let per_config: Vec<DcacheRow> = batched
+        .iter()
+        .map(|row| {
+            if !row.fits {
+                return *row;
+            }
+            let mut config = base;
+            config.dcache.ways = row.ways;
+            config.dcache.way_kb = row.way_kb;
+            if row.ways > 1 {
+                config.dcache.replacement = ReplacementPolicy::Random;
+            }
+            let cycles = replay(&trace, &config, MAX_CYCLES).unwrap().cycles;
+            DcacheRow { cycles, seconds: config.cycles_to_seconds(cycles), ..*row }
+        })
+        .collect();
     let per_config_walks = trace_walks_performed() - before;
     let walked_rows =
         batched.iter().filter(|r| r.fits && (r.ways, r.way_kb) != (1, 4)).count() as u64;
     assert_eq!(
         per_config_walks, walked_rows,
-        "per-config sweep walks once per feasible non-base geometry"
+        "per-config replay walks once per feasible non-base geometry"
     );
     assert!(per_config_walks > batched_walks);
 
     assert_eq!(
         serde_json::to_string(&batched).unwrap(),
         serde_json::to_string(&per_config).unwrap(),
-        "both engines must produce identical Figure 2 rows"
+        "both paths must produce identical Figure 2 rows"
     );
 }

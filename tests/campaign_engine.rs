@@ -28,7 +28,7 @@ use proptest::prelude::*;
 const MAX_CYCLES: u64 = 400_000_000;
 
 fn measurement(threads: usize) -> MeasurementOptions {
-    MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay: true, batch_replay: true }
+    MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay: true }
 }
 
 fn campaign(threads: usize, space: ParameterSpace) -> Campaign {
@@ -84,29 +84,6 @@ fn whole_campaign_is_byte_identical_across_thread_counts() {
         serde_json::to_string(&parallel).unwrap(),
         "the campaign result (tables + sweeps + per-app + co-optimization) \
          must serialise byte-identically for threads=1 vs threads=N"
-    );
-}
-
-#[test]
-fn whole_campaign_is_byte_identical_with_batched_and_per_config_replay() {
-    // the one-pass batched engine (the default) against the per-config
-    // kernel it replaced: every downstream artifact — cost tables, sweeps,
-    // per-application optima, the co-optimization — must be byte-identical,
-    // so batching is a pure cost change for the whole pipeline
-    let suite = benchmark_suite(Scale::Tiny);
-    let mix = Campaign::equal_mix(suite.len());
-    let space = ParameterSpace::dcache_geometry();
-    let batched = campaign(2, space.clone()).run(&suite, &mix).unwrap();
-    let per_config = Campaign::new()
-        .with_space(space)
-        .with_weights(Weights::runtime_optimized())
-        .with_measurement(MeasurementOptions { batch_replay: false, ..measurement(2) })
-        .run(&suite, &mix)
-        .unwrap();
-    assert_eq!(
-        serde_json::to_string(&batched).unwrap(),
-        serde_json::to_string(&per_config).unwrap(),
-        "batched replay must be invisible in the campaign's results"
     );
 }
 

@@ -5,7 +5,7 @@ use liquid_autoreconf::prelude::*;
 use liquid_autoreconf::tuner::{MeasurementOptions, ParameterSpace};
 
 fn fast() -> MeasurementOptions {
-    MeasurementOptions { max_cycles: 400_000_000, threads: 0, use_replay: true, batch_replay: true }
+    MeasurementOptions { max_cycles: 400_000_000, threads: 0, use_replay: true }
 }
 
 #[test]

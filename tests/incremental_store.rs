@@ -64,7 +64,7 @@ fn engine(threads: usize, store: Option<ArtifactStore>) -> Campaign {
     let mut c = Campaign::new()
         .with_space(ParameterSpace::dcache_geometry())
         .with_weights(Weights::runtime_optimized())
-        .with_measurement(MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay: true, batch_replay: true });
+        .with_measurement(MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay: true });
     if let Some(s) = store {
         c = c.with_store(s);
     }
@@ -104,7 +104,6 @@ fn warm_store_runs_are_byte_identical_to_cold_and_storeless_runs() {
             max_cycles: MAX_CYCLES * 2,
             threads: 2,
             use_replay: true,
-            batch_replay: true,
         })
         .with_store(store.clone());
     let session = other_budget.session(&suite).unwrap();

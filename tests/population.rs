@@ -62,7 +62,6 @@ fn engine(threads: usize, store: Option<ArtifactStore>) -> Campaign {
             max_cycles: MAX_CYCLES,
             threads,
             use_replay: true,
-            batch_replay: true,
         });
     if let Some(s) = store {
         c = c.with_store(s);

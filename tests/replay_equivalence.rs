@@ -273,14 +273,12 @@ fn trace_is_compact() {
             "{}: fetch runs should compress the record stream",
             workload.name()
         );
-        // 12-byte packed records plus the compact memory stream, plus the
-        // v2 bookkeeping: pre-folded hit runs and per-segment checkpoints
-        let mem_op_bytes = std::mem::size_of::<liquid_autoreconf::sim::trace::MemOp>();
+        // 12-byte packed records plus the pre-folded memory stream and the
+        // per-segment checkpoints
         let seg_meta_bytes = std::mem::size_of::<liquid_autoreconf::sim::trace::SegmentMeta>();
         assert_eq!(
             trace.memory_bytes(),
             trace.len() * 12
-                + trace.mem.len() * mem_op_bytes
                 + trace.folded.len() * 8
                 + trace.segment_count() * seg_meta_bytes,
             "{}",

@@ -65,7 +65,6 @@ fn engine(threads: usize, weights: Weights, store: Option<ArtifactStore>) -> Cam
             max_cycles: MAX_CYCLES,
             threads,
             use_replay: true,
-            batch_replay: true,
         });
     if let Some(s) = store {
         c = c.with_store(s);

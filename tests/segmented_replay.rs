@@ -8,10 +8,8 @@
 //! * the serial fused walk (`replay_batch`),
 //! * the class-span × segment worker pool (`replay_batch_indexed`) at
 //!   `threads = 1` and `threads = 4`,
-//! * the streaming decoder (`replay_batch_streamed`), which materialises
-//!   one segment at a time from the serialised bytes,
-//! * and a legacy v1 round-trip (`to_bytes_v1` → `from_bytes`), which must
-//!   still decode and replay identically.
+//! * and the streaming decoder (`replay_batch_streamed`), which
+//!   materialises one segment at a time from the serialised bytes.
 //!
 //! All four workloads of the paper's suite are covered.
 
@@ -166,18 +164,6 @@ fn pathological_segmentations_are_bit_identical() {
             let decoded = Trace::from_bytes(&seg.to_bytes()).unwrap();
             assert_eq!(decoded, seg, "{name}/{tag}: codec round trip");
         }
-    }
-}
-
-#[test]
-fn v1_round_trip_replays_identically() {
-    let configs = mixed_batch();
-    for (name, trace) in captured_suite() {
-        let expected = sim::replay_batch(trace, &configs, MAX_CYCLES);
-        let v1 = Trace::from_bytes(&trace.to_bytes_v1())
-            .unwrap_or_else(|e| panic!("{name}: v1 decode failed: {e}"));
-        let replayed = sim::replay_batch(&v1, &configs, MAX_CYCLES);
-        assert_eq!(replayed, expected, "{name}: v1 round trip diverged");
     }
 }
 
