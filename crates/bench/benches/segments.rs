@@ -3,31 +3,23 @@
 //! One group, emitting `BENCH_segments.json`, comparing the monolithic
 //! fused walk (`leon_sim::replay_batch`) against the class-span ×
 //! trace-segment worker pool (`autoreconf::replay_batch_indexed`) at 1, 2
-//! and 4 workers, plus the streaming decoder (`replay_batch_streamed`)
-//! that materialises one segment at a time, on a Figure 2-style d-cache
-//! geometry sweep over a captured BLASTN trace at `Scale::Small` *and*
-//! `Scale::Medium` (override with `BENCH_SCALE`).
+//! and 4 workers, on a Figure 2-style d-cache geometry sweep over a
+//! captured BLASTN trace at `Scale::Small` *and* `Scale::Medium` (override
+//! with `BENCH_SCALE`).
 //!
 //! Segment-level scheduling only pays off with real cores: on a single-CPU
 //! host the 2/4-worker rows measure scheduling overhead, not speedup —
 //! record the numbers either way, they are the honest baseline.
 //!
-//! Before anything is timed, `prepare` pins the contracts the numbers rely
-//! on: every engine bit-identical to the monolithic walk, and the
-//! `trace_segments_walked` budget.  A supplementary
-//! `BENCH_segments_memory.json` records the streamed decoder's working-set
-//! bound (largest single segment payload vs. the whole serialised trace)
-//! and the process peak RSS for context.
+//! Before anything is timed, `prepare` pins the contract the numbers rely
+//! on: every pool size bit-identical to the monolithic walk.
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use std::time::Duration;
 
 use autoreconf::replay_batch_indexed;
 use bench::MAX_CYCLES;
-use leon_sim::{
-    replay_batch, replay_batch_streamed, trace_segments_walked, CacheConfig, LeonConfig,
-    StreamedTrace, Trace,
-};
+use leon_sim::{replay_batch, CacheConfig, LeonConfig, Trace};
 use workloads::{Blastn, Scale};
 
 /// The Figure 2 axes as a replay batch: every valid d-cache geometry
@@ -50,12 +42,11 @@ fn sweep_configs(base: &LeonConfig) -> Vec<LeonConfig> {
 struct Prepared {
     scale: Scale,
     trace: Trace,
-    bytes: Vec<u8>,
     configs: Vec<LeonConfig>,
 }
 
-/// Capture the scale's trace once and pin the equivalence + segment-budget
-/// contracts before any timing.
+/// Capture the scale's trace once and pin the equivalence contract before
+/// any timing.
 fn prepare(scale: Scale) -> Prepared {
     let workload = Blastn::scaled(scale);
     let base = LeonConfig::base();
@@ -70,25 +61,14 @@ fn prepare(scale: Scale) -> Prepared {
             "segmented pool at threads={threads} must match the monolithic walk"
         );
     }
-    let bytes = trace.to_bytes();
-    let streamed = StreamedTrace::open(Box::new(bytes.clone())).unwrap();
-    let seg_before = trace_segments_walked();
-    assert_eq!(
-        replay_batch_streamed(&streamed, &configs, MAX_CYCLES).unwrap(),
-        mono,
-        "streamed replay must match the monolithic walk"
-    );
-    let streamed_segment_walks = trace_segments_walked() - seg_before;
     eprintln!(
-        "segments: contracts verified at scale {:?} ({} records, {} segments, {} configs, \
-         {} streamed segment walks)",
+        "segments: contracts verified at scale {:?} ({} records, {} segments, {} configs)",
         scale,
         trace.len(),
         trace.segment_count(),
-        configs.len(),
-        streamed_segment_walks
+        configs.len()
     );
-    Prepared { scale, trace, bytes, configs }
+    Prepared { scale, trace, configs }
 }
 
 fn register(group: &mut BenchmarkGroup, prepared: &Prepared) {
@@ -103,64 +83,6 @@ fn register(group: &mut BenchmarkGroup, prepared: &Prepared) {
         group.bench_function(format!("segmented_{threads}w/{scale}"), |b| {
             b.iter(|| replay_batch_indexed(trace, configs, MAX_CYCLES, threads).len())
         });
-    }
-    let streamed = StreamedTrace::open(Box::new(prepared.bytes.clone())).unwrap();
-    group.bench_function(format!("streamed_1w/{scale}"), |b| {
-        b.iter(|| replay_batch_streamed(&streamed, configs, MAX_CYCLES).unwrap().len())
-    });
-}
-
-/// Peak RSS of this process in kilobytes (`VmHWM` from `/proc/self/status`),
-/// `None` off Linux.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// Supplementary artifact: the streamed decoder's working-set bound.  The
-/// whole-process peak RSS is context only — the captures above already
-/// materialised every trace in memory, so it bounds the *batch* path, not
-/// the streamed one; the honest streamed bound is the largest single
-/// segment payload, which is what `load_segment` materialises at a time.
-fn write_memory_note(prepared: &[Prepared]) {
-    let dir = std::env::var("BENCH_JSON_DIR").unwrap_or_else(|_| ".".to_string());
-    let mut rows = Vec::new();
-    for p in prepared {
-        let records = p.trace.len() as u64;
-        let folded = p.trace.folded.len() as u64;
-        let max_segment_payload = (0..p.trace.segment_count())
-            .map(|i| {
-                let ops_end =
-                    p.trace.segments.get(i + 1).map_or(records as usize, |s| s.ops_start);
-                let folded_end =
-                    p.trace.segments.get(i + 1).map_or(folded as usize, |s| s.folded_start);
-                let seg = &p.trace.segments[i];
-                (ops_end - seg.ops_start) as u64 * 10 + (folded_end - seg.folded_start) as u64 * 8
-            })
-            .max()
-            .unwrap_or(0);
-        rows.push(format!(
-            "    {{\"scale\": \"{}\", \"trace_bytes\": {}, \"segments\": {}, \
-             \"max_segment_payload_bytes\": {}}}",
-            p.scale.name(),
-            p.bytes.len(),
-            p.trace.segment_count(),
-            max_segment_payload
-        ));
-    }
-    let body = format!(
-        "{{\n  \"note\": \"streamed decode holds one segment payload at a time; peak_rss_kb \
-         covers the whole process including the in-memory captures\",\n  \
-         \"peak_rss_kb\": {},\n  \"traces\": [\n{}\n  ]\n}}\n",
-        peak_rss_kb().map_or("null".to_string(), |kb| kb.to_string()),
-        rows.join(",\n")
-    );
-    let path = format!("{dir}/BENCH_segments_memory.json");
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("segments: could not write {path}: {e}");
-    } else {
-        eprintln!("segments: wrote {path}");
     }
 }
 
@@ -177,7 +99,6 @@ fn segments(c: &mut Criterion) {
         register(&mut group, p);
     }
     group.finish();
-    write_memory_note(&prepared);
 }
 
 criterion_group!(benches, segments);

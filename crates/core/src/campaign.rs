@@ -983,25 +983,6 @@ impl Campaign {
         }
     }
 
-    /// Open the workload's stored trace entry for segment-at-a-time
-    /// streaming, if the store holds a structurally valid version-2 entry
-    /// captured on this campaign's base configuration.
-    ///
-    /// `None` (→ the caller falls back to full materialisation) on a
-    /// missing entry, a version-1 payload, a damaged header, or a foreign
-    /// capture configuration.  Per-segment corruption deeper in the payload
-    /// is only caught when the segment is fetched.
-    fn open_streamed_trace(&self, workload_fp: u64) -> Option<leon_sim::StreamedTrace> {
-        let store = self.store.as_ref()?;
-        let reader = store.open_payload_reader("trace", self.trace_key(workload_fp))?;
-        let streamed =
-            leon_sim::StreamedTrace::open(Box::new(StoredTraceSource { reader })).ok()?;
-        if streamed.header().captured != self.base {
-            return None; // keyed correctly but captured elsewhere — never trust it
-        }
-        Some(streamed)
-    }
-
     /// Capture the workload's trace by full (guest-executing) simulation and
     /// persist it.
     fn capture_and_persist_trace(
@@ -1180,28 +1161,6 @@ impl Campaign {
             || self.try_load_json::<Outcome>("optimum", self.optimum_key(workload_fp)),
             || self.solve_and_persist_optimum(tool, workload, workload_fp, entry, table),
         )
-    }
-}
-
-/// [`leon_sim::SegmentRead`] adapter over a stored trace entry's payload:
-/// skips the 16-byte base-cost prefix ([`encode_stored_trace`]) so offsets
-/// address serialised trace bytes, and ticks the process-wide
-/// [`workloads::trace_payload_bytes_read`] counter for every byte actually
-/// fetched — the laziness tests keep measuring streamed reads, which are a
-/// small fraction of a full payload load.
-struct StoredTraceSource {
-    reader: crate::store::PayloadReader,
-}
-
-impl leon_sim::SegmentRead for StoredTraceSource {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        leon_sim::SegmentRead::read_at(&self.reader, offset + 16, buf)?;
-        workloads::record_trace_payload_read(buf.len() as u64);
-        Ok(())
-    }
-
-    fn total_len(&self) -> std::io::Result<u64> {
-        Ok(leon_sim::SegmentRead::total_len(&self.reader)?.saturating_sub(16))
     }
 }
 
@@ -1473,13 +1432,8 @@ impl<'a> CampaignSession<'a> {
     }
 
     /// The workload's Figure 2 sweep; a store hit never touches the trace.
-    ///
-    /// On a sweep miss with the trace *not yet resident*, the recompute
-    /// first tries the streaming path: the stored v2 trace entry is replayed
-    /// one segment at a time ([`crate::dcache_study::dcache_exhaustive_traced_streamed`])
-    /// without ever materialising the whole op vector — the bounded-memory
-    /// half of the segmented-trace contract.  A damaged or version-1 entry
-    /// falls back to the full decode path, which detects and heals it.
+    /// A miss loads (or captures) the trace like every other artifact does,
+    /// and the trace stays resident for the session's later requests.
     pub fn sweep(&self, index: usize) -> Result<&Vec<DcacheRow>, OptimizeError> {
         self.sweeps[index].get_or_try_materialize(|| {
             let fp = self.fingerprints[index];
@@ -1487,47 +1441,13 @@ impl<'a> CampaignSession<'a> {
                 "sweep",
                 self.engine.sweep_key(fp),
                 || self.engine.try_load_json::<Vec<DcacheRow>>("sweep", self.engine.sweep_key(fp)),
-                || self.compute_sweep_cold(index, fp),
+                || -> Result<Vec<DcacheRow>, OptimizeError> {
+                    Ok(self.engine.compute_and_persist_sweep(fp, self.trace(index)?)?)
+                },
             )?;
             self.bump(computed, |c| (&mut c.sweeps_computed, &mut c.sweep_store_hits));
             Ok(sweep)
         })
-    }
-
-    /// The sweep-miss recompute path (runs under the sweep claim): streaming
-    /// replay of the stored trace entry when possible, full decode + capture
-    /// otherwise.
-    fn compute_sweep_cold(&self, index: usize, fp: u64) -> Result<Vec<DcacheRow>, OptimizeError> {
-        if !self.traces[index].is_materialized() {
-            if let Some(streamed) = self.engine.open_streamed_trace(fp) {
-                match crate::dcache_study::dcache_exhaustive_traced_streamed(
-                    &streamed,
-                    &self.engine.base,
-                    &self.engine.model,
-                    self.engine.measurement.max_cycles,
-                ) {
-                    Ok(sweep) => {
-                        self.engine.persist_json(
-                            "sweep",
-                            self.engine.sweep_key(fp),
-                            &format!("sweep for {}", self.names[index]),
-                            &sweep,
-                        );
-                        return Ok(sweep);
-                    }
-                    Err(crate::dcache_study::StreamedSweepError::Sim(e)) => {
-                        return Err(e.into());
-                    }
-                    Err(crate::dcache_study::StreamedSweepError::Codec(_)) => {
-                        // the stored entry is damaged mid-payload: fall
-                        // through to the full decode, which recounts the
-                        // corruption and recaptures the trace
-                    }
-                }
-            }
-        }
-        let entry = self.trace(index)?;
-        Ok(self.engine.compute_and_persist_sweep(fp, entry)?)
     }
 
     /// The workload's per-application optimum; a store hit touches neither

@@ -148,89 +148,6 @@ pub fn dcache_exhaustive_traced(
     Ok(rows)
 }
 
-/// Why a streamed sweep recompute failed: a replay error (propagated like
-/// the in-memory sweep's) or a codec error from the stored trace (a caller
-/// should fall back to the full-decode path, which detects and heals the
-/// damaged entry).
-#[derive(Debug)]
-pub enum StreamedSweepError {
-    /// A configuration's replay failed.
-    Sim(SimError),
-    /// The stored trace could not be streamed (truncated/corrupt segment).
-    Codec(leon_sim::TraceCodecError),
-}
-
-impl std::fmt::Display for StreamedSweepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamedSweepError::Sim(e) => write!(f, "{e}"),
-            StreamedSweepError::Codec(e) => write!(f, "streamed trace: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamedSweepError {}
-
-/// The sweep kernel over a *streamed* stored trace: identical rows to
-/// [`dcache_exhaustive_traced`] — same combination order, same feasibility
-/// filtering, same retimed cycles — but the trace is never fully
-/// materialised.  [`leon_sim::replay_batch_streamed`] holds one segment in
-/// memory at a time, so a warm `Scale::Large` sweep recompute runs in
-/// O(segment + classes) peak memory instead of O(trace).  The walk is
-/// serial; intra-trace parallelism needs the in-memory path.
-pub fn dcache_exhaustive_traced_streamed(
-    streamed: &leon_sim::StreamedTrace,
-    base: &LeonConfig,
-    model: &SynthesisModel,
-    max_cycles: u64,
-) -> Result<Vec<DcacheRow>, StreamedSweepError> {
-    let combos = dcache_combinations();
-    let mut meta = Vec::with_capacity(combos.len());
-    let mut feasible = Vec::new();
-    for (ways, way_kb) in combos {
-        let config = sweep_config(base, ways, way_kb);
-        let report = model.synthesize(&config);
-        if report.fits {
-            feasible.push(config);
-        }
-        meta.push((ways, way_kb, config, report));
-    }
-
-    let retimed = leon_sim::replay_batch_streamed(streamed, &feasible, max_cycles)
-        .map_err(StreamedSweepError::Codec)?;
-    let mut retimed = retimed.into_iter();
-
-    let mut rows = Vec::with_capacity(meta.len());
-    for (ways, way_kb, config, report) in meta {
-        if !report.fits {
-            rows.push(DcacheRow {
-                ways,
-                way_kb,
-                cycles: 0,
-                seconds: 0.0,
-                lut_pct: report.lut_percent,
-                bram_pct: report.bram_percent,
-                fits: false,
-            });
-            continue;
-        }
-        let stats = retimed
-            .next()
-            .expect("one retiming per feasible geometry")
-            .map_err(StreamedSweepError::Sim)?;
-        rows.push(DcacheRow {
-            ways,
-            way_kb,
-            cycles: stats.cycles,
-            seconds: config.cycles_to_seconds(stats.cycles),
-            lut_pct: report.lut_percent,
-            bram_pct: report.bram_percent,
-            fits: true,
-        });
-    }
-    Ok(rows)
-}
-
 /// The pre-trace-engine sweep: one full cycle-accurate simulation per
 /// feasible geometry.  Kept as the baseline the `replay_micro` benchmark
 /// measures the trace-driven speedup against.

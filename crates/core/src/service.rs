@@ -1018,6 +1018,30 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// Hostile-input regression: one 200 KB request frame of `[` used to
+    /// overflow the JSON parser's stack and abort the whole daemon.  It now
+    /// gets a typed error, and both that connection and a new one keep
+    /// being served.
+    #[test]
+    fn nested_json_frame_gets_an_error_and_the_daemon_keeps_serving() {
+        let (addr, handle) = control_server(Some(Duration::from_secs(10)), 0);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write_frame(&mut stream, "[".repeat(200_000).as_bytes()).unwrap();
+        let frame = read_frame(&mut stream).unwrap().expect("response frame");
+        match serde_json::from_str(std::str::from_utf8(&frame).unwrap()).unwrap() {
+            Response::Error { message } => {
+                assert!(message.starts_with("malformed request"), "{message}")
+            }
+            other => panic!("unexpected response: {other:?}"),
+        }
+        let pong = Response::Pong { protocol: PROTOCOL_VERSION };
+        assert_eq!(roundtrip_on(&mut stream, &Request::Ping), pong);
+        let mut fresh = TcpStream::connect(addr).unwrap();
+        assert_eq!(roundtrip_on(&mut fresh, &Request::Ping), pong);
+        assert_eq!(roundtrip_on(&mut fresh, &Request::Shutdown), Response::Bye);
+        handle.join().unwrap();
+    }
+
     #[test]
     fn in_flight_gate_sheds_over_the_cap_and_frees_slots() {
         let gate = AtomicUsize::new(0);

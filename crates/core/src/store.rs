@@ -514,39 +514,6 @@ impl Default for Shared {
     }
 }
 
-/// Positional reader over one stored entry's payload, opened by
-/// [`ArtifactStore::open_payload_reader`].  Offsets address payload bytes
-/// directly (the 40-byte envelope is skipped internally), and every
-/// successful read adds to [`StoreStats::payload_bytes_read`] — so
-/// streaming a few segments of a large trace is visibly cheaper in the
-/// stats than a full [`ArtifactStore::load`].
-pub struct PayloadReader {
-    file: Mutex<std::fs::File>,
-    payload_len: u64,
-    shared: Arc<Shared>,
-}
-
-impl leon_sim::SegmentRead for PayloadReader {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        use std::io::{Seek, SeekFrom};
-        if offset.checked_add(buf.len() as u64).is_none_or(|end| end > self.payload_len) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "read past the end of the stored payload",
-            ));
-        }
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.seek(SeekFrom::Start(ENVELOPE_LEN as u64 + offset))?;
-        file.read_exact(buf)?;
-        self.shared.stats.payload_bytes_read.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn total_len(&self) -> std::io::Result<u64> {
-        Ok(self.payload_len)
-    }
-}
-
 /// Envelope metadata returned by [`ArtifactStore::peek`] — everything known
 /// about an entry without reading its payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1630,30 +1597,6 @@ impl ArtifactStore {
     /// (envelope-only, see [`ArtifactStore::peek`]).
     pub fn contains(&self, kind: &str, key: Fingerprint) -> bool {
         self.peek(kind, key).is_some()
-    }
-
-    /// Open the entry under `(kind, key)` for positional payload reads
-    /// without loading it — the [`leon_sim::SegmentRead`] half of the
-    /// streaming-trace contract: a warm replay fetches one segment at a
-    /// time instead of materialising a multi-megabyte payload.
-    ///
-    /// The envelope is validated exactly like [`ArtifactStore::peek`]; the
-    /// payload checksum is deliberately **not** verified here (that would
-    /// read the whole payload), so this is only suitable for payload
-    /// formats carrying their own integrity data — the v2 trace codec's
-    /// per-segment checksums.  A successful open counts as a hit and stamps
-    /// the manifest clock; a missing/invalid envelope returns `None`
-    /// without counting a miss (the caller's fallback `load` does).
-    pub fn open_payload_reader(&self, kind: &str, key: Fingerprint) -> Option<PayloadReader> {
-        let meta = self.peek(kind, key)?;
-        let file = std::fs::File::open(self.entry_path(kind, key)).ok()?;
-        self.shared.stats.hits.fetch_add(1, Ordering::Relaxed);
-        self.note_access(kind, key, meta.payload_len, meta.checksum);
-        Some(PayloadReader {
-            file: Mutex::new(file),
-            payload_len: meta.payload_len,
-            shared: self.shared.clone(),
-        })
     }
 
     /// Reclassify the immediately preceding hit as a corrupt miss.
@@ -2849,15 +2792,23 @@ mod tests {
         bad[at] ^= 0xff;
         let k_bad = FingerprintBuilder::new().str("trace-bad").finish();
         store.save("trace", k_bad, &stored_trace_payload(&bad)).unwrap();
-        // an entry in a retired format version (the monolithic version 1
-        // of earlier releases) is no longer decodable, so it is damage too
-        let mut retired = good.clone();
-        retired[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let k_retired = FingerprintBuilder::new().str("trace-v1").finish();
-        store.save("trace", k_retired, &stored_trace_payload(&retired)).unwrap();
+        // entries in a retired format version (the monolithic version 1 and
+        // version 2, which stored derived data, of earlier releases) are no
+        // longer decodable, so they are damage too
+        let retired: Vec<Fingerprint> = [1u32, 2]
+            .into_iter()
+            .map(|version| {
+                let mut retired = good.clone();
+                retired[4..8].copy_from_slice(&version.to_le_bytes());
+                let key =
+                    FingerprintBuilder::new().str("trace-retired").u64(version as u64).finish();
+                store.save("trace", key, &stored_trace_payload(&retired)).unwrap();
+                key
+            })
+            .collect();
         let report = store.doctor(false).unwrap();
         assert!(!report.is_clean());
-        assert_eq!(report.segment_index_errors, 2);
+        assert_eq!(report.segment_index_errors, 3);
         assert_eq!(report.corrupt_entries, 0, "the envelopes themselves are fine");
         assert!(report.render().contains("broken segment index"));
 
@@ -2867,7 +2818,9 @@ mod tests {
         assert!(after.is_clean(), "{after:?}");
         assert_eq!(after.trace_entries, 1);
         assert_eq!(store.load("trace", k_bad), None);
-        assert_eq!(store.load("trace", k_retired), None);
+        for key in retired {
+            assert_eq!(store.load("trace", key), None);
+        }
         assert!(store.load("trace", k_good).is_some());
         let _ = std::fs::remove_dir_all(store.dir());
     }

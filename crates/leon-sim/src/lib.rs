@@ -49,11 +49,11 @@ pub use memory::Memory;
 pub use profiler::{RunResult, Stats};
 pub use regwin::{RegisterWindows, WindowEvent};
 pub use trace::{
-    capture, fnv1a64, fnv1a64_extend, replay, replay_batch, replay_batch_streamed,
-    trace_segments_walked, trace_walks_performed, FetchSegmentPartial, FetchSpanWalker,
-    MemClassDelta, MemSegmentPartial, MemSpanWalker, ReplayBatch, SegmentInfo, SegmentMeta,
-    SegmentRead, StreamedTrace, Trace, TraceCodecError, TraceHeader, TraceOp, TraceSegment,
-    FNV1A64_OFFSET, SEGMENT_TARGET_OPS, TRACE_FORMAT_VERSION,
+    capture, fnv1a64, fnv1a64_extend, replay, replay_batch, trace_segments_walked,
+    trace_walks_performed, FetchSegmentPartial, FetchSpanWalker, MemClassDelta,
+    MemSegmentPartial, MemSpanWalker, ReplayBatch, SegmentInfo, SegmentMeta, Trace,
+    TraceCodecError, TraceHeader, TraceOp, FNV1A64_OFFSET, SEGMENT_TARGET_OPS,
+    TRACE_FORMAT_VERSION,
 };
 
 /// Default per-run cycle budget used by the higher-level crates.

@@ -9,22 +9,28 @@
 //! trace, and every perturbation is retimed over it — no decode, no ALU, no
 //! architectural state.
 //!
-//! # What the trace stores
+//! # What the trace holds
 //!
 //! * [`Trace::ops`] — one [`TraceOp`] per eventful instruction (loads,
 //!   stores, branches, multiplies, window rotations, …), with runs of
 //!   event-free sequential fetches inside one 16-byte block (the minimum
 //!   line size, so "same cache line" holds under every valid geometry)
 //!   run-length compressed into a single record;
-//! * [`Trace::folded`] — the data-cache-relevant stream, pre-folded at
-//!   capture: load/store run leaders (an access strictly following a read
-//!   of its own 16-byte line folds into the leader, a guaranteed hit under
-//!   every geometry) and `save`/`restore` markers with their
-//!   (architecturally configuration-independent) stack pointers;
-//! * [`Trace::segments`] — per-segment checkpoints, so each segment decodes
-//!   and walks on its own;
+//! * [`Trace::folded`] — the data-cache-relevant stream, folded from `ops`:
+//!   load/store run leaders (an access strictly following a read of its own
+//!   16-byte line folds into the leader, a guaranteed hit under every
+//!   geometry) and `save`/`restore` markers with their (architecturally
+//!   configuration-independent) stack pointers;
+//! * [`Trace::segments`] — where each segment starts in both streams, so
+//!   each segment walks on its own;
 //! * [`Trace::summary`] — configuration-independent event *counts*;
 //! * the capturing configuration and its cache statistics.
+//!
+//! Only the records, the segment boundaries, the capture results and the
+//! checksums are serialised ([`Trace::to_bytes`], format version 3):
+//! `folded`, the per-segment folded offsets and `summary` are pure
+//! functions of `ops`, so [`Trace::from_bytes`] derives them exactly as
+//! capture does.
 //!
 //! # How replay retimes a configuration
 //!
@@ -180,15 +186,6 @@ impl TraceOp {
     pub fn fetch(pc: u32) -> TraceOp {
         TraceOp { pc, flags: 0, aux: 1 }
     }
-
-    /// Dynamic instructions this record retires.
-    pub fn instructions(&self) -> u64 {
-        if self.flags == 0 {
-            self.aux as u64
-        } else {
-            1
-        }
-    }
 }
 
 /// Configuration-independent event counts of a captured run: everything the
@@ -224,7 +221,7 @@ pub struct TraceSummary {
 }
 
 /// Target number of records per trace segment (the "fixed-size-ish" cut):
-/// large enough that per-segment checkpoint and index overhead is noise,
+/// large enough that per-segment scheduling and index overhead is noise,
 /// small enough that a large trace yields dozens of independently walkable
 /// units for intra-trace parallelism.
 pub const SEGMENT_TARGET_OPS: usize = 1 << 16;
@@ -237,62 +234,34 @@ const FOLD_MARKER_BIT: u64 = 1 << 63;
 /// hold the (configuration-independent) trap stack pointer either way.
 const FOLD_RESTORE_BIT: u64 = 1 << 32;
 
-/// [`SegmentMeta::fold_carry`] sentinel: no fold was in flight at the
-/// segment boundary.  A real carry is a 16-byte line number (`addr >> 4`,
-/// at most `2^28 - 1`), so the sentinel is unambiguous.
-const FOLD_NONE: u32 = u32::MAX;
-
-/// Per-segment entry checkpoint of a [`Trace`]: everything needed to decode
-/// and walk one segment without touching its predecessors.  Deliberately
-/// cache-independent — cache tag state chains through the span walkers — the
-/// checkpoint pins the *stream* state at segment entry: per-stream record
-/// offsets, the retired-instruction (cycle-offset) prefix, the capturing
-/// configuration's resident-window automaton state, and the capture-fold
-/// run-compression carry.
+/// Where one segment of a [`Trace`] starts in each stream, so a span walker
+/// can walk it without touching its predecessors.  Deliberately
+/// cache-independent: cache tag and window-automaton state chain through
+/// the span walkers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// First record of this segment in [`Trace::ops`].
     pub ops_start: usize,
     /// First item of this segment in [`Trace::folded`].
     pub folded_start: usize,
-    /// Dynamic instructions retired before this segment (the segment's
-    /// configuration-independent cycle/instruction offset).
-    pub instructions_before: u64,
-    /// Resident-window automaton state at segment entry *on the capturing
-    /// configuration* (format completeness; replay automata for other window
-    /// counts chain through the span walkers).
-    pub resident_entry: u32,
-    /// 16-byte line a capture-time fold would have continued across this
-    /// boundary ([`FOLD_NONE`] when none): stored folds are split at every
-    /// boundary so segments decode independently, and the carry records what
-    /// was split.
-    pub fold_carry: u32,
 }
 
-/// Build the segment checkpoints and the capture-folded memory stream for a
-/// record stream cut at `boundaries` (record indices; first must be 0,
-/// strictly increasing, all within the stream).
+/// Build the segment table and the folded memory stream for a record stream
+/// cut at `boundaries` (record indices; first must be 0, strictly
+/// increasing, all within the stream).
 ///
-/// The folded stream is the capture-side pre-computation of the batched
-/// walk's guaranteed-hit elision: an access that strictly-consecutively
-/// follows a **read** of its own 16-byte line folds into the leader's run
-/// count (a write never establishes presence, so write leaders carry no
-/// run).  Stored folds split at every `save`/`restore` marker — whether the
-/// marker traps depends on the replayed window count, so folding across it
-/// would be unsound — and at every segment boundary, so each segment's items
-/// stand alone; the walk re-folds across non-trapping markers at run time,
-/// recovering the monolithic elision exactly.
-fn derive_segments(
-    ops: &[TraceOp],
-    boundaries: &[usize],
-    nwindows: u32,
-) -> (Vec<SegmentMeta>, Vec<u64>) {
+/// The folded stream is the pre-computation of the batched walk's
+/// guaranteed-hit elision: an access that strictly-consecutively follows a
+/// **read** of its own 16-byte line folds into the leader's run count (a
+/// write never establishes presence, so write leaders carry no run).  Folds
+/// split at every `save`/`restore` marker — whether the marker traps depends
+/// on the replayed window count, so folding across it would be unsound —
+/// and at every segment boundary, so each segment's items stand alone; the
+/// walk re-folds across non-trapping markers at run time, recovering the
+/// monolithic elision exactly.
+fn derive_segments(ops: &[TraceOp], boundaries: &[usize]) -> (Vec<SegmentMeta>, Vec<u64>) {
     let mut segments = Vec::with_capacity(boundaries.len());
     let mut folded: Vec<u64> = Vec::new();
-    let mut instructions = 0u64;
-    let mut resident: u32 = 1;
-    let mut run_line: Option<u32> = None;
-
     let fold_push = |folded: &mut Vec<u64>, run_line: &mut Option<u32>, addr: u32, write: bool| {
         if *run_line == Some(addr >> 4) {
             *folded.last_mut().expect("a run leader precedes every extension") +=
@@ -305,18 +274,11 @@ fn derive_segments(
 
     for (index, &start) in boundaries.iter().enumerate() {
         let end = boundaries.get(index + 1).copied().unwrap_or(ops.len());
-        segments.push(SegmentMeta {
-            ops_start: start,
-            folded_start: folded.len(),
-            instructions_before: instructions,
-            resident_entry: resident,
-            fold_carry: run_line.unwrap_or(FOLD_NONE),
-        });
-        // a stored fold never crosses a segment boundary, so `folded_start`
-        // always aligns with `ops_start` (the split is recorded as the carry)
-        run_line = None;
+        segments.push(SegmentMeta { ops_start: start, folded_start: folded.len() });
+        // a fold never crosses a segment boundary, so `folded_start` always
+        // aligns with `ops_start`
+        let mut run_line: Option<u32> = None;
         for op in &ops[start..end] {
-            instructions += op.instructions();
             if op.flags == 0 {
                 continue;
             }
@@ -329,16 +291,10 @@ fn derive_segments(
             if op.flags & flags::SAVE != 0 {
                 folded.push(FOLD_MARKER_BIT | op.aux as u64);
                 run_line = None;
-                if resident < nwindows - 1 {
-                    resident += 1;
-                }
             }
             if op.flags & flags::RESTORE != 0 {
                 folded.push(FOLD_MARKER_BIT | FOLD_RESTORE_BIT | op.aux as u64);
                 run_line = None;
-                if resident > 1 {
-                    resident -= 1;
-                }
             }
         }
     }
@@ -352,16 +308,16 @@ fn derive_segments(
 pub struct Trace {
     /// Per-instruction records with fetch-run compression, in execution order.
     pub ops: Vec<TraceOp>,
-    /// The capture-folded data-cache/window event stream, in execution
-    /// order: one item per load/store run leader or `save`/`restore` marker
-    /// (see [`derive_segments`]), segment-aligned.  The memory walkers
-    /// consume it directly, so the guaranteed-hit elision is derived once,
-    /// at capture.
+    /// The folded data-cache/window event stream, in execution order: one
+    /// item per load/store run leader or `save`/`restore` marker (see
+    /// [`derive_segments`]), segment-aligned.  The memory walkers consume it
+    /// directly, so the guaranteed-hit elision is derived once per capture
+    /// or decode, not per walk.
     pub folded: Vec<u64>,
-    /// Segment checkpoints, in segment order ([`SegmentMeta`]); every trace
-    /// with records has at least one segment.
+    /// Segment starts, in segment order ([`SegmentMeta`]); every trace with
+    /// records has at least one segment.
     pub segments: Vec<SegmentMeta>,
-    /// Configuration-independent event counts.
+    /// Configuration-independent event counts (derived from `ops`).
     pub summary: TraceSummary,
     /// The configuration the trace was captured on.
     pub captured: LeonConfig,
@@ -437,9 +393,9 @@ impl Trace {
 
     /// Re-cut the trace at the given record boundaries (first must be 0,
     /// strictly increasing, all `< ops.len()`; empty only for an empty
-    /// trace), rebuilding the segment checkpoints and the capture-folded
-    /// stream.  Replay results are independent of the segmentation — the
-    /// segmented-replay proptest exercises exactly this API.
+    /// trace), rebuilding the segment table and the folded stream.  Replay
+    /// results are independent of the segmentation — the segmented-replay
+    /// proptest exercises exactly this API.
     ///
     /// # Panics
     ///
@@ -449,16 +405,15 @@ impl Trace {
             Trace::valid_boundaries(self.ops.len(), boundaries),
             "segment boundaries must start at 0, increase strictly and stay in-range"
         );
-        let (segments, folded) =
-            derive_segments(&self.ops, boundaries, self.captured.iu.reg_windows as u32);
+        let (segments, folded) = derive_segments(&self.ops, boundaries);
         self.segments = segments;
         self.folded = folded;
     }
 
     /// Count a raw record stream's events into its [`TraceSummary`].
     ///
-    /// The summary is a pure function of `ops`: a decoded trace re-derives
-    /// it here and must match the stored copy, which makes an internally
+    /// The summary is a pure function of `ops`, so it is never stored:
+    /// capture and decode both derive it here, which makes an internally
     /// inconsistent (ops vs. summary) trace unrepresentable.
     fn derive_summary(ops: &[TraceOp]) -> TraceSummary {
         let mut summary = TraceSummary::default();
@@ -493,9 +448,7 @@ impl Trace {
         debug_assert_eq!(summary.loads, stats.loads);
         debug_assert_eq!(summary.stores, stats.stores);
         debug_assert_eq!(summary.branches, stats.branches);
-        let boundaries = Trace::default_boundaries(ops.len());
-        let (segments, folded) =
-            derive_segments(&ops, &boundaries, captured.iu.reg_windows as u32);
+        let (segments, folded) = derive_segments(&ops, &Trace::default_boundaries(ops.len()));
         Trace {
             ops,
             folded,
@@ -520,10 +473,11 @@ impl Trace {
 /// or the semantics of any serialised field change: persisted traces carry
 /// the version they were written with, and [`Trace::from_bytes`] refuses to
 /// decode any other version, so stale artifacts fall back to recapture
-/// instead of silently mis-replaying.  Version 2 is the segmented format
-/// (segment index, stored summary, capture-folded payload); the monolithic
-/// version 1 of earlier releases is such a stale version.
-pub const TRACE_FORMAT_VERSION: u32 = 2;
+/// instead of silently mis-replaying.  Version 3 stores the records, the
+/// segment boundaries and the checksums, nothing derivable; the monolithic
+/// version 1 and version 2 (which also stored the summary, the folded
+/// stream and per-segment checkpoints) of earlier releases are stale.
+pub const TRACE_FORMAT_VERSION: u32 = 3;
 
 /// Magic bytes opening every serialised trace.
 const TRACE_MAGIC: [u8; 4] = *b"LTRC";
@@ -602,9 +556,6 @@ impl<'a> ByteReader<'a> {
     }
     fn u8(&mut self) -> Result<u8, TraceCodecError> {
         Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, TraceCodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
     fn u32(&mut self) -> Result<u32, TraceCodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
@@ -736,35 +687,28 @@ fn decode_cache_stats(r: &mut ByteReader) -> Result<CacheStats, TraceCodecError>
     })
 }
 
-/// One entry of the serialised segment index: the [`SegmentMeta`]
-/// checkpoint plus where the segment's payload lives and its integrity
-/// checksum, so a streaming reader can locate, fetch and verify any segment
-/// independently.
+/// Serialised size of one [`TraceOp`] record: `pc` (4 bytes), `flags` (2)
+/// and `aux` (4), little-endian.
+const RECORD_LEN: usize = 10;
+
+/// Serialised size of one [`SegmentInfo`] index entry.
+const SEGMENT_INFO_LEN: usize = 16;
+
+/// One entry of the serialised segment index: where the segment starts and
+/// the checksum of its record bytes, so each segment's payload is located
+/// and verified on its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegmentInfo {
-    /// First record of the segment in the record stream.
+    /// First record of the segment in the record stream; the segment's
+    /// payload starts `ops_start × 10` bytes into the record region.
     pub ops_start: u64,
-    /// First item of the segment in the folded stream.
-    pub folded_start: u64,
-    /// Dynamic instructions retired before the segment.
-    pub instructions_before: u64,
-    /// Capture-config resident-window automaton state at entry.
-    pub resident_entry: u32,
-    /// Run-compression carry split at the boundary ([`FOLD_NONE`] if none).
-    pub fold_carry: u32,
-    /// Byte offset of the segment's payload, relative to the start of the
-    /// payload region (just after the index).
-    pub payload_offset: u64,
-    /// FNV-1a checksum over the segment's payload bytes.
+    /// FNV-1a checksum over the segment's record bytes.
     pub checksum: u64,
 }
 
-/// Serialised size of one [`SegmentInfo`] index entry.
-const SEGMENT_INFO_LEN: usize = 48;
-
 /// The header of a serialised trace, decodable without touching the record
-/// payload (see [`Trace::peek_header`]): the capture results, the stored
-/// [`TraceSummary`] and the segment index.
+/// payload (see [`Trace::peek_header`]): the capture results, the record
+/// count and the segment index.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceHeader {
     /// The configuration the trace was captured on.
@@ -779,56 +723,14 @@ pub struct TraceHeader {
     pub base_underflows: u64,
     /// Number of trace records in the (unread) record stream.
     pub records: u64,
-    /// Number of items in the folded stream.
-    pub folded: u64,
-    /// The stored event summary.
-    pub summary: TraceSummary,
     /// The segment index.
     pub segments: Vec<SegmentInfo>,
 }
 
-fn encode_summary(w: &mut ByteWriter, s: &TraceSummary) {
-    for v in [
-        s.instructions,
-        s.slow_decode,
-        s.load_use,
-        s.icc_branch,
-        s.mul_ops,
-        s.div_ops,
-        s.loads,
-        s.stores,
-        s.branches,
-        s.taken_branches,
-        s.calls,
-        s.saves,
-        s.restores,
-    ] {
-        w.u64(v);
-    }
-}
-
-fn decode_summary(r: &mut ByteReader) -> Result<TraceSummary, TraceCodecError> {
-    Ok(TraceSummary {
-        instructions: r.u64()?,
-        slow_decode: r.u64()?,
-        load_use: r.u64()?,
-        icc_branch: r.u64()?,
-        mul_ops: r.u64()?,
-        div_ops: r.u64()?,
-        loads: r.u64()?,
-        stores: r.u64()?,
-        branches: r.u64()?,
-        taken_branches: r.u64()?,
-        calls: r.u64()?,
-        saves: r.u64()?,
-        restores: r.u64()?,
-    })
-}
-
-/// Parse a serialised trace header (fixed fields, the stored summary,
-/// stream counts and segment index) from `r`, leaving `r` at the first
-/// payload byte.  Structural payload-length validation is the caller's job
-/// (via [`validate_segment_index`]).
+/// Parse a serialised trace header (fixed fields, record count and segment
+/// index) from `r`, leaving `r` at the first record byte.  Structural
+/// validation of the index is the caller's job (via
+/// [`validate_segment_index`]).
 fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
     if r.take(4)? != TRACE_MAGIC {
         return Err(TraceCodecError::new("bad magic (not a serialised trace)"));
@@ -848,20 +750,10 @@ fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
     let base_overflows = r.u64()?;
     let base_underflows = r.u64()?;
     let records = r.u64()?;
-    let summary = decode_summary(r)?;
-    let folded = r.u64()?;
     let count = r.u32()? as usize;
     let mut segments = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
-        segments.push(SegmentInfo {
-            ops_start: r.u64()?,
-            folded_start: r.u64()?,
-            instructions_before: r.u64()?,
-            resident_entry: r.u32()?,
-            fold_carry: r.u32()?,
-            payload_offset: r.u64()?,
-            checksum: r.u64()?,
-        });
+        segments.push(SegmentInfo { ops_start: r.u64()?, checksum: r.u64()? });
     }
     Ok(TraceHeader {
         captured,
@@ -870,103 +762,103 @@ fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
         base_overflows,
         base_underflows,
         records,
-        folded,
-        summary,
         segments,
     })
 }
 
-/// Byte length of segment `i`'s payload per the index in `header`.
-fn segment_payload_len(header: &TraceHeader, i: usize) -> (u64, u64, u64) {
-    let info = &header.segments[i];
-    let ops_end = header.segments.get(i + 1).map_or(header.records, |s| s.ops_start);
-    let folded_end = header.segments.get(i + 1).map_or(header.folded, |s| s.folded_start);
-    let recs = ops_end.wrapping_sub(info.ops_start);
-    let folded = folded_end.wrapping_sub(info.folded_start);
-    (recs, folded, recs.wrapping_mul(10).wrapping_add(folded.wrapping_mul(8)))
-}
-
-/// Structurally validate a parsed header's segment index — offsets start at
-/// 0 and increase monotonically, per-segment payloads tile the payload
-/// region contiguously — and return the total payload byte count the body
-/// must still hold.  This is the `store doctor` half of the integrity
-/// contract (per-segment checksums are verified where the payload is
-/// actually read: [`Trace::from_bytes`] and [`StreamedTrace::load_segment`]).
+/// Structurally validate a parsed header's segment index — the first
+/// segment starts at record 0 and the starts increase strictly within the
+/// record count — and return the byte length of the record region.  The
+/// arithmetic is checked: a hostile record count is a typed error, not an
+/// overflow.
 fn validate_segment_index(header: &TraceHeader) -> Result<u64, TraceCodecError> {
     let segs = &header.segments;
+    let payload = header.records.checked_mul(RECORD_LEN as u64).ok_or_else(|| {
+        TraceCodecError::new(format!("record count {} overflows the payload", header.records))
+    })?;
     if header.records == 0 {
-        if !segs.is_empty() || header.folded != 0 {
+        if !segs.is_empty() {
             return Err(TraceCodecError::new("an empty trace must have an empty segment index"));
         }
         return Ok(0);
     }
-    if segs.is_empty() {
-        return Err(TraceCodecError::new("a non-empty trace must have at least one segment"));
+    if segs.first().map(|s| s.ops_start) != Some(0) {
+        return Err(TraceCodecError::new("segment index must start at record 0"));
     }
-    if segs[0].ops_start != 0 || segs[0].folded_start != 0 || segs[0].payload_offset != 0 {
-        return Err(TraceCodecError::new("segment index must start at offset 0"));
-    }
-    let mut expected_offset: u64 = 0;
-    for i in 0..segs.len() {
-        let info = &segs[i];
+    for (i, info) in segs.iter().enumerate() {
         let ops_end = segs.get(i + 1).map_or(header.records, |s| s.ops_start);
-        let folded_end = segs.get(i + 1).map_or(header.folded, |s| s.folded_start);
         if ops_end <= info.ops_start || ops_end > header.records {
             return Err(TraceCodecError::new(format!(
                 "segment {i}: record offsets are not strictly increasing"
             )));
         }
-        if folded_end < info.folded_start || folded_end > header.folded {
-            return Err(TraceCodecError::new(format!(
-                "segment {i}: folded offsets are not monotone"
-            )));
-        }
-        if info.payload_offset != expected_offset {
-            return Err(TraceCodecError::new(format!(
-                "segment {i}: payload offset {} does not tile the payload (expected \
-                 {expected_offset})",
-                info.payload_offset
-            )));
-        }
-        let (_, _, len) = segment_payload_len(header, i);
-        expected_offset = expected_offset
-            .checked_add(len)
-            .ok_or_else(|| TraceCodecError::new("segment payload sizes overflow"))?;
     }
-    Ok(expected_offset)
+    Ok(payload)
+}
+
+/// Parse the header of a serialised trace and check its segment index
+/// against the input length.  Returns the header and the record region;
+/// reads neither the records nor the trailing checksum.
+fn parse_layout(bytes: &[u8]) -> Result<(TraceHeader, &[u8]), TraceCodecError> {
+    if bytes.len() < TRACE_MAGIC.len() + 4 + 8 {
+        return Err(TraceCodecError::new("input shorter than the fixed header"));
+    }
+    let body = &bytes[..bytes.len() - 8];
+    let mut r = ByteReader { bytes: body, pos: 0 };
+    let header = parse_header(&mut r)?;
+    let payload = validate_segment_index(&header)?;
+    let records = &body[r.pos..];
+    if payload != records.len() as u64 {
+        return Err(TraceCodecError::new(format!(
+            "record count {} does not match the remaining payload",
+            header.records
+        )));
+    }
+    Ok((header, records))
+}
+
+/// Segment `i`'s record bytes within `records` (the region [`parse_layout`]
+/// returned), verified against the index checksum.  The offsets are
+/// `ops_start × 10`, computed with checked arithmetic.
+fn verified_segment<'a>(
+    header: &TraceHeader,
+    records: &'a [u8],
+    i: usize,
+) -> Result<&'a [u8], TraceCodecError> {
+    let info = &header.segments[i];
+    let ops_end = header.segments.get(i + 1).map_or(header.records, |s| s.ops_start);
+    let offset = |record: u64| {
+        record
+            .checked_mul(RECORD_LEN as u64)
+            .and_then(|at| usize::try_from(at).ok())
+            .filter(|&at| at <= records.len())
+            .ok_or_else(|| TraceCodecError::new(format!("segment {i}: offset out of range")))
+    };
+    let bytes = &records[offset(info.ops_start)?..offset(ops_end)?];
+    let computed = fnv1a64(bytes);
+    if computed != info.checksum {
+        return Err(TraceCodecError::new(format!(
+            "segment {i} checksum mismatch: stored {:#018x}, computed {computed:#018x}",
+            info.checksum
+        )));
+    }
+    Ok(bytes)
 }
 
 impl Trace {
-    /// Serialise the trace into the versioned binary format (version 2).
+    /// Serialise the trace into the versioned binary format (version 3).
     ///
     /// Layout (all integers little-endian): the magic `LTRC`, the
     /// [`TRACE_FORMAT_VERSION`], the capturing configuration, the capturing
     /// run's cache statistics and window-trap counts, the record count, the
-    /// stored [`TraceSummary`], the folded-item count, the segment index
-    /// (one [`SegmentInfo`] per segment, with per-segment payload offsets
-    /// and checksums), the per-segment payloads (each segment's records at
-    /// 10 bytes apiece followed by its capture-folded items at 8), and a
-    /// trailing 64-bit FNV-1a checksum over everything before it.  The
-    /// folded stream is stored, so a streaming decoder never re-derives the
-    /// guaranteed-hit elision across segments.
+    /// segment index (one [`SegmentInfo`] per segment: first record and the
+    /// checksum of the segment's record bytes), the records at 10 bytes
+    /// apiece, and a trailing 64-bit FNV-1a checksum over everything before
+    /// it.  Nothing derivable from the records is stored: the summary, the
+    /// folded stream and the folded offsets are rebuilt on decode.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = ByteWriter(Vec::with_capacity(self.ops.len() * 10 + self.folded.len() * 8));
-        let mut locations: Vec<(u64, u64)> = Vec::with_capacity(self.segments.len());
-        for seg in 0..self.segments.len() {
-            let start = payload.0.len();
-            for op in &self.ops[self.ops_range(seg)] {
-                payload.u32(op.pc);
-                payload.u16(op.flags);
-                payload.u32(op.aux);
-            }
-            for &item in &self.folded[self.folded_range(seg)] {
-                payload.u64(item);
-            }
-            locations.push((start as u64, fnv1a64(&payload.0[start..])));
-        }
-
-        let prefix = 252 + self.segments.len() * SEGMENT_INFO_LEN;
-        let mut w = ByteWriter(Vec::with_capacity(prefix + payload.0.len() + 8));
+        let index_len = self.segments.len() * SEGMENT_INFO_LEN;
+        let mut w = ByteWriter(Vec::with_capacity(256 + index_len + self.ops.len() * RECORD_LEN));
         w.0.extend_from_slice(&TRACE_MAGIC);
         w.u32(TRACE_FORMAT_VERSION);
         encode_config(&mut w, &self.captured);
@@ -975,77 +867,54 @@ impl Trace {
         w.u64(self.base_overflows);
         w.u64(self.base_underflows);
         w.u64(self.ops.len() as u64);
-        encode_summary(&mut w, &self.summary);
-        w.u64(self.folded.len() as u64);
         w.u32(self.segments.len() as u32);
-        for (meta, &(offset, checksum)) in self.segments.iter().zip(&locations) {
-            w.u64(meta.ops_start as u64);
-            w.u64(meta.folded_start as u64);
-            w.u64(meta.instructions_before);
-            w.u32(meta.resident_entry);
-            w.u32(meta.fold_carry);
-            w.u64(offset);
-            w.u64(checksum);
+        // the index entries are filled in as each segment's checksum is known
+        let index_at = w.0.len();
+        w.0.resize(index_at + index_len, 0);
+        for (seg, meta) in self.segments.iter().enumerate() {
+            let start = w.0.len();
+            for op in &self.ops[self.ops_range(seg)] {
+                w.u32(op.pc);
+                w.u16(op.flags);
+                w.u32(op.aux);
+            }
+            let checksum = fnv1a64(&w.0[start..]);
+            let entry = index_at + seg * SEGMENT_INFO_LEN;
+            w.0[entry..entry + 8].copy_from_slice(&(meta.ops_start as u64).to_le_bytes());
+            w.0[entry + 8..entry + 16].copy_from_slice(&checksum.to_le_bytes());
         }
-        w.0.extend_from_slice(&payload.0);
         let checksum = fnv1a64(&w.0);
         w.u64(checksum);
         w.0
     }
 
-    /// Decode only the fixed-size header of a serialised trace — O(header)
-    /// regardless of how many records follow, because neither the record
-    /// stream nor the trailing checksum is read.
+    /// Decode only the header of a serialised trace — O(header) regardless
+    /// of how many records follow, because neither the record stream nor
+    /// the trailing checksum is read.
     ///
     /// This is the *peek* half of the lazy-materialization contract: a store
     /// layer can check the format version, the capturing configuration and
     /// the record count of a multi-megabyte trace entry without paying the
-    /// full decode (stream walk + checksum + derived-stream rebuild).  It is
-    /// **not** an integrity check — a bit flip in the record stream passes
-    /// `peek_header` and is only caught by [`Trace::from_bytes`] — so
+    /// full decode (record decode + checksum + derived-stream rebuild).  It
+    /// is **not** an integrity check — a bit flip in the record stream
+    /// passes `peek_header` and is only caught by [`Trace::from_bytes`] — so
     /// callers must still decode fully before trusting the records.
     pub fn peek_header(bytes: &[u8]) -> Result<TraceHeader, TraceCodecError> {
-        if bytes.len() < TRACE_MAGIC.len() + 4 + 8 {
-            return Err(TraceCodecError::new("input shorter than the fixed header"));
-        }
-        let body = &bytes[..bytes.len() - 8];
-        let mut r = ByteReader { bytes: body, pos: 0 };
-        let header = parse_header(&mut r)?;
-        // the declared payload (the tiled per-segment payloads) must
-        // exactly match the input
-        let payload = validate_segment_index(&header)?;
-        if payload != (body.len() - r.pos) as u64 {
-            return Err(TraceCodecError::new(format!(
-                "record count {} does not match the remaining payload",
-                header.records
-            )));
-        }
-        Ok(header)
+        Ok(parse_layout(bytes)?.0)
     }
 
     /// Structurally validate a serialised trace without decoding it: the
-    /// header fields, the segment index (offset monotonicity, contiguous
-    /// payload tiling, total length) and every per-segment payload
-    /// checksum.  Returns the parsed header.
+    /// header fields, the segment index (first record 0, strictly
+    /// increasing starts, total length) and every per-segment checksum.
+    /// Returns the parsed header.
     ///
     /// Cheaper than [`Trace::from_bytes`] (no record decode, no derived
-    /// stream rebuild or cross-check), which makes it the right integrity
-    /// pass for `store doctor`: it catches exactly the damage the streaming
-    /// reader would trip over.
+    /// stream rebuild), which makes it the right integrity pass for
+    /// `store doctor`.
     pub fn validate_segments(bytes: &[u8]) -> Result<TraceHeader, TraceCodecError> {
-        let header = Trace::peek_header(bytes)?;
-        let total = validate_segment_index(&header)?;
-        let base = bytes.len() - 8 - total as usize;
-        for (i, info) in header.segments.iter().enumerate() {
-            let (_, _, len) = segment_payload_len(&header, i);
-            let start = base + info.payload_offset as usize;
-            let computed = fnv1a64(&bytes[start..start + len as usize]);
-            if computed != info.checksum {
-                return Err(TraceCodecError::new(format!(
-                    "segment {i} checksum mismatch: stored {:#018x}, computed {computed:#018x}",
-                    info.checksum
-                )));
-            }
+        let (header, records) = parse_layout(bytes)?;
+        for i in 0..header.segments.len() {
+            verified_segment(&header, records, i)?;
         }
         Ok(header)
     }
@@ -1053,10 +922,11 @@ impl Trace {
     /// Decode a trace serialised by [`Trace::to_bytes`].
     ///
     /// Fails — rather than ever producing a wrong trace — on a bad magic, a
-    /// different format version, a checksum mismatch, truncated or trailing
-    /// bytes, or any malformed field — including stored derived data
-    /// (summary, folded stream, checkpoints) that disagrees with the record
-    /// stream.  On success the decoded trace is exactly the one serialised.
+    /// different format version, a whole-trace or per-segment checksum
+    /// mismatch, truncated or trailing bytes, or any malformed field.  The
+    /// summary, the folded stream and the segment table are derived from
+    /// the records exactly as capture derives them, so on success the
+    /// decoded trace is exactly the one serialised.
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceCodecError> {
         if bytes.len() < TRACE_MAGIC.len() + 4 + 8 {
             return Err(TraceCodecError::new("input shorter than the fixed header"));
@@ -1070,74 +940,24 @@ impl Trace {
             )));
         }
 
-        let mut r = ByteReader { bytes: body, pos: 0 };
-        let header = parse_header(&mut r)?;
-        let payload = validate_segment_index(&header)?;
-        if payload != (body.len() - r.pos) as u64 {
-            return Err(TraceCodecError::new(format!(
-                "record count {} does not match the remaining payload",
-                header.records
-            )));
-        }
-
-        let mut ops = Vec::with_capacity(header.records as usize);
-        let mut stored_folded: Vec<u64> = Vec::with_capacity(header.folded as usize);
-        // segment payloads tile the region in index order (validated above),
-        // so a sequential read visits each one exactly
-        for (i, info) in header.segments.iter().enumerate() {
-            let (recs, folded, len) = segment_payload_len(&header, i);
-            let seg_bytes = r.take(len as usize)?;
-            let computed = fnv1a64(seg_bytes);
-            if computed != info.checksum {
-                return Err(TraceCodecError::new(format!(
-                    "segment {i} checksum mismatch: stored {:#018x}, computed {computed:#018x}",
-                    info.checksum
-                )));
-            }
-            let mut sr = ByteReader { bytes: seg_bytes, pos: 0 };
-            for _ in 0..recs {
-                ops.push(TraceOp { pc: sr.u32()?, flags: sr.u16()?, aux: sr.u32()? });
-            }
-            for _ in 0..folded {
-                stored_folded.push(sr.u64()?);
+        let (header, records) = parse_layout(bytes)?;
+        let mut ops = Vec::with_capacity(records.len() / RECORD_LEN);
+        for i in 0..header.segments.len() {
+            for r in verified_segment(&header, records, i)?.chunks_exact(RECORD_LEN) {
+                ops.push(TraceOp {
+                    pc: u32::from_le_bytes([r[0], r[1], r[2], r[3]]),
+                    flags: u16::from_le_bytes([r[4], r[5]]),
+                    aux: u32::from_le_bytes([r[6], r[7], r[8], r[9]]),
+                });
             }
         }
-
-        let summary = Trace::derive_summary(&ops);
-        let boundaries: Vec<usize> =
-            header.segments.iter().map(|s| s.ops_start as usize).collect();
-        let (segments, folded) =
-            derive_segments(&ops, &boundaries, header.captured.iu.reg_windows as u32);
-
-        // the stored derived data (summary, folded stream, checkpoints) must
-        // match re-derivation from the record stream: a file can checksum
-        // correctly and still be internally inconsistent, and the streaming
-        // replay path trusts the stored form without re-deriving it
-        if header.summary != summary {
-            return Err(TraceCodecError::new("stored summary does not match the record stream"));
-        }
-        if stored_folded != folded {
-            return Err(TraceCodecError::new(
-                "stored folded stream does not match the record stream",
-            ));
-        }
-        for (i, (meta, info)) in segments.iter().zip(&header.segments).enumerate() {
-            if meta.folded_start as u64 != info.folded_start
-                || meta.instructions_before != info.instructions_before
-                || meta.resident_entry != info.resident_entry
-                || meta.fold_carry != info.fold_carry
-            {
-                return Err(TraceCodecError::new(format!(
-                    "segment {i} checkpoint does not match the record stream"
-                )));
-            }
-        }
-
+        let boundaries: Vec<usize> = header.segments.iter().map(|s| s.ops_start as usize).collect();
+        let (segments, folded) = derive_segments(&ops, &boundaries);
         Ok(Trace {
+            summary: Trace::derive_summary(&ops),
             ops,
             folded,
             segments,
-            summary,
             captured: header.captured,
             base_icache: header.base_icache,
             base_dcache: header.base_dcache,
@@ -1289,14 +1109,6 @@ enum Disposition {
 /// convenience wrapper: one fused pass per stream.
 pub struct ReplayBatch<'a> {
     trace: &'a Trace,
-    plan: BatchPlan,
-}
-
-/// The trace-independent half of a batch replay — configuration validation,
-/// behavior-class dedup and closed-form reconstruction — shared by the
-/// in-memory [`ReplayBatch`] and the streaming [`replay_batch_streamed`]
-/// path (which never holds a whole [`Trace`]).
-struct BatchPlan {
     max_cycles: u64,
     configs: Vec<LeonConfig>,
     dispositions: Vec<Disposition>,
@@ -1304,8 +1116,13 @@ struct BatchPlan {
     fetch_classes: Vec<CacheConfig>,
 }
 
-impl BatchPlan {
-    fn new(captured: &LeonConfig, configs: &[LeonConfig], max_cycles: u64) -> BatchPlan {
+impl<'a> ReplayBatch<'a> {
+    /// Plan a batch: validate every configuration and partition the batch
+    /// into distinct behavior classes (first-appearance order, so the plan
+    /// is deterministic for a given configuration sequence).  Performs no
+    /// walks.
+    pub fn new(trace: &'a Trace, configs: &[LeonConfig], max_cycles: u64) -> ReplayBatch<'a> {
+        let captured = &trace.captured;
         let mut mem_classes = Vec::new();
         let mut fetch_classes = Vec::new();
         let mut mem_index: HashMap<MemClass, usize> = HashMap::new();
@@ -1339,86 +1156,40 @@ impl BatchPlan {
                 Disposition::Valid { mem_class, fetch_class }
             })
             .collect();
-        BatchPlan { max_cycles, configs: configs.to_vec(), dispositions, mem_classes, fetch_classes }
-    }
-
-    /// Closed-form reconstruction over the walk results, given the captured
-    /// base statistics (reused verbatim for classless configurations).
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        summary: &TraceSummary,
-        base_icache: CacheStats,
-        base_dcache: CacheStats,
-        base_overflows: u64,
-        base_underflows: u64,
-        mem: &[(CacheStats, u64, u64)],
-        fetch: &[CacheStats],
-    ) -> Vec<Result<Stats, SimError>> {
-        assert_eq!(mem.len(), self.mem_classes.len(), "one walk result per memory class");
-        assert_eq!(fetch.len(), self.fetch_classes.len(), "one walk result per fetch class");
-        self.dispositions
-            .iter()
-            .zip(&self.configs)
-            .map(|(disposition, config)| match disposition {
-                Disposition::Invalid(error) => Err(error.clone()),
-                Disposition::Valid { mem_class, fetch_class } => {
-                    let icache = match fetch_class {
-                        Some(class) => fetch[*class],
-                        None => base_icache,
-                    };
-                    let (dcache, overflows, underflows) = match mem_class {
-                        Some(class) => mem[*class],
-                        None => (base_dcache, base_overflows, base_underflows),
-                    };
-                    reconstruct_stats(
-                        summary,
-                        config,
-                        icache,
-                        dcache,
-                        overflows,
-                        underflows,
-                        self.max_cycles,
-                    )
-                }
-            })
-            .collect()
-    }
-}
-
-impl<'a> ReplayBatch<'a> {
-    /// Plan a batch: validate every configuration and partition the batch
-    /// into distinct behavior classes (first-appearance order, so the plan
-    /// is deterministic for a given configuration sequence).  Performs no
-    /// walks.
-    pub fn new(trace: &'a Trace, configs: &[LeonConfig], max_cycles: u64) -> ReplayBatch<'a> {
-        ReplayBatch { trace, plan: BatchPlan::new(&trace.captured, configs, max_cycles) }
+        ReplayBatch {
+            trace,
+            max_cycles,
+            configs: configs.to_vec(),
+            dispositions,
+            mem_classes,
+            fetch_classes,
+        }
     }
 
     /// Number of configurations in the batch.
     pub fn len(&self) -> usize {
-        self.plan.configs.len()
+        self.configs.len()
     }
 
     /// True for an empty batch.
     pub fn is_empty(&self) -> bool {
-        self.plan.configs.is_empty()
+        self.configs.is_empty()
     }
 
     /// Number of distinct memory-walk behavior classes.
     pub fn mem_class_count(&self) -> usize {
-        self.plan.mem_classes.len()
+        self.mem_classes.len()
     }
 
     /// Number of distinct fetch-walk behavior classes.
     pub fn fetch_class_count(&self) -> usize {
-        self.plan.fetch_classes.len()
+        self.fetch_classes.len()
     }
 
     /// Total distinct behavior classes (the batch's walk budget: no caller
     /// partitioning can make the engine perform more walks than this).
     pub fn class_count(&self) -> usize {
-        self.plan.mem_classes.len() + self.plan.fetch_classes.len()
+        self.mem_classes.len() + self.fetch_classes.len()
     }
 
     /// Number of segments of the underlying trace — the second axis of the
@@ -1457,10 +1228,10 @@ impl<'a> ReplayBatch<'a> {
     ///
     /// Panics when `span` is empty — empty spans have nothing to walk.
     pub fn mem_span_walker(&self, span: Range<usize>) -> MemSpanWalker<'a> {
-        let classes = &self.plan.mem_classes[span];
+        let classes = &self.mem_classes[span];
         assert!(!classes.is_empty(), "a span walker needs at least one class");
         record_trace_walk();
-        MemSpanWalker { trace: self.trace, core: MemWalkCore::new(classes), next_segment: 0 }
+        MemSpanWalker::new(self.trace, classes)
     }
 
     /// Deterministically merge per-segment memory partials (one per segment,
@@ -1473,7 +1244,35 @@ impl<'a> ReplayBatch<'a> {
         span: Range<usize>,
         partials: &[MemSegmentPartial],
     ) -> Vec<(CacheStats, u64, u64)> {
-        reduce_mem(&self.trace.summary, span.len(), partials)
+        let mut totals = vec![MemClassDelta::default(); span.len()];
+        for partial in partials {
+            assert_eq!(partial.classes.len(), span.len(), "one delta per class in every partial");
+            for (total, delta) in totals.iter_mut().zip(&partial.classes) {
+                total.read_misses += delta.read_misses;
+                total.write_misses += delta.write_misses;
+                total.overflows += delta.overflows;
+                total.underflows += delta.underflows;
+            }
+        }
+        // hit counts are derived, not maintained: every class saw exactly
+        // loads + 16·underflows reads and stores + 16·overflows writes
+        let summary = &self.trace.summary;
+        let trap_regs = crate::cpu::WINDOW_TRAP_REGS as u64;
+        totals
+            .iter()
+            .map(|t| {
+                let reads = summary.loads + t.underflows * trap_regs;
+                let writes = summary.stores + t.overflows * trap_regs;
+                debug_assert!(t.read_misses <= reads && t.write_misses <= writes);
+                let stats = CacheStats {
+                    read_hits: reads - t.read_misses,
+                    read_misses: t.read_misses,
+                    write_hits: writes - t.write_misses,
+                    write_misses: t.write_misses,
+                };
+                (stats, t.overflows, t.underflows)
+            })
+            .collect()
     }
 
     /// Walk the fetch stream **once**, re-simulating every fetch class in
@@ -1497,10 +1296,15 @@ impl<'a> ReplayBatch<'a> {
     ///
     /// Panics when `span` is empty.
     pub fn fetch_span_walker(&self, span: Range<usize>) -> FetchSpanWalker<'a> {
-        let classes = &self.plan.fetch_classes[span];
+        let classes = &self.fetch_classes[span];
         assert!(!classes.is_empty(), "a span walker needs at least one class");
         record_trace_walk();
-        FetchSpanWalker { trace: self.trace, core: FetchWalkCore::new(classes), next_segment: 0 }
+        FetchSpanWalker {
+            trace: self.trace,
+            caches: classes.iter().map(|&config| TagCache::new(config)).collect(),
+            block: Vec::with_capacity(WALK_BLOCK),
+            next_segment: 0,
+        }
     }
 
     /// Deterministically merge per-segment fetch partials into the final
@@ -1510,7 +1314,27 @@ impl<'a> ReplayBatch<'a> {
         span: Range<usize>,
         partials: &[FetchSegmentPartial],
     ) -> Vec<CacheStats> {
-        reduce_fetch(&self.trace.summary, span.len(), partials)
+        let mut totals = vec![0u64; span.len()];
+        for partial in partials {
+            assert_eq!(partial.classes.len(), span.len(), "one delta per class in every partial");
+            for (total, delta) in totals.iter_mut().zip(&partial.classes) {
+                *total += delta;
+            }
+        }
+        // every class fetched exactly one read per dynamic instruction
+        let fetches = self.trace.summary.instructions;
+        totals
+            .iter()
+            .map(|&misses| {
+                debug_assert!(misses <= fetches);
+                CacheStats {
+                    read_hits: fetches - misses,
+                    read_misses: misses,
+                    write_hits: 0,
+                    write_misses: 0,
+                }
+            })
+            .collect()
     }
 
     /// Reconstruct every configuration's [`Stats`] closed-form from the walk
@@ -1522,15 +1346,35 @@ impl<'a> ReplayBatch<'a> {
         mem: &[(CacheStats, u64, u64)],
         fetch: &[CacheStats],
     ) -> Vec<Result<Stats, SimError>> {
-        self.plan.finish(
-            &self.trace.summary,
-            self.trace.base_icache,
-            self.trace.base_dcache,
-            self.trace.base_overflows,
-            self.trace.base_underflows,
-            mem,
-            fetch,
-        )
+        assert_eq!(mem.len(), self.mem_classes.len(), "one walk result per memory class");
+        assert_eq!(fetch.len(), self.fetch_classes.len(), "one walk result per fetch class");
+        let trace = self.trace;
+        self.dispositions
+            .iter()
+            .zip(&self.configs)
+            .map(|(disposition, config)| match disposition {
+                Disposition::Invalid(error) => Err(error.clone()),
+                Disposition::Valid { mem_class, fetch_class } => {
+                    let icache = match fetch_class {
+                        Some(class) => fetch[*class],
+                        None => trace.base_icache,
+                    };
+                    let (dcache, overflows, underflows) = match mem_class {
+                        Some(class) => mem[*class],
+                        None => (trace.base_dcache, trace.base_overflows, trace.base_underflows),
+                    };
+                    reconstruct_stats(
+                        &trace.summary,
+                        config,
+                        icache,
+                        dcache,
+                        overflows,
+                        underflows,
+                        self.max_cycles,
+                    )
+                }
+            })
+            .collect()
     }
 }
 
@@ -1570,84 +1414,23 @@ pub struct FetchSegmentPartial {
     pub classes: Vec<u64>,
 }
 
-/// Merge memory partials in segment order into final span results.
-fn reduce_mem(
-    summary: &TraceSummary,
-    count: usize,
-    partials: &[MemSegmentPartial],
-) -> Vec<(CacheStats, u64, u64)> {
-    let mut totals = vec![MemClassDelta::default(); count];
-    for partial in partials {
-        assert_eq!(partial.classes.len(), count, "one delta per class in every partial");
-        for (total, delta) in totals.iter_mut().zip(&partial.classes) {
-            total.read_misses += delta.read_misses;
-            total.write_misses += delta.write_misses;
-            total.overflows += delta.overflows;
-            total.underflows += delta.underflows;
-        }
-    }
-    // hit counts are derived, not maintained: every class saw exactly
-    // loads + 16·underflows reads and stores + 16·overflows writes
-    let trap_regs = crate::cpu::WINDOW_TRAP_REGS as u64;
-    totals
-        .iter()
-        .map(|t| {
-            let reads = summary.loads + t.underflows * trap_regs;
-            let writes = summary.stores + t.overflows * trap_regs;
-            debug_assert!(t.read_misses <= reads && t.write_misses <= writes);
-            let stats = CacheStats {
-                read_hits: reads - t.read_misses,
-                read_misses: t.read_misses,
-                write_hits: writes - t.write_misses,
-                write_misses: t.write_misses,
-            };
-            (stats, t.overflows, t.underflows)
-        })
-        .collect()
-}
-
-/// Merge fetch partials in segment order into final span results.
-fn reduce_fetch(
-    summary: &TraceSummary,
-    count: usize,
-    partials: &[FetchSegmentPartial],
-) -> Vec<CacheStats> {
-    let mut totals = vec![0u64; count];
-    for partial in partials {
-        assert_eq!(partial.classes.len(), count, "one delta per class in every partial");
-        for (total, delta) in totals.iter_mut().zip(&partial.classes) {
-            *total += delta;
-        }
-    }
-    // every class fetched exactly one read per dynamic instruction
-    let fetches = summary.instructions;
-    totals
-        .iter()
-        .map(|&misses| {
-            debug_assert!(misses <= fetches);
-            CacheStats {
-                read_hits: fetches - misses,
-                read_misses: misses,
-                write_hits: 0,
-                write_misses: 0,
-            }
-        })
-        .collect()
-}
-
-/// The chained cache/automaton state of a memory span walk, segment-agnostic:
-/// the same core serves the in-memory [`MemSpanWalker`] and the streaming
-/// [`replay_batch_streamed`] path.
-struct MemWalkCore {
+/// Stateful segmented walker over the memory classes of one span: walk the
+/// segments strictly in order, collect the per-segment partials, reduce.
+/// The walker owns the chained tag-cache and window-automaton state, so it
+/// can be parked (e.g. in a scheduler slot between class × segment work
+/// units) and resumed on the next segment by any thread.
+pub struct MemSpanWalker<'a> {
+    trace: &'a Trace,
     caches: Vec<TagCache>,
     groups: Vec<WindowGroup>,
     /// `group_of[class]` indexes `groups`.
     group_of: Vec<usize>,
     block: Vec<u64>,
+    next_segment: usize,
 }
 
-impl MemWalkCore {
-    fn new(classes: &[MemClass]) -> MemWalkCore {
+impl<'a> MemSpanWalker<'a> {
+    fn new(trace: &'a Trace, classes: &[MemClass]) -> MemSpanWalker<'a> {
         let caches: Vec<TagCache> =
             classes.iter().map(|class| TagCache::new(class.dcache)).collect();
         // one automaton per distinct window count; members index `caches`
@@ -1672,18 +1455,36 @@ impl MemWalkCore {
                 }
             }
         }
-        MemWalkCore {
+        MemSpanWalker {
+            trace,
             caches,
             groups,
             group_of,
             block: Vec::with_capacity(WALK_BLOCK + 2 * TRAP_ACCESSES),
+            next_segment: 0,
         }
     }
 
-    /// Process one segment's folded items, returning the per-class counter
-    /// deltas it contributed.  Must be fed the segments in order — the tag
-    /// and automaton state chains across calls.
-    fn walk_segment_folded(&mut self, folded: &[u64]) -> MemSegmentPartial {
+    /// Segments of the underlying trace (the number of `walk_segment` calls
+    /// a full span walk makes).
+    pub fn segment_count(&self) -> usize {
+        self.trace.segment_count()
+    }
+
+    /// Walk segment `seg` (must be `0, 1, 2, …` in order) and return its
+    /// per-class counter deltas — the tag and automaton state chains across
+    /// calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics when segments are walked out of order.
+    pub fn walk_segment(&mut self, seg: usize) -> MemSegmentPartial {
+        assert_eq!(seg, self.next_segment, "segments must be walked in order");
+        self.next_segment += 1;
+        record_segment_walk();
+        let trace = self.trace;
+        let folded = &trace.folded[trace.folded_range(seg)];
+
         let miss_before: Vec<(u64, u64)> =
             self.caches.iter().map(|cache| cache.miss_counts()).collect();
         let trap_before: Vec<(u64, u64)> =
@@ -1843,23 +1644,39 @@ impl MemWalkCore {
     }
 }
 
-/// The chained cache state of a fetch span walk (see [`MemWalkCore`]).
-struct FetchWalkCore {
+/// Stateful segmented walker over the fetch classes of one span (see
+/// [`MemSpanWalker`]).
+pub struct FetchSpanWalker<'a> {
+    trace: &'a Trace,
     caches: Vec<TagCache>,
     block: Vec<u64>,
+    next_segment: usize,
 }
 
-impl FetchWalkCore {
-    fn new(classes: &[CacheConfig]) -> FetchWalkCore {
-        FetchWalkCore {
-            caches: classes.iter().map(|&config| TagCache::new(config)).collect(),
-            block: Vec::with_capacity(WALK_BLOCK),
-        }
+impl FetchSpanWalker<'_> {
+    /// Segments of the underlying trace.
+    pub fn segment_count(&self) -> usize {
+        self.trace.segment_count()
     }
 
-    /// Process one segment's records, returning per-class read-miss deltas.
-    /// Must be fed the segments in order.
-    fn walk_segment_ops(&mut self, ops: &[TraceOp]) -> FetchSegmentPartial {
+    /// Walk segment `seg` (must be `0, 1, 2, …` in order) and return its
+    /// per-class read-miss deltas.
+    ///
+    /// # Panics
+    ///
+    /// Panics when segments are walked out of order.
+    pub fn walk_segment(&mut self, seg: usize) -> FetchSegmentPartial {
+        assert_eq!(seg, self.next_segment, "segments must be walked in order");
+        self.next_segment += 1;
+        record_segment_walk();
+        let trace = self.trace;
+        self.walk_ops(&trace.ops[trace.ops_range(seg)])
+    }
+
+    /// Walk one segment's records through every class, returning per-class
+    /// read-miss deltas (the fetch counterpart of
+    /// [`MemSpanWalker::walk_folded_blocked`]).
+    fn walk_ops(&mut self, ops: &[TraceOp]) -> FetchSegmentPartial {
         let before: Vec<u64> = self.caches.iter().map(|cache| cache.miss_counts().0).collect();
 
         // Consecutive records inside one 16-byte block — the captured
@@ -1903,68 +1720,6 @@ impl FetchWalkCore {
     }
 }
 
-/// Stateful segmented walker over the memory classes of one span: walk the
-/// segments strictly in order, collect the per-segment partials, reduce.
-/// The walker owns the chained tag-cache and window-automaton state, so it
-/// can be parked (e.g. in a scheduler slot between class × segment work
-/// units) and resumed on the next segment by any thread.
-pub struct MemSpanWalker<'a> {
-    trace: &'a Trace,
-    core: MemWalkCore,
-    next_segment: usize,
-}
-
-impl MemSpanWalker<'_> {
-    /// Segments of the underlying trace (the number of `walk_segment` calls
-    /// a full span walk makes).
-    pub fn segment_count(&self) -> usize {
-        self.trace.segment_count()
-    }
-
-    /// Walk segment `seg` (must be `0, 1, 2, …` in order) and return its
-    /// per-class counter deltas.
-    ///
-    /// # Panics
-    ///
-    /// Panics when segments are walked out of order.
-    pub fn walk_segment(&mut self, seg: usize) -> MemSegmentPartial {
-        assert_eq!(seg, self.next_segment, "segments must be walked in order");
-        self.next_segment += 1;
-        record_segment_walk();
-        let range = self.trace.folded_range(seg);
-        self.core.walk_segment_folded(&self.trace.folded[range])
-    }
-}
-
-/// Stateful segmented walker over the fetch classes of one span (see
-/// [`MemSpanWalker`]).
-pub struct FetchSpanWalker<'a> {
-    trace: &'a Trace,
-    core: FetchWalkCore,
-    next_segment: usize,
-}
-
-impl FetchSpanWalker<'_> {
-    /// Segments of the underlying trace.
-    pub fn segment_count(&self) -> usize {
-        self.trace.segment_count()
-    }
-
-    /// Walk segment `seg` (must be `0, 1, 2, …` in order) and return its
-    /// per-class read-miss deltas.
-    ///
-    /// # Panics
-    ///
-    /// Panics when segments are walked out of order.
-    pub fn walk_segment(&mut self, seg: usize) -> FetchSegmentPartial {
-        assert_eq!(seg, self.next_segment, "segments must be walked in order");
-        self.next_segment += 1;
-        record_segment_walk();
-        let range = self.trace.ops_range(seg);
-        self.core.walk_segment_ops(&self.trace.ops[range])
-    }
-}
-
 /// Retime every configuration of a batch against one captured trace in a
 /// single pass per trace stream.
 ///
@@ -2000,253 +1755,6 @@ pub fn capture(
     let ops = cpu.take_trace().expect("trace was enabled before the run");
     let trace = Trace::assemble(ops, config, &result.stats);
     Ok((result, trace))
-}
-
-// ---------------------------------------------------------------------------
-// Streaming decode: one segment resident at a time
-// ---------------------------------------------------------------------------
-
-/// Random-access byte source a [`StreamedTrace`] reads segments from — a
-/// file, an in-memory buffer, or an artifact-store payload window.
-pub trait SegmentRead: Send + Sync {
-    /// Fill `buf` from the source starting at `offset`; errors (rather than
-    /// short-reads) when the range is out of bounds.
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()>;
-
-    /// Total byte length of the source.
-    fn total_len(&self) -> std::io::Result<u64>;
-}
-
-impl SegmentRead for Vec<u8> {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        let start = usize::try_from(offset)
-            .ok()
-            .filter(|&s| s.checked_add(buf.len()).is_some_and(|end| end <= self.len()));
-        match start {
-            Some(start) => {
-                buf.copy_from_slice(&self[start..start + buf.len()]);
-                Ok(())
-            }
-            None => Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "read past the end of the trace buffer",
-            )),
-        }
-    }
-
-    fn total_len(&self) -> std::io::Result<u64> {
-        Ok(self.len() as u64)
-    }
-}
-
-/// One materialised trace segment: the records and the capture-folded
-/// memory items, exactly the slices the in-memory walkers see.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceSegment {
-    /// The segment's trace records.
-    pub ops: Vec<TraceOp>,
-    /// The segment's capture-folded memory items.
-    pub folded: Vec<u64>,
-}
-
-/// A serialised trace opened for streaming: the header and the
-/// segment index are resident, the payload is fetched one segment at a time
-/// through a [`SegmentRead`], so peak memory is O(largest segment) instead
-/// of O(trace).
-///
-/// Opening validates the header fields, the segment index structure and the
-/// total length; each [`StreamedTrace::load_segment`] then verifies its
-/// segment's checksum and re-derives the folded stream from the records
-/// (segments are self-contained: capture-side folds split at segment
-/// boundaries).  The whole-file checksum is deliberately *not* verified —
-/// doing so would read O(trace) bytes, which is exactly what streaming
-/// avoids; corruption in any payload byte is still caught by the per-segment
-/// checksums.
-pub struct StreamedTrace {
-    source: Box<dyn SegmentRead>,
-    header: TraceHeader,
-    /// Absolute byte offset of the payload region (just past the index).
-    payload_base: u64,
-}
-
-impl std::fmt::Debug for StreamedTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamedTrace")
-            .field("header", &self.header)
-            .field("payload_base", &self.payload_base)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Serialised byte length of the fixed v2 prefix (everything before the
-/// segment index): magic, version, config, base stats, trap counts, record
-/// count, summary, folded count, segment count.
-const V2_PREFIX_LEN: usize = 252;
-
-impl StreamedTrace {
-    /// Open a serialised trace for streaming access.
-    ///
-    /// Reads O(header + index) bytes.
-    pub fn open(source: Box<dyn SegmentRead>) -> Result<StreamedTrace, TraceCodecError> {
-        let total = source
-            .total_len()
-            .map_err(|e| TraceCodecError::new(format!("could not size the trace source: {e}")))?;
-        let read = |offset: u64, len: usize| -> Result<Vec<u8>, TraceCodecError> {
-            let mut buf = vec![0u8; len];
-            source
-                .read_at(offset, &mut buf)
-                .map_err(|e| TraceCodecError::new(format!("could not read the trace source: {e}")))?;
-            Ok(buf)
-        };
-
-        if total < (TRACE_MAGIC.len() + 4 + 8) as u64 {
-            return Err(TraceCodecError::new("input shorter than the fixed header"));
-        }
-        let probe = read(0, 8)?;
-        if probe[..4] != TRACE_MAGIC {
-            return Err(TraceCodecError::new("bad magic (not a serialised trace)"));
-        }
-        let version = u32::from_le_bytes(probe[4..8].try_into().unwrap());
-        if version != TRACE_FORMAT_VERSION {
-            return Err(TraceCodecError::new(format!(
-                "unsupported trace format version {version} (expected {TRACE_FORMAT_VERSION})"
-            )));
-        }
-        if total < (V2_PREFIX_LEN + 8) as u64 {
-            return Err(TraceCodecError::new("input shorter than the version-2 prefix"));
-        }
-        let mut head = read(0, V2_PREFIX_LEN)?;
-        let count =
-            u32::from_le_bytes(head[V2_PREFIX_LEN - 4..].try_into().unwrap()) as u64;
-        let index_len = count
-            .checked_mul(SEGMENT_INFO_LEN as u64)
-            .filter(|&n| V2_PREFIX_LEN as u64 + n + 8 <= total)
-            .ok_or_else(|| {
-                TraceCodecError::new("segment index does not fit the serialised trace")
-            })?;
-        head.extend_from_slice(&read(V2_PREFIX_LEN as u64, index_len as usize)?);
-
-        let mut r = ByteReader { bytes: &head, pos: 0 };
-        let header = parse_header(&mut r)?;
-        debug_assert_eq!(r.pos, head.len());
-        let payload = validate_segment_index(&header)?;
-        let payload_base = head.len() as u64;
-        if payload_base + payload + 8 != total {
-            return Err(TraceCodecError::new(format!(
-                "record count {} does not match the remaining payload",
-                header.records
-            )));
-        }
-        Ok(StreamedTrace { source, header, payload_base })
-    }
-
-    /// The resident header (capturing config, base stats, summary, index).
-    pub fn header(&self) -> &TraceHeader {
-        &self.header
-    }
-
-    /// Number of segments in the trace.
-    pub fn segment_count(&self) -> usize {
-        self.header.segments.len()
-    }
-
-    /// Fetch, verify and decode segment `i`.
-    ///
-    /// Verification is self-contained: the payload bytes must match the
-    /// index's per-segment checksum, and the stored folded items must equal
-    /// re-derivation from the segment's own records (folds never cross a
-    /// segment boundary, so no predecessor context is needed).
-    pub fn load_segment(&self, i: usize) -> Result<TraceSegment, TraceCodecError> {
-        assert!(i < self.header.segments.len(), "segment index out of range");
-        let info = &self.header.segments[i];
-        let (recs, folded_count, len) = segment_payload_len(&self.header, i);
-        let mut bytes = vec![0u8; len as usize];
-        self.source
-            .read_at(self.payload_base + info.payload_offset, &mut bytes)
-            .map_err(|e| TraceCodecError::new(format!("could not read segment {i}: {e}")))?;
-        let computed = fnv1a64(&bytes);
-        if computed != info.checksum {
-            return Err(TraceCodecError::new(format!(
-                "segment {i} checksum mismatch: stored {:#018x}, computed {computed:#018x}",
-                info.checksum
-            )));
-        }
-        let mut r = ByteReader { bytes: &bytes, pos: 0 };
-        let mut ops = Vec::with_capacity(recs as usize);
-        for _ in 0..recs {
-            ops.push(TraceOp { pc: r.u32()?, flags: r.u16()?, aux: r.u32()? });
-        }
-        let mut folded = Vec::with_capacity(folded_count as usize);
-        for _ in 0..folded_count {
-            folded.push(r.u64()?);
-        }
-        let (_, derived) =
-            derive_segments(&ops, &[0], self.header.captured.iu.reg_windows as u32);
-        if derived != folded {
-            return Err(TraceCodecError::new(format!(
-                "segment {i}: stored folded items do not match the record stream"
-            )));
-        }
-        Ok(TraceSegment { ops, folded })
-    }
-}
-
-/// Retime every configuration of a batch against a [`StreamedTrace`],
-/// holding **one segment** in memory at a time: peak memory is
-/// O(largest segment + classes), never O(trace).
-///
-/// Element `i` of the result equals `replay(trace, &configs[i], max_cycles)`
-/// bit-for-bit for the fully-decoded equivalent trace — the walkers are the
-/// same chained [`MemWalkCore`]/[`FetchWalkCore`] the in-memory spans use,
-/// fed the identical per-segment record and folded-item slices.  The walk is
-/// serial (all classes advance together through each segment); callers
-/// wanting parallelism should decode fully and partition class × segment
-/// units instead.
-pub fn replay_batch_streamed(
-    streamed: &StreamedTrace,
-    configs: &[LeonConfig],
-    max_cycles: u64,
-) -> Result<Vec<Result<Stats, SimError>>, TraceCodecError> {
-    let header = streamed.header();
-    let summary = &header.summary;
-    let plan = BatchPlan::new(&header.captured, configs, max_cycles);
-
-    let mut mem_core = (!plan.mem_classes.is_empty()).then(|| {
-        record_trace_walk();
-        MemWalkCore::new(&plan.mem_classes)
-    });
-    let mut fetch_core = (!plan.fetch_classes.is_empty()).then(|| {
-        record_trace_walk();
-        FetchWalkCore::new(&plan.fetch_classes)
-    });
-
-    let mut mem_partials: Vec<MemSegmentPartial> = Vec::new();
-    let mut fetch_partials: Vec<FetchSegmentPartial> = Vec::new();
-    if mem_core.is_some() || fetch_core.is_some() {
-        for seg in 0..streamed.segment_count() {
-            let segment = streamed.load_segment(seg)?;
-            if let Some(core) = mem_core.as_mut() {
-                record_segment_walk();
-                mem_partials.push(core.walk_segment_folded(&segment.folded));
-            }
-            if let Some(core) = fetch_core.as_mut() {
-                record_segment_walk();
-                fetch_partials.push(core.walk_segment_ops(&segment.ops));
-            }
-        }
-    }
-
-    let mem = reduce_mem(summary, plan.mem_classes.len(), &mem_partials);
-    let fetch = reduce_fetch(summary, plan.fetch_classes.len(), &fetch_partials);
-    Ok(plan.finish(
-        summary,
-        header.base_icache,
-        header.base_dcache,
-        header.base_overflows,
-        header.base_underflows,
-        &mem,
-        &fetch,
-    ))
 }
 
 #[cfg(test)]
@@ -2615,20 +2123,18 @@ mod tests {
             assert!(Trace::from_bytes(&bad).is_err(), "bit flip at {pos} must be detected");
         }
 
-        // a different format version — newer, or the retired monolithic
-        // version 1 — must be rejected even with a valid checksum over the
-        // altered body, by every decoder
-        for version in [TRACE_FORMAT_VERSION + 1, 1] {
+        // a different format version — newer, or the retired version 2
+        // (stored derived data) or monolithic version 1 — must be rejected
+        // even with a valid checksum over the altered body, by every decoder
+        for version in [TRACE_FORMAT_VERSION + 1, 2, 1] {
             let mut versioned = good.clone();
             versioned[4..8].copy_from_slice(&version.to_le_bytes());
-            let body_len = versioned.len() - 8;
-            let checksum = fnv1a64(&versioned[..body_len]);
-            versioned[body_len..].copy_from_slice(&checksum.to_le_bytes());
+            let versioned = rechecksummed(versioned);
             let err = Trace::from_bytes(&versioned).unwrap_err();
             assert!(err.to_string().contains("version"), "got: {err}");
-            let err = Trace::validate_segments(&versioned).unwrap_err();
+            let err = Trace::peek_header(&versioned).unwrap_err();
             assert!(err.to_string().contains("version"), "got: {err}");
-            let err = StreamedTrace::open(Box::new(versioned)).unwrap_err();
+            let err = Trace::validate_segments(&versioned).unwrap_err();
             assert!(err.to_string().contains("version"), "got: {err}");
         }
 
@@ -2638,6 +2144,40 @@ mod tests {
         let checksum = fnv1a64(&padded);
         padded.extend_from_slice(&checksum.to_le_bytes());
         assert!(Trace::from_bytes(&padded).is_err());
+
+        // a hostile segment index or record count — claimed offsets near
+        // u64::MAX, an overflowing payload size — is a typed error from
+        // every decoder, never an overflow panic
+        let mut segmented = trace.clone();
+        segmented.resegment_at(&[0, 1, trace.len() / 2]);
+        let good = segmented.to_bytes();
+        assert_eq!(Trace::from_bytes(&good).unwrap(), segmented);
+        let index_at = good.len() - 8 - trace.len() * RECORD_LEN - 3 * SEGMENT_INFO_LEN;
+        let records_at = index_at - 12;
+        assert_eq!(good[records_at..records_at + 8], (trace.len() as u64).to_le_bytes());
+        for (at, value) in [
+            (index_at + SEGMENT_INFO_LEN, u64::MAX - 1),
+            (index_at + 2 * SEGMENT_INFO_LEN, u64::MAX),
+            (index_at, u64::MAX / 2),
+            (records_at, 1 << 60),
+            (records_at, u64::MAX),
+        ] {
+            let mut hostile = good.clone();
+            hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let hostile = rechecksummed(hostile);
+            assert!(Trace::from_bytes(&hostile).is_err(), "{value:#x} at byte {at}");
+            assert!(Trace::peek_header(&hostile).is_err(), "{value:#x} at byte {at}");
+            assert!(Trace::validate_segments(&hostile).is_err(), "{value:#x} at byte {at}");
+        }
+    }
+
+    /// Re-seal `bytes` with a valid whole-trace checksum, so only the
+    /// structural checks can reject what was altered.
+    fn rechecksummed(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body_len = bytes.len() - 8;
+        let checksum = fnv1a64(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        bytes
     }
 
     #[test]
@@ -2694,36 +2234,7 @@ mod tests {
 
             assert_eq!(replay_batch(&resegmented, &configs, 1_000_000), expected);
             let decoded = Trace::from_bytes(&resegmented.to_bytes()).unwrap();
-            assert_eq!(decoded, resegmented, "v2 codec must preserve the segmentation");
-        }
-    }
-
-    #[test]
-    fn streamed_replay_matches_in_memory_replay() {
-        let base = LeonConfig::base();
-        let configs = mixed_batch(&base);
-        for program in [demo_program(), recursing_program()] {
-            let (_, mut trace) = capture(&base, &program, 1_000_000).unwrap();
-            // cut into several segments so streaming actually iterates
-            let step = (trace.ops.len() / 5).max(1);
-            let boundaries: Vec<usize> = (0..trace.ops.len()).step_by(step).collect();
-            trace.resegment_at(&boundaries);
-
-            let bytes = trace.to_bytes();
-            let streamed = StreamedTrace::open(Box::new(bytes.clone())).unwrap();
-            assert_eq!(streamed.segment_count(), trace.segment_count());
-            assert_eq!(streamed.header().captured, trace.captured);
-
-            let got = replay_batch_streamed(&streamed, &configs, 1_000_000).unwrap();
-            assert_eq!(got, replay_batch(&trace, &configs, 1_000_000));
-
-            // payload corruption passes open() (header-only) but is caught
-            // by the damaged segment's checksum on load
-            let mut damaged = bytes.clone();
-            let target = V2_PREFIX_LEN + trace.segment_count() * SEGMENT_INFO_LEN;
-            damaged[target] ^= 0x40; // first byte of segment 0's payload
-            let opened = StreamedTrace::open(Box::new(damaged)).unwrap();
-            assert!(opened.load_segment(0).unwrap_err().to_string().contains("checksum"));
+            assert_eq!(decoded, resegmented, "the codec must preserve the segmentation");
         }
     }
 

@@ -28,8 +28,9 @@ pub fn guest_instructions_executed() -> u64 {
 ///
 /// The lazy-store guarantee — *a warm campaign run whose co-optimization
 /// entry hits reads zero trace payload bytes* — is asserted against deltas
-/// of this counter: the campaign layer ticks it whenever it actually loads a
-/// stored trace payload, and envelope-only presence checks never do.
+/// of this counter: the campaign layer ticks it by the whole payload length
+/// each time it loads a stored trace entry (the only way a stored trace is
+/// read), and envelope-only presence checks never do.
 static TRACE_PAYLOAD_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Total trace-payload bytes read back from artifact stores so far by this

@@ -236,6 +236,44 @@ fn corrupted_entries_are_detected_and_recomputed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn sweep_misses_load_the_stored_trace_and_execute_no_guest_code() {
+    let _g = lock();
+    let suite = benchmark_suite(Scale::Tiny);
+    let dir = scratch_dir("sweep-miss");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let cold = engine(2, Some(store.clone())).run(&suite, &MIX).unwrap();
+
+    // every sweep entry goes; the stored traces stay
+    let sweep_files = store.entries(Some("sweep"));
+    assert_eq!(sweep_files.len(), suite.len());
+    for file in sweep_files {
+        std::fs::remove_file(file).unwrap();
+    }
+
+    // a fresh session recomputes each sweep from its stored trace, which it
+    // loads exactly like any other artifact: a store hit, no capture
+    let guests_before = guest_instructions_executed();
+    let warm_store = ArtifactStore::open(&dir).unwrap();
+    let session = engine(2, Some(warm_store.clone())).session(&suite).unwrap();
+    for (i, expected) in cold.sweeps.iter().enumerate() {
+        assert_eq!(session.sweep(i).unwrap(), expected, "sweep of workload {i}");
+    }
+    assert_eq!(
+        guest_instructions_executed(),
+        guests_before,
+        "a sweep miss over stored traces must execute zero guest instructions"
+    );
+    let c = session.counters();
+    assert_eq!((c.sweeps_computed, c.sweep_store_hits), (4, 0));
+    assert_eq!((c.trace_store_hits, c.trace_captures), (4, 0));
+    drop(session);
+
+    let report = warm_store.doctor(false).unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `Arith` under a different registered name: same guest program, different
 /// content fingerprint — the cheapest possible "this workload changed"
 /// stand-in for the invalidation-precision test.

@@ -1,15 +1,13 @@
-//! Segmentation-equivalence contract of the v2 trace format: *where* a
-//! trace is cut into segments is a pure representation choice.  For any
+//! Segmentation-equivalence contract of segmented traces: *where* a trace
+//! is cut into segments is a pure representation choice.  For any
 //! segmentation — including pathological ones: one record per segment, a
 //! boundary in the middle of a window-trap burst, a boundary splitting a
 //! compressed run — batched replay must be bit-identical to the monolithic
 //! walk, through every engine:
 //!
 //! * the serial fused walk (`replay_batch`),
-//! * the class-span × segment worker pool (`replay_batch_indexed`) at
-//!   `threads = 1` and `threads = 4`,
-//! * and the streaming decoder (`replay_batch_streamed`), which
-//!   materialises one segment at a time from the serialised bytes.
+//! * and the class-span × segment worker pool (`replay_batch_indexed`) at
+//!   `threads = 1` and `threads = 4`.
 //!
 //! All four workloads of the paper's suite are covered.
 
@@ -17,8 +15,7 @@ use std::sync::OnceLock;
 
 use liquid_autoreconf::apps::{benchmark_suite, Scale};
 use liquid_autoreconf::sim::{
-    self, CacheConfig, Divider, LeonConfig, Multiplier, ReplacementPolicy, SimError,
-    StreamedTrace, Trace,
+    self, CacheConfig, Divider, LeonConfig, Multiplier, ReplacementPolicy, SimError, Trace,
 };
 use proptest::prelude::*;
 
@@ -131,11 +128,6 @@ fn assert_all_engines_match(
             liquid_autoreconf::tuner::replay_batch_indexed(seg, configs, MAX_CYCLES, threads);
         assert_eq!(pooled, expected, "{name}/{tag}: pooled walk diverged at threads={threads}");
     }
-    let streamed = StreamedTrace::open(Box::new(seg.to_bytes()))
-        .unwrap_or_else(|e| panic!("{name}/{tag}: streaming open failed: {e}"));
-    let streamed_results = sim::replay_batch_streamed(&streamed, configs, MAX_CYCLES)
-        .unwrap_or_else(|e| panic!("{name}/{tag}: streamed replay failed: {e}"));
-    assert_eq!(streamed_results, expected, "{name}/{tag}: streamed replay diverged");
 }
 
 #[test]
@@ -149,7 +141,7 @@ fn pathological_segmentations_are_bit_identical() {
         // one record per segment: every window-trap burst and every
         // compressed run that spans records is split somewhere
         let every_record: Vec<usize> = (0..n).collect();
-        // a single segment (the monolithic layout, expressed as v2)
+        // a single segment (the monolithic layout)
         let single = vec![0usize];
         // one interior cut
         let halves = vec![0usize, n / 2];
