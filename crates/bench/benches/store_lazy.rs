@@ -14,9 +14,11 @@
 //!   the result is assembled from the small JSON artifacts, and **zero
 //!   trace payload bytes** are read (counter-asserted below).
 //!
-//! The warm-lazy ≪ warm-eager gap is the trace read+checksum+decode cost —
-//! at `Medium` tens of megabytes per run — which is exactly what lazy
-//! artifact handles exist to avoid.  Cold-vs-warm byte-identity and the
+//! The warm-lazy ≪ warm-eager gap is the trace load cost — at `Medium`
+//! tens of megabytes per run: the file read, one XXH64 pass for the store
+//! envelope, one for the trace trailer, and the record decode with the
+//! derived summary and folded stream — which is exactly what lazy artifact
+//! handles exist to avoid.  Cold-vs-warm byte-identity and the
 //! zero-read/zero-guest counters are asserted per scale before anything is
 //! timed.
 

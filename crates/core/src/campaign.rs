@@ -1169,13 +1169,13 @@ impl Campaign {
 pub(crate) const STORED_TRACE_PREFIX_LEN: usize = 16;
 
 /// Binary payload of a stored trace entry: the base-run costs the campaign
-/// needs alongside the trace itself, so a warm load replays nothing.
+/// needs alongside the trace itself, so a warm load replays nothing.  The
+/// trace is encoded straight after the prefix, into the same buffer.
 fn encode_stored_trace(entry: &TracedWorkload) -> Vec<u8> {
-    let trace = entry.trace.to_bytes();
-    let mut payload = Vec::with_capacity(STORED_TRACE_PREFIX_LEN + trace.len());
+    let mut payload = Vec::new();
     payload.extend_from_slice(&entry.base_cycles.to_le_bytes());
     payload.extend_from_slice(&entry.base_seconds.to_bits().to_le_bytes());
-    payload.extend_from_slice(&trace);
+    entry.trace.encode_into(&mut payload);
     payload
 }
 
@@ -1185,12 +1185,12 @@ fn decode_stored_trace(
     name: &str,
     expected_base: &LeonConfig,
 ) -> Option<TracedWorkload> {
-    if payload.len() < 16 {
+    if payload.len() < STORED_TRACE_PREFIX_LEN {
         return None;
     }
     let base_cycles = u64::from_le_bytes(payload[0..8].try_into().unwrap());
     let base_seconds = f64::from_bits(u64::from_le_bytes(payload[8..16].try_into().unwrap()));
-    let trace_bytes = &payload[16..];
+    let trace_bytes = &payload[STORED_TRACE_PREFIX_LEN..];
     // header-only peek: reject version skew or a foreign capture
     // configuration before paying the full record decode + stream rebuild
     let header = Trace::peek_header(trace_bytes).ok()?;

@@ -19,8 +19,8 @@
 //!   weights, format versions).  A changed input is a different key, i.e. a
 //!   miss, i.e. a recompute.  Nothing is ever invalidated in place.
 //! * **Corruption-safe loads** — every entry carries a magic, the store
-//!   format version, its kind, its own fingerprint and a 64-bit FNV-1a
-//!   checksum of the payload.  Truncation, bit rot, renamed files (across
+//!   format version, its kind, its own fingerprint and an XXH64 checksum of
+//!   the payload.  Truncation, bit rot, renamed files (across
 //!   keys *or* kinds), version skew or a half-written entry all fail
 //!   validation, count as a miss (recorded in [`StoreStats::corrupt`]), and
 //!   fall back to recompute.
@@ -79,10 +79,13 @@ use serde::{Deserialize, Serialize};
 
 /// Version of the store's entry envelope (header + checksum framing).
 ///
-/// Bump on any change to the envelope layout; old entries then fail to load
-/// and are transparently recomputed.  Payload formats carry their own
-/// versions on top of this (e.g. [`leon_sim::TRACE_FORMAT_VERSION`]).
-pub const STORE_FORMAT_VERSION: u32 = 1;
+/// Bump on any change to the envelope layout or its checksum; old entries
+/// then fail validation, count as corrupt misses and are transparently
+/// recomputed (and overwritten in place: keys do not mix in this version).
+/// Payload formats carry their own versions on top of this (e.g.
+/// [`leon_sim::TRACE_FORMAT_VERSION`]).  Version 2 checksums the payload
+/// with [`leon_sim::xxh64`]; version 1 used FNV-1a.
+pub const STORE_FORMAT_VERSION: u32 = 2;
 
 /// Version of the *measurement results* encoded into every fingerprint.
 ///
@@ -418,7 +421,7 @@ pub struct ManifestEntry {
     pub fingerprint: u64,
     /// Payload size in bytes (the entry file is 40 bytes larger).
     pub payload_len: u64,
-    /// FNV-1a checksum of the payload (mirrors the envelope field).
+    /// XXH64 checksum of the payload (mirrors the envelope field).
     pub checksum: u64,
     /// Logical access stamp: the manifest clock value of the most recent
     /// save or load of this entry.  Larger = more recently used.
@@ -520,7 +523,7 @@ impl Default for Shared {
 pub struct EntryMeta {
     /// Payload size in bytes.
     pub payload_len: u64,
-    /// FNV-1a checksum of the payload, as recorded in the envelope.
+    /// XXH64 checksum of the payload, as recorded in the envelope.
     pub checksum: u64,
 }
 
@@ -615,14 +618,15 @@ pub struct DoctorReport {
     /// `.pin-*` markers still inside their TTL: a session in this or
     /// another process holds the entry pinned.  Informational, never dirt.
     pub active_pins: usize,
-    /// Trace entries whose segment index and per-segment checksums all
+    /// Trace entries whose header, segment index and trailing checksum all
     /// validate.
     pub trace_entries: usize,
     /// Trace entries whose envelope checksum passes but whose embedded
-    /// trace fails structural validation — a foreign format version (such
-    /// as the monolithic version 1 of earlier releases), a broken segment
-    /// index (offsets not monotone, payload mis-tiled) or a per-segment
-    /// checksum mismatch (deleted when repairing).
+    /// trace fails validation — a foreign format version (such as version
+    /// 3 of earlier releases, with its per-segment checksums), a broken
+    /// segment index (starts not strictly increasing, or not tiling the
+    /// record region) or a trailing-checksum mismatch (deleted when
+    /// repairing).
     pub segment_index_errors: usize,
     /// `search` entries whose payload deserialises as a search outcome.
     pub search_entries: usize,
@@ -1479,35 +1483,42 @@ impl ArtifactStore {
 
     // -- save / load / peek -------------------------------------------------
 
-    /// Store `payload` under `(kind, key)`, atomically.
+    /// Store `payload` under `(kind, key)`, atomically.  The envelope and
+    /// the payload go to the file as two writes; the payload is never
+    /// copied.
     pub fn save(&self, kind: &str, key: Fingerprint, payload: &[u8]) -> std::io::Result<()> {
-        let checksum = leon_sim::fnv1a64(payload);
-        let mut body = Vec::with_capacity(ENVELOPE_LEN + payload.len());
-        body.extend_from_slice(&ENTRY_MAGIC);
-        body.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-        body.extend_from_slice(&leon_sim::fnv1a64(kind.as_bytes()).to_le_bytes());
-        body.extend_from_slice(&key.0.to_le_bytes());
-        body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        body.extend_from_slice(&checksum.to_le_bytes());
-        body.extend_from_slice(payload);
+        use std::io::Write as _;
+
+        let checksum = leon_sim::xxh64(payload);
+        let mut envelope = [0u8; ENVELOPE_LEN];
+        envelope[0..4].copy_from_slice(&ENTRY_MAGIC);
+        envelope[4..8].copy_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
+        envelope[8..16].copy_from_slice(&leon_sim::fnv1a64(kind.as_bytes()).to_le_bytes());
+        envelope[16..24].copy_from_slice(&key.0.to_le_bytes());
+        envelope[24..32].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        envelope[32..40].copy_from_slice(&checksum.to_le_bytes());
 
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}-{kind}-{key}",
             std::process::id(),
             self.shared.stats.tmp_counter.fetch_add(1, Ordering::Relaxed)
         ));
-        // A torn write truncates the body mid-payload and then *publishes*
-        // it — modelling a crash after rename was queued but before the data
-        // made it down.  The resulting entry must fail validation on every
-        // future load/peek (corrupt-as-miss) and be doctor-repairable.
-        match crate::faults::check("store.write", &self.dir) {
+        // A torn write truncates envelope‖payload (before its last byte) and
+        // then *publishes* it — modelling a crash after rename was queued
+        // but before the data made it down.  The resulting entry must fail
+        // validation on every future load/peek (corrupt-as-miss) and be
+        // doctor-repairable.
+        let len = match crate::faults::check("store.write", &self.dir) {
             crate::faults::Fault::Error => return Err(crate::faults::injected_io("store.write")),
             crate::faults::Fault::Torn(at) => {
-                let cut = (at as usize).min(body.len().saturating_sub(1));
-                std::fs::write(&tmp, &body[..cut])?;
+                (at as usize).min((ENVELOPE_LEN + payload.len()).saturating_sub(1))
             }
-            _ => std::fs::write(&tmp, &body)?,
-        }
+            _ => ENVELOPE_LEN + payload.len(),
+        };
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&envelope[..len.min(ENVELOPE_LEN)])?;
+        file.write_all(&payload[..len.saturating_sub(ENVELOPE_LEN)])?;
+        drop(file);
         if crate::faults::check("store.rename", &self.dir) == crate::faults::Fault::Error {
             let _ = std::fs::remove_file(&tmp);
             return Err(crate::faults::injected_io("store.rename"));
@@ -1636,7 +1647,7 @@ impl ArtifactStore {
             return None;
         }
         let checksum = field(32);
-        if checksum != leon_sim::fnv1a64(payload) {
+        if checksum != leon_sim::xxh64(payload) {
             return None;
         }
         bytes.drain(0..ENVELOPE_LEN);
@@ -1644,10 +1655,10 @@ impl ArtifactStore {
     }
 
     /// Whether the trace embedded in a stored `trace` payload validates
-    /// structurally (`store doctor`'s inner integrity pass): the 16-byte
-    /// base-cost prefix must be present, the trace header must parse at the
-    /// current format version, and the segment index and every per-segment
-    /// checksum must check out.
+    /// (`store doctor`'s inner integrity pass): the 16-byte base-cost prefix
+    /// must be present, the trace header must parse at the current format
+    /// version, and the segment index and the trace's trailing checksum
+    /// must check out.
     fn stored_trace_is_valid(payload: &[u8]) -> bool {
         payload
             .get(crate::campaign::STORED_TRACE_PREFIX_LEN..)
@@ -1852,11 +1863,14 @@ impl ArtifactStore {
 
     /// Verify the store end to end: every entry's envelope *and payload
     /// checksum*, the manifest ↔ directory correspondence, and leftover
-    /// temporary files.  Trace entries get a deeper pass — the embedded
-    /// trace's format version, segment index and per-segment checksums are
-    /// validated.  With `repair`, corrupt entries and stray files are
-    /// deleted and the manifest is rebuilt to match the surviving entries
-    /// (preserving access stamps where known).
+    /// temporary files.  An entry in an older envelope version (such as
+    /// version 1's FNV-1a checksums) counts as corrupt.  Trace entries get
+    /// a deeper pass — the embedded trace's format version, segment index
+    /// and trailing checksum are validated, so a trace in a retired format
+    /// counts as a broken segment index.  With `repair`, corrupt entries and
+    /// stray files are deleted and the manifest is rebuilt to match the
+    /// surviving entries (preserving access stamps where known); one
+    /// `store doctor --repair` after an upgrade clears every retired entry.
     pub fn doctor(&self, repair: bool) -> std::io::Result<DoctorReport> {
         let mut state = self.shared.manifest.lock().unwrap_or_else(|e| e.into_inner());
         self.sync_with_disk_locked(&mut state);
@@ -1871,10 +1885,10 @@ impl ArtifactStore {
             });
             match (id, ok) {
                 (Some((kind, key)), Some((payload, checksum))) => {
-                    // trace entries carry their own inner structure (segment
-                    // index + per-segment checksums) that the envelope
-                    // checksum cannot vouch for — validate it here, where
-                    // the payload is already in hand
+                    // trace entries carry their own inner structure (format
+                    // version, segment index, trailing checksum) that the
+                    // envelope checksum cannot vouch for — validate it
+                    // here, where the payload is already in hand
                     let trace_ok = if kind == "trace" {
                         if Self::stored_trace_is_valid(&payload) {
                             report.trace_entries += 1;
@@ -2285,6 +2299,29 @@ mod tests {
     }
 
     #[test]
+    fn every_bit_flip_of_a_store_entry_is_a_corrupt_miss() {
+        // envelope fields and payload alike: one flipped bit anywhere in the
+        // file must make the entry a corrupt miss, never a wrong payload
+        let store = scratch_store("bit-flips");
+        let key = FingerprintBuilder::new().str("flip").finish();
+        store.save("table", key, b"a small artifact payload").unwrap();
+        let path = store.entries(Some("table"))[0].clone();
+        let good = std::fs::read(&path).unwrap();
+        let mut bad = good.clone();
+        for bit in 0..good.len() * 8 {
+            bad[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &bad).unwrap();
+            let corrupt_before = store.stats().corrupt;
+            assert_eq!(store.load("table", key), None, "bit {bit} must not load");
+            assert_eq!(store.stats().corrupt, corrupt_before + 1, "bit {bit} must count");
+            bad[bit / 8] ^= 1 << (bit % 8);
+        }
+        std::fs::write(&path, &good).unwrap();
+        assert_eq!(store.load("table", key).as_deref(), Some(&b"a small artifact payload"[..]));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
     fn json_payloads_round_trip() {
         let store = scratch_store("json");
         let key = FingerprintBuilder::new().str("json").finish();
@@ -2326,7 +2363,7 @@ mod tests {
 
         let meta = store.peek("table", key).expect("entry is present");
         assert_eq!(meta.payload_len, 10);
-        assert_eq!(meta.checksum, leon_sim::fnv1a64(b"0123456789"));
+        assert_eq!(meta.checksum, leon_sim::xxh64(b"0123456789"));
         assert!(store.contains("table", key));
         // wrong kind, wrong key: envelope mismatch
         assert_eq!(store.peek("trace", key), None);
@@ -2784,18 +2821,19 @@ mod tests {
         assert!(report.render().contains("traces: 1 well-formed"));
 
         // flip the last payload byte of the trace (just ahead of its
-        // trailing whole-file checksum) and re-save: the store envelope is
-        // recomputed over the damaged bytes and validates, so only the
-        // inner per-segment checksum can catch it
+        // trailing checksum) and re-save: the store envelope is recomputed
+        // over the damaged bytes and validates, so only the trace's own
+        // trailer can catch it
         let mut bad = good.clone();
         let at = bad.len() - 9;
         bad[at] ^= 0xff;
         let k_bad = FingerprintBuilder::new().str("trace-bad").finish();
         store.save("trace", k_bad, &stored_trace_payload(&bad)).unwrap();
-        // entries in a retired format version (the monolithic version 1 and
-        // version 2, which stored derived data, of earlier releases) are no
-        // longer decodable, so they are damage too
-        let retired: Vec<Fingerprint> = [1u32, 2]
+        // entries in a retired format version (the monolithic version 1,
+        // version 2, which stored derived data, and version 3, with its
+        // per-segment FNV-1a checksums, of earlier releases) are no longer
+        // decodable, so they are damage too
+        let retired: Vec<Fingerprint> = [1u32, 2, 3]
             .into_iter()
             .map(|version| {
                 let mut retired = good.clone();
@@ -2808,7 +2846,7 @@ mod tests {
             .collect();
         let report = store.doctor(false).unwrap();
         assert!(!report.is_clean());
-        assert_eq!(report.segment_index_errors, 3);
+        assert_eq!(report.segment_index_errors, 4);
         assert_eq!(report.corrupt_entries, 0, "the envelopes themselves are fine");
         assert!(report.render().contains("broken segment index"));
 

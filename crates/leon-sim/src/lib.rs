@@ -50,10 +50,9 @@ pub use profiler::{RunResult, Stats};
 pub use regwin::{RegisterWindows, WindowEvent};
 pub use trace::{
     capture, fnv1a64, fnv1a64_extend, replay, replay_batch, trace_segments_walked,
-    trace_walks_performed, FetchSegmentPartial, FetchSpanWalker, MemClassDelta,
-    MemSegmentPartial, MemSpanWalker, ReplayBatch, SegmentInfo, SegmentMeta, Trace,
-    TraceCodecError, TraceHeader, TraceOp, FNV1A64_OFFSET, SEGMENT_TARGET_OPS,
-    TRACE_FORMAT_VERSION,
+    trace_walks_performed, xxh64, FetchSegmentPartial, FetchSpanWalker, MemClassDelta,
+    MemSegmentPartial, MemSpanWalker, ReplayBatch, SegmentMeta, Trace, TraceCodecError,
+    TraceHeader, TraceOp, FNV1A64_OFFSET, SEGMENT_TARGET_OPS, TRACE_FORMAT_VERSION,
 };
 
 /// Default per-run cycle budget used by the higher-level crates.

@@ -26,10 +26,10 @@
 //! * [`Trace::summary`] — configuration-independent event *counts*;
 //! * the capturing configuration and its cache statistics.
 //!
-//! Only the records, the segment boundaries, the capture results and the
-//! checksums are serialised ([`Trace::to_bytes`], format version 3):
-//! `folded`, the per-segment folded offsets and `summary` are pure
-//! functions of `ops`, so [`Trace::from_bytes`] derives them exactly as
+//! Only the records, the segment boundaries, the capture results and one
+//! trailing [`xxh64`] checksum are serialised ([`Trace::to_bytes`], format
+//! version 4): `folded`, the per-segment folded offsets and `summary` are
+//! pure functions of `ops`, so [`Trace::from_bytes`] derives them exactly as
 //! capture does.
 //!
 //! # How replay retimes a configuration
@@ -415,27 +415,34 @@ impl Trace {
     /// The summary is a pure function of `ops`, so it is never stored:
     /// capture and decode both derive it here, which makes an internally
     /// inconsistent (ops vs. summary) trace unrepresentable.
+    ///
+    /// A program has few distinct event combinations, so one pass counts
+    /// records per `flags` word into a histogram of the 12 event bits, and
+    /// the per-event bit tests then run once per distinct word instead of
+    /// once per record.
     fn derive_summary(ops: &[TraceOp]) -> TraceSummary {
+        const EVENT_MASK: usize = (1 << 12) - 1;
+        let mut histogram = [0u64; EVENT_MASK + 1];
         let mut summary = TraceSummary::default();
         for op in ops {
-            let f = op.flags;
-            if f == 0 {
-                summary.instructions += op.aux as u64;
-                continue;
-            }
-            summary.instructions += 1;
-            summary.slow_decode += (f & flags::SLOW_DECODE != 0) as u64;
-            summary.load_use += (f & flags::LOAD_USE != 0) as u64;
-            summary.icc_branch += (f & flags::ICC_BRANCH != 0) as u64;
-            summary.mul_ops += (f & flags::MUL != 0) as u64;
-            summary.div_ops += (f & flags::DIV != 0) as u64;
-            summary.branches += (f & flags::BRANCH != 0) as u64;
-            summary.taken_branches += (f & flags::TAKEN != 0) as u64;
-            summary.calls += (f & flags::CALL != 0) as u64;
-            summary.loads += (f & flags::LOAD != 0) as u64;
-            summary.stores += (f & flags::STORE != 0) as u64;
-            summary.saves += (f & flags::SAVE != 0) as u64;
-            summary.restores += (f & flags::RESTORE != 0) as u64;
+            // bucket 0 collects the fetch runs, whose bit tests are all zero
+            summary.instructions += if op.flags == 0 { op.aux as u64 } else { 1 };
+            histogram[op.flags as usize & EVENT_MASK] += 1;
+        }
+        for (word, &count) in histogram.iter().enumerate().filter(|(_, &count)| count != 0) {
+            let events = |bit: u16| if word as u16 & bit != 0 { count } else { 0 };
+            summary.slow_decode += events(flags::SLOW_DECODE);
+            summary.load_use += events(flags::LOAD_USE);
+            summary.icc_branch += events(flags::ICC_BRANCH);
+            summary.mul_ops += events(flags::MUL);
+            summary.div_ops += events(flags::DIV);
+            summary.branches += events(flags::BRANCH);
+            summary.taken_branches += events(flags::TAKEN);
+            summary.calls += events(flags::CALL);
+            summary.loads += events(flags::LOAD);
+            summary.stores += events(flags::STORE);
+            summary.saves += events(flags::SAVE);
+            summary.restores += events(flags::RESTORE);
         }
         summary
     }
@@ -473,11 +480,13 @@ impl Trace {
 /// or the semantics of any serialised field change: persisted traces carry
 /// the version they were written with, and [`Trace::from_bytes`] refuses to
 /// decode any other version, so stale artifacts fall back to recapture
-/// instead of silently mis-replaying.  Version 3 stores the records, the
-/// segment boundaries and the checksums, nothing derivable; the monolithic
-/// version 1 and version 2 (which also stored the summary, the folded
-/// stream and per-segment checkpoints) of earlier releases are stale.
-pub const TRACE_FORMAT_VERSION: u32 = 3;
+/// instead of silently mis-replaying.  Version 4 stores the records, each
+/// segment's first record and one trailing [`xxh64`] checksum, nothing
+/// derivable.  Earlier releases' versions are stale: the monolithic version
+/// 1, version 2 (which also stored the summary, the folded stream and
+/// per-segment checkpoints) and version 3 (FNV-1a checksums per segment and
+/// over the whole trace).
+pub const TRACE_FORMAT_VERSION: u32 = 4;
 
 /// Magic bytes opening every serialised trace.
 const TRACE_MAGIC: [u8; 4] = *b"LTRC";
@@ -514,21 +523,90 @@ pub fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// 64-bit FNV-1a over a byte stream — the integrity checksum of the binary
-/// trace format (fast, dependency-free, and plenty for corruption detection;
-/// this is not a cryptographic guarantee).
+/// 64-bit FNV-1a over a byte stream: the hash for keys (content
+/// fingerprints, kind tags) and for data hashed piecewise as it streams.
+/// Stored payloads are checksummed with [`xxh64`] instead, which is an
+/// order of magnitude faster on bulk data.  Not a cryptographic guarantee.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_extend(FNV1A64_OFFSET, bytes)
 }
 
-struct ByteWriter(Vec<u8>);
+const XXH_PRIME64_1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_PRIME64_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_PRIME64_3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_PRIME64_4: u64 = 0x85eb_ca77_c2b2_ae63;
+const XXH_PRIME64_5: u64 = 0x27d4_eb2f_1656_67c5;
 
-impl ByteWriter {
+fn xxh64_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_PRIME64_2)).rotate_left(31).wrapping_mul(XXH_PRIME64_1)
+}
+
+fn xxh64_merge(hash: u64, acc: u64) -> u64 {
+    (hash ^ xxh64_round(0, acc)).wrapping_mul(XXH_PRIME64_1).wrapping_add(XXH_PRIME64_4)
+}
+
+/// XXH64 (seed 0) over a byte slice: the checksum of every stored payload —
+/// the trace format's trailer and the artifact store's envelope.  Four
+/// independent 64-bit lanes over 32-byte stripes run several times faster
+/// than byte-at-a-time [`fnv1a64`], and every input bit reaches every
+/// output bit, so two flips of one bit position in different words do not
+/// cancel.  Not a cryptographic guarantee.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let word = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().unwrap());
+    let mut stripes = bytes.chunks_exact(32);
+    let mut hash = if bytes.len() >= 32 {
+        let mut lanes = [
+            XXH_PRIME64_1.wrapping_add(XXH_PRIME64_2),
+            XXH_PRIME64_2,
+            0,
+            XXH_PRIME64_1.wrapping_neg(),
+        ];
+        for stripe in &mut stripes {
+            for (lane, at) in lanes.iter_mut().zip([0, 8, 16, 24]) {
+                *lane = xxh64_round(*lane, word(&stripe[at..]));
+            }
+        }
+        let [a, b, c, d] = lanes;
+        let hash = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        lanes.into_iter().fold(hash, xxh64_merge)
+    } else {
+        XXH_PRIME64_5
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+
+    let mut tail = stripes.remainder();
+    while tail.len() >= 8 {
+        hash ^= xxh64_round(0, word(tail));
+        hash = hash.rotate_left(27).wrapping_mul(XXH_PRIME64_1).wrapping_add(XXH_PRIME64_4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        hash ^= (u32::from_le_bytes(tail[..4].try_into().unwrap()) as u64)
+            .wrapping_mul(XXH_PRIME64_1);
+        hash = hash.rotate_left(23).wrapping_mul(XXH_PRIME64_2).wrapping_add(XXH_PRIME64_3);
+        tail = &tail[4..];
+    }
+    for &byte in tail {
+        hash ^= (byte as u64).wrapping_mul(XXH_PRIME64_5);
+        hash = hash.rotate_left(11).wrapping_mul(XXH_PRIME64_1);
+    }
+
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(XXH_PRIME64_2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(XXH_PRIME64_3);
+    hash ^ (hash >> 32)
+}
+
+struct ByteWriter<'a>(&'a mut Vec<u8>);
+
+impl ByteWriter<'_> {
     fn u8(&mut self, v: u8) {
         self.0.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
     }
     fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
@@ -691,20 +769,16 @@ fn decode_cache_stats(r: &mut ByteReader) -> Result<CacheStats, TraceCodecError>
 /// and `aux` (4), little-endian.
 const RECORD_LEN: usize = 10;
 
-/// Serialised size of one [`SegmentInfo`] index entry.
-const SEGMENT_INFO_LEN: usize = 16;
+/// Serialised size of one segment-index entry: the segment's first record.
+const SEGMENT_INFO_LEN: usize = 8;
 
-/// One entry of the serialised segment index: where the segment starts and
-/// the checksum of its record bytes, so each segment's payload is located
-/// and verified on its own.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentInfo {
-    /// First record of the segment in the record stream; the segment's
-    /// payload starts `ops_start × 10` bytes into the record region.
-    pub ops_start: u64,
-    /// FNV-1a checksum over the segment's record bytes.
-    pub checksum: u64,
-}
+/// Serialised size of the fixed header: magic, version, capturing
+/// configuration (40 bytes), base cache statistics and window-trap counts
+/// (80), record count and segment count (12).
+const HEADER_LEN: usize = 140;
+
+/// Serialised size of the trailing checksum.
+const TRAILER_LEN: usize = 8;
 
 /// The header of a serialised trace, decodable without touching the record
 /// payload (see [`Trace::peek_header`]): the capture results, the record
@@ -723,8 +797,10 @@ pub struct TraceHeader {
     pub base_underflows: u64,
     /// Number of trace records in the (unread) record stream.
     pub records: u64,
-    /// The segment index.
-    pub segments: Vec<SegmentInfo>,
+    /// The segment index: each segment's first record, in segment order.
+    /// Segment `i`'s bytes start `segments[i] × 10` bytes into the record
+    /// region.
+    pub segments: Vec<u64>,
 }
 
 /// Parse a serialised trace header (fixed fields, record count and segment
@@ -753,7 +829,7 @@ fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
     let count = r.u32()? as usize;
     let mut segments = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
-        segments.push(SegmentInfo { ops_start: r.u64()?, checksum: r.u64()? });
+        segments.push(r.u64()?);
     }
     Ok(TraceHeader {
         captured,
@@ -782,12 +858,12 @@ fn validate_segment_index(header: &TraceHeader) -> Result<u64, TraceCodecError> 
         }
         return Ok(0);
     }
-    if segs.first().map(|s| s.ops_start) != Some(0) {
+    if segs.first() != Some(&0) {
         return Err(TraceCodecError::new("segment index must start at record 0"));
     }
-    for (i, info) in segs.iter().enumerate() {
-        let ops_end = segs.get(i + 1).map_or(header.records, |s| s.ops_start);
-        if ops_end <= info.ops_start || ops_end > header.records {
+    for (i, &ops_start) in segs.iter().enumerate() {
+        let ops_end = segs.get(i + 1).copied().unwrap_or(header.records);
+        if ops_end <= ops_start || ops_end > header.records {
             return Err(TraceCodecError::new(format!(
                 "segment {i}: record offsets are not strictly increasing"
             )));
@@ -800,10 +876,10 @@ fn validate_segment_index(header: &TraceHeader) -> Result<u64, TraceCodecError> 
 /// against the input length.  Returns the header and the record region;
 /// reads neither the records nor the trailing checksum.
 fn parse_layout(bytes: &[u8]) -> Result<(TraceHeader, &[u8]), TraceCodecError> {
-    if bytes.len() < TRACE_MAGIC.len() + 4 + 8 {
+    if bytes.len() < TRACE_MAGIC.len() + 4 + TRAILER_LEN {
         return Err(TraceCodecError::new("input shorter than the fixed header"));
     }
-    let body = &bytes[..bytes.len() - 8];
+    let body = &bytes[..bytes.len() - TRAILER_LEN];
     let mut r = ByteReader { bytes: body, pos: 0 };
     let header = parse_header(&mut r)?;
     let payload = validate_segment_index(&header)?;
@@ -817,48 +893,51 @@ fn parse_layout(bytes: &[u8]) -> Result<(TraceHeader, &[u8]), TraceCodecError> {
     Ok((header, records))
 }
 
-/// Segment `i`'s record bytes within `records` (the region [`parse_layout`]
-/// returned), verified against the index checksum.  The offsets are
-/// `ops_start × 10`, computed with checked arithmetic.
-fn verified_segment<'a>(
-    header: &TraceHeader,
-    records: &'a [u8],
-    i: usize,
-) -> Result<&'a [u8], TraceCodecError> {
-    let info = &header.segments[i];
-    let ops_end = header.segments.get(i + 1).map_or(header.records, |s| s.ops_start);
-    let offset = |record: u64| {
-        record
-            .checked_mul(RECORD_LEN as u64)
-            .and_then(|at| usize::try_from(at).ok())
-            .filter(|&at| at <= records.len())
-            .ok_or_else(|| TraceCodecError::new(format!("segment {i}: offset out of range")))
-    };
-    let bytes = &records[offset(info.ops_start)?..offset(ops_end)?];
-    let computed = fnv1a64(bytes);
-    if computed != info.checksum {
+/// Check a serialised trace's trailing [`xxh64`] against everything before
+/// it.  This one pass is the format's only integrity check: it covers the
+/// header, the segment index and every record.
+fn verify_trailer(bytes: &[u8]) -> Result<(), TraceCodecError> {
+    if bytes.len() < TRACE_MAGIC.len() + 4 + TRAILER_LEN {
+        return Err(TraceCodecError::new("input shorter than the fixed header"));
+    }
+    let (body, tail) = bytes.split_at(bytes.len() - TRAILER_LEN);
+    let stored = u64::from_le_bytes(tail.try_into().unwrap());
+    let actual = xxh64(body);
+    if stored != actual {
         return Err(TraceCodecError::new(format!(
-            "segment {i} checksum mismatch: stored {:#018x}, computed {computed:#018x}",
-            info.checksum
+            "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
         )));
     }
-    Ok(bytes)
+    Ok(())
 }
 
 impl Trace {
-    /// Serialise the trace into the versioned binary format (version 3).
+    /// Serialise the trace into the versioned binary format (version 4).
     ///
-    /// Layout (all integers little-endian): the magic `LTRC`, the
-    /// [`TRACE_FORMAT_VERSION`], the capturing configuration, the capturing
-    /// run's cache statistics and window-trap counts, the record count, the
-    /// segment index (one [`SegmentInfo`] per segment: first record and the
-    /// checksum of the segment's record bytes), the records at 10 bytes
-    /// apiece, and a trailing 64-bit FNV-1a checksum over everything before
-    /// it.  Nothing derivable from the records is stored: the summary, the
-    /// folded stream and the folded offsets are rebuilt on decode.
+    /// Layout (all integers little-endian): a 140-byte header — the magic
+    /// `LTRC`, the [`TRACE_FORMAT_VERSION`], the capturing configuration,
+    /// the capturing run's cache statistics and window-trap counts, the
+    /// record count and the segment count — then the segment index (each
+    /// segment's first record, 8 bytes apiece), the records at 10 bytes
+    /// apiece, and a trailing [`xxh64`] over everything before it.  Nothing
+    /// derivable from the records is stored: the summary, the folded stream
+    /// and the folded offsets are rebuilt on decode.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the [`Trace::to_bytes`] encoding to `out`, so a caller that
+    /// frames the trace (the artifact store's base-cost prefix) builds the
+    /// whole payload in one buffer.  The trailing checksum covers only the
+    /// appended bytes.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         let index_len = self.segments.len() * SEGMENT_INFO_LEN;
-        let mut w = ByteWriter(Vec::with_capacity(256 + index_len + self.ops.len() * RECORD_LEN));
+        let records_len = self.ops.len() * RECORD_LEN;
+        out.reserve(HEADER_LEN + index_len + records_len + TRAILER_LEN);
+        let mut w = ByteWriter(out);
         w.0.extend_from_slice(&TRACE_MAGIC);
         w.u32(TRACE_FORMAT_VERSION);
         encode_config(&mut w, &self.captured);
@@ -868,34 +947,29 @@ impl Trace {
         w.u64(self.base_underflows);
         w.u64(self.ops.len() as u64);
         w.u32(self.segments.len() as u32);
-        // the index entries are filled in as each segment's checksum is known
-        let index_at = w.0.len();
-        w.0.resize(index_at + index_len, 0);
-        for (seg, meta) in self.segments.iter().enumerate() {
-            let start = w.0.len();
-            for op in &self.ops[self.ops_range(seg)] {
-                w.u32(op.pc);
-                w.u16(op.flags);
-                w.u32(op.aux);
-            }
-            let checksum = fnv1a64(&w.0[start..]);
-            let entry = index_at + seg * SEGMENT_INFO_LEN;
-            w.0[entry..entry + 8].copy_from_slice(&(meta.ops_start as u64).to_le_bytes());
-            w.0[entry + 8..entry + 16].copy_from_slice(&checksum.to_le_bytes());
+        for meta in &self.segments {
+            w.u64(meta.ops_start as u64);
         }
-        let checksum = fnv1a64(&w.0);
-        w.u64(checksum);
-        w.0
+        debug_assert_eq!(out.len() - start, HEADER_LEN + index_len);
+        let records_at = out.len();
+        out.resize(records_at + records_len, 0);
+        for (record, op) in out[records_at..].chunks_exact_mut(RECORD_LEN).zip(&self.ops) {
+            record[..4].copy_from_slice(&op.pc.to_le_bytes());
+            record[4..6].copy_from_slice(&op.flags.to_le_bytes());
+            record[6..].copy_from_slice(&op.aux.to_le_bytes());
+        }
+        let checksum = xxh64(&out[start..]);
+        out.extend_from_slice(&checksum.to_le_bytes());
     }
 
-    /// Decode only the header of a serialised trace — O(header) regardless
-    /// of how many records follow, because neither the record stream nor
-    /// the trailing checksum is read.
+    /// Decode only the header of a serialised trace — O(header + index)
+    /// regardless of how many records follow, because neither the record
+    /// stream nor the trailing checksum is read.
     ///
     /// This is the *peek* half of the lazy-materialization contract: a store
     /// layer can check the format version, the capturing configuration and
     /// the record count of a multi-megabyte trace entry without paying the
-    /// full decode (record decode + checksum + derived-stream rebuild).  It
+    /// full decode (checksum + record decode + derived-stream rebuild).  It
     /// is **not** an integrity check — a bit flip in the record stream
     /// passes `peek_header` and is only caught by [`Trace::from_bytes`] — so
     /// callers must still decode fully before trusting the records.
@@ -903,55 +977,42 @@ impl Trace {
         Ok(parse_layout(bytes)?.0)
     }
 
-    /// Structurally validate a serialised trace without decoding it: the
-    /// header fields, the segment index (first record 0, strictly
-    /// increasing starts, total length) and every per-segment checksum.
-    /// Returns the parsed header.
+    /// Validate a serialised trace without decoding it: the header fields,
+    /// the segment index (first record 0, strictly increasing starts, total
+    /// length), then the trailing checksum over every byte.  Returns the
+    /// parsed header.
     ///
     /// Cheaper than [`Trace::from_bytes`] (no record decode, no derived
     /// stream rebuild), which makes it the right integrity pass for
     /// `store doctor`.
     pub fn validate_segments(bytes: &[u8]) -> Result<TraceHeader, TraceCodecError> {
-        let (header, records) = parse_layout(bytes)?;
-        for i in 0..header.segments.len() {
-            verified_segment(&header, records, i)?;
-        }
+        let (header, _) = parse_layout(bytes)?;
+        verify_trailer(bytes)?;
         Ok(header)
     }
 
-    /// Decode a trace serialised by [`Trace::to_bytes`].
+    /// Decode a trace serialised by [`Trace::to_bytes`]: the trailing
+    /// checksum, the header and index, then one pass over the record region.
     ///
-    /// Fails — rather than ever producing a wrong trace — on a bad magic, a
-    /// different format version, a whole-trace or per-segment checksum
-    /// mismatch, truncated or trailing bytes, or any malformed field.  The
-    /// summary, the folded stream and the segment table are derived from
-    /// the records exactly as capture derives them, so on success the
+    /// Fails — rather than ever producing a wrong trace — on a checksum
+    /// mismatch, a bad magic, a different format version, a malformed
+    /// segment index, truncated or trailing bytes, or any malformed field.
+    /// The summary, the folded stream and the segment table are derived
+    /// from the records exactly as capture derives them, so on success the
     /// decoded trace is exactly the one serialised.
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceCodecError> {
-        if bytes.len() < TRACE_MAGIC.len() + 4 + 8 {
-            return Err(TraceCodecError::new("input shorter than the fixed header"));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        let actual = fnv1a64(body);
-        if stored != actual {
-            return Err(TraceCodecError::new(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-            )));
-        }
-
+        verify_trailer(bytes)?;
         let (header, records) = parse_layout(bytes)?;
-        let mut ops = Vec::with_capacity(records.len() / RECORD_LEN);
-        for i in 0..header.segments.len() {
-            for r in verified_segment(&header, records, i)?.chunks_exact(RECORD_LEN) {
-                ops.push(TraceOp {
-                    pc: u32::from_le_bytes([r[0], r[1], r[2], r[3]]),
-                    flags: u16::from_le_bytes([r[4], r[5]]),
-                    aux: u32::from_le_bytes([r[6], r[7], r[8], r[9]]),
-                });
-            }
-        }
-        let boundaries: Vec<usize> = header.segments.iter().map(|s| s.ops_start as usize).collect();
+        let ops: Vec<TraceOp> = records
+            .chunks_exact(RECORD_LEN)
+            .map(|r| TraceOp {
+                pc: u32::from_le_bytes([r[0], r[1], r[2], r[3]]),
+                flags: u16::from_le_bytes([r[4], r[5]]),
+                aux: u32::from_le_bytes([r[6], r[7], r[8], r[9]]),
+            })
+            .collect();
+        // `validate_segment_index` bounded every start by the record count
+        let boundaries: Vec<usize> = header.segments.iter().map(|&s| s as usize).collect();
         let (segments, folded) = derive_segments(&ops, &boundaries);
         Ok(Trace {
             summary: Trace::derive_summary(&ops),
@@ -2062,6 +2123,10 @@ mod tests {
             let bytes = trace.to_bytes();
             let decoded = Trace::from_bytes(&bytes).unwrap();
             assert_eq!(decoded, trace, "decode(encode(t)) must equal t exactly");
+            // appending after a caller's framing writes the same bytes
+            let mut framed = b"prefix".to_vec();
+            trace.encode_into(&mut framed);
+            assert_eq!(framed[6..], bytes[..]);
             // and the decoded trace replays bit-identically to the original
             let base = LeonConfig::base();
             assert_eq!(
@@ -2116,17 +2181,11 @@ mod tests {
         assert!(Trace::from_bytes(&good[..10]).is_err());
         assert!(Trace::from_bytes(&[]).is_err());
 
-        // a single flipped bit anywhere must fail the checksum
-        for pos in [0usize, 4, good.len() / 2, good.len() - 9] {
-            let mut bad = good.clone();
-            bad[pos] ^= 0x40;
-            assert!(Trace::from_bytes(&bad).is_err(), "bit flip at {pos} must be detected");
-        }
-
-        // a different format version — newer, or the retired version 2
-        // (stored derived data) or monolithic version 1 — must be rejected
-        // even with a valid checksum over the altered body, by every decoder
-        for version in [TRACE_FORMAT_VERSION + 1, 2, 1] {
+        // a different format version — newer, or the retired version 3
+        // (FNV-1a per segment), version 2 (stored derived data) or
+        // monolithic version 1 — must be rejected even with a valid
+        // checksum over the altered body, by every decoder
+        for version in [TRACE_FORMAT_VERSION + 1, 3, 2, 1] {
             let mut versioned = good.clone();
             versioned[4..8].copy_from_slice(&version.to_le_bytes());
             let versioned = rechecksummed(versioned);
@@ -2141,7 +2200,7 @@ mod tests {
         // trailing garbage is rejected (record count no longer matches)
         let mut padded = good[..good.len() - 8].to_vec();
         padded.extend_from_slice(&[0u8; 10]);
-        let checksum = fnv1a64(&padded);
+        let checksum = xxh64(&padded);
         padded.extend_from_slice(&checksum.to_le_bytes());
         assert!(Trace::from_bytes(&padded).is_err());
 
@@ -2171,13 +2230,52 @@ mod tests {
         }
     }
 
-    /// Re-seal `bytes` with a valid whole-trace checksum, so only the
+    /// Re-seal `bytes` with a valid trailing checksum, so only the
     /// structural checks can reject what was altered.
     fn rechecksummed(mut bytes: Vec<u8>) -> Vec<u8> {
-        let body_len = bytes.len() - 8;
-        let checksum = fnv1a64(&bytes[..body_len]);
+        let body_len = bytes.len() - TRAILER_LEN;
+        let checksum = xxh64(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
         bytes
+    }
+
+    #[test]
+    fn every_bit_flip_of_an_encoded_trace_is_rejected() {
+        // the trailer is the only integrity layer, so it alone must catch a
+        // flip anywhere: header, segment index, records or the trailer
+        let (_, trace) = capture(&LeonConfig::base(), &recursing_program(), 1_000_000).unwrap();
+        let good = trace.to_bytes();
+        assert!(Trace::validate_segments(&good).is_ok());
+        let mut bad = good.clone();
+        for bit in 0..good.len() * 8 {
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(Trace::from_bytes(&bad).is_err(), "from_bytes missed bit {bit}");
+            assert!(Trace::validate_segments(&bad).is_err(), "validate_segments missed bit {bit}");
+            bad[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn xxh64_matches_the_published_answers() {
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tails
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition"), 0xfbce_a83c_8a37_8bf1);
+    }
+
+    #[test]
+    fn xxh64_detects_every_single_bit_flip_of_short_inputs() {
+        // every length up to three stripes, so each tail path is exercised
+        for len in 0..=96usize {
+            let mut bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let clean = xxh64(&bytes);
+            for bit in 0..len * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(xxh64(&bytes), clean, "length {len}, bit {bit}");
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! * **laziness** — a warm run whose co-optimization entry hits reads zero
 //!   trace payload bytes and executes zero guest instructions (both
 //!   counter-asserted), pinning the `Scale::Medium` warm-run win;
-//! * **corruption/eviction safety** — truncated or bit-flipped entries are
-//!   detected (checksum/version validation), recomputed, and the final
-//!   results still match the cold run;
+//! * **corruption/eviction safety** — truncated or bit-flipped entries, and
+//!   entries in a retired envelope version, are detected (checksum/version
+//!   validation), recomputed, and the final results still match the cold
+//!   run;
 //! * **invalidation precision** — updating one workload of a 4-workload mix
 //!   re-captures exactly one trace and re-measures exactly one cost table;
 //!   the other three are served from the store;
@@ -201,11 +202,16 @@ fn corrupted_entries_are_detected_and_recomputed() {
     bytes[mid] ^= 0x10;
     std::fs::write(&table_file, &bytes).unwrap();
 
-    // and replace a sweep entry with garbage that is not even an envelope
+    // replace a sweep entry with garbage that is not even an envelope
     let sweep_file = store.entries(Some("sweep"))[2].clone();
     std::fs::write(&sweep_file, b"not an artifact at all").unwrap();
 
-    // an eager session dereferences every artifact, so all three damaged
+    // and re-frame an intact optimum entry in the retired version-1
+    // envelope.  Non-trace keys do not mix in the envelope version, so
+    // such an entry sits at the very path a lookup opens.
+    reframe_in_v1_envelope(&store.entries(Some("optimum"))[3]);
+
+    // an eager session dereferences every artifact, so all four damaged
     // entries are hit, detected, recomputed and re-persisted
     let warm_store = ArtifactStore::open(&dir).unwrap();
     let session = engine(2, Some(warm_store.clone())).session(&suite).unwrap();
@@ -214,11 +220,11 @@ fn corrupted_entries_are_detected_and_recomputed() {
     assert_eq!(healed, cold, "recomputed-after-corruption must equal the cold run");
 
     let stats = warm_store.stats();
-    assert_eq!(stats.corrupt, 3, "all three damaged entries must be detected");
+    assert_eq!(stats.corrupt, 4, "all four damaged entries must be detected");
     let c = session.counters();
     assert_eq!(
-        (c.trace_captures, c.table_measurements, c.sweeps_computed),
-        (1, 1, 1),
+        (c.trace_captures, c.table_measurements, c.sweeps_computed, c.optimizations_solved),
+        (1, 1, 1, 1),
         "exactly the damaged artifacts are recomputed"
     );
     assert_eq!(
@@ -233,6 +239,37 @@ fn corrupted_entries_are_detected_and_recomputed() {
     again.materialize_all().unwrap();
     assert_eq!(again.counters().trace_captures, 0);
     assert_eq!(json(&again.result(&MIX).unwrap()), cold);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Re-frame an entry file in the retired version-1 envelope: version 1 and
+/// the FNV-1a of the (intact) payload, byte for byte what earlier releases
+/// wrote.
+fn reframe_in_v1_envelope(path: &std::path::Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let checksum = liquid_autoreconf::sim::fnv1a64(&bytes[40..]);
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    bytes[32..40].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(path, &bytes).unwrap();
+}
+
+#[test]
+fn retired_envelope_entries_are_absent_corrupt_and_repairable() {
+    let dir = scratch_dir("retired-envelope");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let key = FingerprintBuilder::new().str("v1").finish();
+    store.save("table", key, b"an artifact from an earlier release").unwrap();
+    let path = store.entries(Some("table"))[0].clone();
+    reframe_in_v1_envelope(&path);
+
+    assert!(store.peek("table", key).is_none());
+    assert!(!store.contains("table", key));
+    assert_eq!(store.load("table", key), None);
+    assert_eq!(store.stats().corrupt, 1);
+    assert_eq!(store.doctor(false).unwrap().corrupt_entries, 1);
+    assert!(store.doctor(true).unwrap().repaired);
+    assert!(!path.exists(), "repair deletes the retired entry");
+    assert!(store.doctor(false).unwrap().is_clean());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
