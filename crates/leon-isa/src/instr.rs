@@ -462,14 +462,11 @@ impl Instr {
         }
     }
 
-    /// Registers read by this instruction (window-relative names).
-    pub fn sources(&self) -> Vec<Reg> {
-        let mut v = Vec::with_capacity(3);
-        let push_op2 = |op2: &Operand2, v: &mut Vec<Reg>| {
-            if let Operand2::Reg(r) = op2 {
-                v.push(*r);
-            }
-        };
+    /// True when this instruction reads register `r` (window-relative
+    /// names) — the load-use interlock check, which runs after every load
+    /// and so builds no list.
+    pub fn reads(&self, r: Reg) -> bool {
+        let op2_reads = |op2: &Operand2| matches!(op2, Operand2::Reg(x) if *x == r);
         match self {
             Instr::Alu { rs1, op2, .. }
             | Instr::Mul { rs1, op2, .. }
@@ -477,19 +474,11 @@ impl Instr {
             | Instr::Load { rs1, op2, .. }
             | Instr::JmpL { rs1, op2, .. }
             | Instr::Save { rs1, op2, .. }
-            | Instr::Restore { rs1, op2, .. } => {
-                v.push(*rs1);
-                push_op2(op2, &mut v);
-            }
-            Instr::Store { rs_data, rs1, op2, .. } => {
-                v.push(*rs_data);
-                v.push(*rs1);
-                push_op2(op2, &mut v);
-            }
-            Instr::Magic { rs1, .. } => v.push(*rs1),
-            _ => {}
+            | Instr::Restore { rs1, op2, .. } => *rs1 == r || op2_reads(op2),
+            Instr::Store { rs_data, rs1, op2, .. } => *rs_data == r || *rs1 == r || op2_reads(op2),
+            Instr::Magic { rs1, .. } => *rs1 == r,
+            _ => false,
         }
-        v
     }
 
     /// True when this instruction sets the integer condition codes.
@@ -554,7 +543,8 @@ mod tests {
             op2: Operand2::Reg(Reg::L2),
         };
         assert_eq!(i.dest(), Some(Reg::L0));
-        assert_eq!(i.sources(), vec![Reg::L1, Reg::L2]);
+        assert!(i.reads(Reg::L1) && i.reads(Reg::L2));
+        assert!(!i.reads(Reg::L0), "the destination is not a source");
 
         let st = Instr::Store {
             size: MemSize::Word,
@@ -563,7 +553,8 @@ mod tests {
             op2: Operand2::Imm(4),
         };
         assert_eq!(st.dest(), None);
-        assert_eq!(st.sources(), vec![Reg::O0, Reg::O1]);
+        assert!(st.reads(Reg::O0) && st.reads(Reg::O1));
+        assert!(!st.reads(Reg::O2), "an immediate operand reads no register");
 
         let call = Instr::Call { disp: 16 };
         assert_eq!(call.dest(), Some(Reg::O7));

@@ -250,7 +250,7 @@ impl Cpu {
 
         // load-use interlock
         if let Some(dest) = self.last_load_dest {
-            if instr.sources().contains(&dest) {
+            if instr.reads(dest) {
                 ev_flags |= flags::LOAD_USE;
                 let stall = self.config.iu.load_delay as u64;
                 cycles += stall;

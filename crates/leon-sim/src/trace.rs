@@ -40,14 +40,20 @@
 //! partitioned into *behavior classes*, and each tier costs:
 //!
 //! 1. **i-cache**: a configuration whose i-cache geometry equals the
-//!    capturing one reuses its statistics verbatim; every other distinct
+//!    capturing one reuses its statistics verbatim.  A geometry in which
+//!    the fetch stream cannot conflict (every fetched line owns its set, see
+//!    [`LineFootprint`]) is finished in closed form.  Every other distinct
 //!    i-cache geometry is one fetch class, and all fetch classes are
 //!    re-simulated together in one walk of `ops` through lean tag-only
 //!    cache models ([`crate::cache`]'s `TagCache`).
-//! 2. **d-cache + window traps**: if both the d-cache geometry and the
-//!    register-window count match, the captured statistics are reused;
-//!    otherwise each distinct (geometry, window count) pair is one memory
-//!    class, and all memory classes share one walk of `folded` — a
+//! 2. **d-cache + window traps**: a window count of at least the maximum
+//!    nesting depth + 2 never traps ([`MemFacts`]), so all such counts
+//!    behave alike.  If the d-cache geometry matches and the window
+//!    count matches (or both it and the captured one are trap-free), the
+//!    captured statistics are reused; a trap-free count with a d-cache in
+//!    which the loads and stores cannot conflict is finished in closed
+//!    form; otherwise each distinct (geometry, window count) pair is one
+//!    memory class, and all memory classes share one walk of `folded` — a
 //!    resident-window automaton per window count re-derives overflow/
 //!    underflow traps and expands each trap into its 16 spill/fill
 //!    accesses.
@@ -57,8 +63,9 @@
 //!
 //! A cost-table measurement of the paper's 52-variable space therefore runs
 //! the full simulator once and then at most one walk per stream (one per
-//! class span when the classes are spread over a worker pool); the 14
-//! IU-only variables are O(1).
+//! class span when the classes are spread over a worker pool), and none for
+//! a stream whose every class is finished in closed form; the 14 IU-only
+//! variables are O(1).
 //!
 //! Replay is bit-identical to full simulation — same final `cycles` and
 //! cache statistics — which `tests/replay_equivalence.rs` asserts across the
@@ -71,8 +78,10 @@
 //! read-only by every replay worker of a measurement campaign.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use crate::cache::{CacheStats, TagCache};
 use crate::config::{CacheConfig, LeonConfig};
@@ -330,6 +339,24 @@ pub struct Trace {
     pub base_overflows: u64,
     /// Window underflow traps of the capturing run.
     pub base_underflows: u64,
+    /// The closed-form facts, derived on first use (see [`LazyFacts`]).
+    facts: LazyFacts,
+}
+
+/// The closed-form facts of a [`Trace`], each derived at most once, by the
+/// first replay plan that needs it — never by capture or decode.  They are
+/// pure functions of the record stream, so they take no part in equality
+/// and are never serialised.
+#[derive(Clone, Debug, Default)]
+struct LazyFacts {
+    mem: OnceLock<MemFacts>,
+    fetch: OnceLock<StreamFootprint>,
+}
+
+impl PartialEq for LazyFacts {
+    fn eq(&self, _: &LazyFacts) -> bool {
+        true
+    }
 }
 
 impl Trace {
@@ -393,9 +420,10 @@ impl Trace {
 
     /// Re-cut the trace at the given record boundaries (first must be 0,
     /// strictly increasing, all `< ops.len()`; empty only for an empty
-    /// trace), rebuilding the segment table and the folded stream.  Replay
-    /// results are independent of the segmentation — the segmented-replay
-    /// proptest exercises exactly this API.
+    /// trace), rebuilding the segment table and the folded stream and
+    /// dropping any derived closed-form facts.  Replay results are
+    /// independent of the segmentation — the segmented-replay proptest
+    /// exercises exactly this API.
     ///
     /// # Panics
     ///
@@ -408,6 +436,24 @@ impl Trace {
         let (segments, folded) = derive_segments(&self.ops, boundaries);
         self.segments = segments;
         self.folded = folded;
+        self.facts = LazyFacts::default();
+    }
+
+    /// The memory stream's closed-form facts: the maximum window nesting
+    /// depth and the footprint of the loads and stores.  Derived from
+    /// [`Trace::folded`] on the first call and cached.
+    pub fn mem_facts(&self) -> &MemFacts {
+        self.facts.mem.get_or_init(|| MemFacts::derive(&self.folded))
+    }
+
+    /// The fetch stream's footprint, derived by one pass over
+    /// [`Trace::ops`] on the first call and cached.
+    pub fn fetch_footprint(&self) -> &StreamFootprint {
+        // every instruction reads its pc's line; a record's fetches stay in
+        // the 16-byte block of its first one, and the walker charges them
+        // the same way
+        let fetches = || self.ops.iter().map(|op| (op.pc, false));
+        self.facts.fetch.get_or_init(|| StreamFootprint::derive(fetches()))
     }
 
     /// Count a raw record stream's events into its [`TraceSummary`].
@@ -466,6 +512,7 @@ impl Trace {
             base_dcache: stats.dcache,
             base_overflows: stats.window_overflows,
             base_underflows: stats.window_underflows,
+            facts: LazyFacts::default(),
         }
     }
 }
@@ -1024,6 +1071,7 @@ impl Trace {
             base_dcache: header.base_dcache,
             base_overflows: header.base_overflows,
             base_underflows: header.base_underflows,
+            facts: LazyFacts::default(),
         })
     }
 }
@@ -1094,14 +1142,205 @@ fn reconstruct_stats(
 /// fraction of the time, because only the caches (and only the *changed*
 /// caches) are re-simulated while every other cost is closed-form.
 ///
-/// A one-configuration [`replay_batch`]: at most one walk per trace stream
-/// (none when both cache geometries and the window count match the
-/// capturing configuration), and the same errors — `InvalidConfig` for a
-/// structurally invalid configuration, `CycleLimitExceeded` past the budget.
+/// A one-configuration [`replay_batch`]: at most one walk per trace stream,
+/// and none for a stream whose statistics the capturing run or a closed
+/// form already gives (see [`ReplayBatch`]); the same errors —
+/// `InvalidConfig` for a structurally invalid configuration,
+/// `CycleLimitExceeded` past the budget.
 pub fn replay(trace: &Trace, config: &LeonConfig, max_cycles: u64) -> Result<Stats, SimError> {
     replay_batch(trace, std::slice::from_ref(config), max_cycles)
         .pop()
         .expect("a one-configuration batch has one result")
+}
+
+// ---------------------------------------------------------------------------
+// Closed-form facts: line footprints and window depth
+// ---------------------------------------------------------------------------
+
+/// Lines of 16 bytes a footprint ring holds: 4096, the sets of the
+/// largest way (64 KB of 16-byte lines), so no valid geometry has more.  A
+/// stream whose lines span more than 64 KB can conflict under every
+/// geometry and is walked.
+const FOOTPRINT_LINES: u32 = 4096;
+
+/// What one access stream touches at one line size, when all its lines fall
+/// within 4096 consecutive 16-byte lines (64 KB, the largest way).
+///
+/// In a cache with at least [`LineFootprint::span`] sets per way, each of
+/// those lines owns its set: nothing is ever evicted and the replacement
+/// policy never runs (a miss always finds an invalid way first).  So for
+/// any number of ways and any policy, the misses are exactly the counts
+/// below and the hits are the accesses minus them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LineFootprint {
+    /// First and last touched line number (`address / line bytes`); `None`
+    /// for a stream without accesses.
+    pub lines: Option<(u32, u32)>,
+    /// Lines read at least once: the first read of each line misses.
+    pub read_misses: u64,
+    /// Writes to a line no read has filled yet (the caches are
+    /// no-write-allocate, so a write fills nothing).
+    pub write_misses: u64,
+}
+
+impl LineFootprint {
+    /// Consecutive lines from the first touched one to the last (0 when
+    /// nothing was touched).
+    pub fn span(&self) -> u32 {
+        self.lines.map_or(0, |(first, last)| last - first + 1)
+    }
+}
+
+/// One stream's footprint at both valid line sizes; `None` where the
+/// stream's lines of that size span more than 64 KB.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StreamFootprint {
+    /// At 16-byte (4-word) lines.
+    pub line16: Option<LineFootprint>,
+    /// At 32-byte (8-word) lines.
+    pub line32: Option<LineFootprint>,
+}
+
+impl StreamFootprint {
+    /// Derive a stream's footprint from its accesses `(address, write)` in
+    /// one pass.  Ring slots are taken before the stream's bounds are
+    /// known: when its lines turn out to fit the rings, no two of them
+    /// shared a slot and the counts are exact; otherwise they are dropped.
+    fn derive(accesses: impl Iterator<Item = (u32, bool)>) -> StreamFootprint {
+        let mut ring = FootprintRing::new();
+        let (mut low, mut high) = (u32::MAX, 0);
+        // a read of the line the previous read filled changes nothing
+        let mut read_line = None;
+        for (addr, write) in accesses {
+            if write {
+                ring.write(addr);
+            } else if read_line != Some(addr >> 4) {
+                read_line = Some(addr >> 4);
+                ring.read(addr);
+            } else {
+                continue;
+            }
+            (low, high) = (low.min(addr), high.max(addr));
+        }
+        ring.finish((low <= high).then_some((low, high)))
+    }
+
+    /// `cache`'s statistics in closed form, when the stream cannot conflict
+    /// in it: its lines at `cache`'s line size span at most one way's sets.
+    /// `reads` and `writes` are the stream's access totals.
+    fn closed_form(&self, cache: &CacheConfig, reads: u64, writes: u64) -> Option<CacheStats> {
+        let footprint = if cache.line_words == 4 { self.line16 } else { self.line32 };
+        let footprint = footprint.filter(|f| f.span() <= cache.lines_per_way())?;
+        debug_assert!(footprint.read_misses <= reads && footprint.write_misses <= writes);
+        Some(CacheStats {
+            read_hits: reads - footprint.read_misses,
+            read_misses: footprint.read_misses,
+            write_hits: writes - footprint.write_misses,
+            write_misses: footprint.write_misses,
+        })
+    }
+}
+
+/// The memory stream's closed-form facts ([`Trace::mem_facts`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemFacts {
+    /// Deepest window nesting (`save`s minus `restore`s) the run reaches.
+    /// `None` when a `restore` happens at depth 0 — a real run fails there,
+    /// so only a hostile decoded trace holds one — which disables the
+    /// window shortcut.
+    pub max_depth: Option<u64>,
+    /// Footprint of the loads and stores (no window-trap traffic).
+    pub data: StreamFootprint,
+}
+
+impl MemFacts {
+    /// True when `windows` hardware windows never trap on this stream.  One
+    /// window is reserved and the first is resident from the start, so a
+    /// `save` at depth `d` overflows only when `d + 1 ≥ windows - 1`, and a
+    /// `restore` underflows only at depth 0: a count of at least the
+    /// maximum depth + 2 does neither.
+    pub(crate) fn trap_free(&self, windows: u8) -> bool {
+        self.max_depth.is_some_and(|depth| u64::from(windows) >= depth.saturating_add(2))
+    }
+
+    /// Derive the facts from the folded memory stream.  A read leader's
+    /// folded followers are hits in every cache, so only leaders count.
+    fn derive(folded: &[u64]) -> MemFacts {
+        let (mut depth, mut max_depth, mut balanced) = (0u64, 0u64, true);
+        for &item in folded.iter().filter(|&&item| item & FOLD_MARKER_BIT != 0) {
+            if item & FOLD_RESTORE_BIT == 0 {
+                depth += 1;
+                max_depth = max_depth.max(depth);
+            } else if depth == 0 {
+                balanced = false;
+            } else {
+                depth -= 1;
+            }
+        }
+        let data = StreamFootprint::derive(
+            folded
+                .iter()
+                .filter(|&&item| item & FOLD_MARKER_BIT == 0)
+                .map(|&item| (item as u32, item & TagCache::WRITE_BIT != 0)),
+        );
+        MemFacts { max_depth: balanced.then_some(max_depth), data }
+    }
+}
+
+/// One bit per 16-byte line, set once a read fills the line; the halves of
+/// a 32-byte line are adjacent bits of one word.  For a stream whose lines
+/// span at most 64 KB, each line owns one slot of this fixed-size ring, so
+/// a derivation never allocates, whatever addresses the stream holds.
+struct FootprintRing {
+    filled: [u64; FOOTPRINT_LINES as usize / 64],
+    /// Write misses at 16- and 32-byte lines.
+    write_misses: [u64; 2],
+}
+
+impl FootprintRing {
+    fn new() -> FootprintRing {
+        FootprintRing { filled: [0; FOOTPRINT_LINES as usize / 64], write_misses: [0; 2] }
+    }
+
+    /// The word and bit of `addr`'s 16-byte line.
+    #[inline]
+    fn slot(addr: u32) -> (usize, u32) {
+        let line = (addr >> 4) % FOOTPRINT_LINES;
+        ((line / 64) as usize, line % 64)
+    }
+
+    #[inline]
+    fn read(&mut self, addr: u32) {
+        let (word, bit) = FootprintRing::slot(addr);
+        self.filled[word] |= 1 << bit;
+    }
+
+    #[inline]
+    fn write(&mut self, addr: u32) {
+        let (word, bit) = FootprintRing::slot(addr);
+        let filled = self.filled[word];
+        self.write_misses[0] += !filled >> bit & 1;
+        self.write_misses[1] += (filled >> (bit & !1) & 0b11 == 0) as u64;
+    }
+
+    /// The footprints, given the stream's lowest and highest address: at
+    /// each line size, exact when its lines span at most 64 KB (no two
+    /// then share a slot), `None` otherwise.
+    fn finish(&self, bounds: Option<(u32, u32)>) -> StreamFootprint {
+        let footprint = |line_shift: u32, read_misses: u64, write_misses: u64| {
+            let lines = bounds.map(|(low, high)| (low >> line_shift, high >> line_shift));
+            let fits = lines.is_none_or(|(first, last)| last - first < (64 << 10) >> line_shift);
+            fits.then_some(LineFootprint { lines, read_misses, write_misses })
+        };
+        // the first read of each line set its bit, or one of its halves'
+        let lines16 = self.filled.iter().map(|word| word.count_ones() as u64).sum();
+        let halves = |word: u64| (word | word >> 1) & 0x5555_5555_5555_5555;
+        let lines32 = self.filled.iter().map(|&word| halves(word).count_ones() as u64).sum();
+        StreamFootprint {
+            line16: footprint(4, lines16, self.write_misses[0]),
+            line32: footprint(5, lines32, self.write_misses[1]),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1138,15 +1377,38 @@ struct WindowGroup {
     members: Vec<usize>,
 }
 
+/// Where one stream's statistics come from for one configuration.
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    /// The capturing run's statistics, reused verbatim.
+    Captured,
+    /// Known in closed form: the stream cannot conflict in the cache (and,
+    /// for the memory stream, the window count cannot trap).
+    Closed(CacheStats),
+    /// The result of this walk class of the stream.
+    Walked(usize),
+}
+
 /// Per-configuration disposition within a [`ReplayBatch`].
 #[derive(Clone, Debug)]
 enum Disposition {
     /// Failed validation; [`crate::simulate`] fails with exactly this error.
     Invalid(SimError),
-    /// Valid: which walk classes (if any) this configuration's cache
-    /// statistics come from.  `None` means the captured geometry matches and
-    /// the capturing run's statistics are reused verbatim.
-    Valid { mem_class: Option<usize>, fetch_class: Option<usize> },
+    /// Valid: where this configuration's d-cache (with window traps) and
+    /// i-cache statistics come from.
+    Valid { mem: Source, fetch: Source },
+}
+
+/// The class index of `key`, appending it on first appearance.
+fn intern<K: Copy + Eq + Hash>(
+    key: K,
+    classes: &mut Vec<K>,
+    index: &mut HashMap<K, usize>,
+) -> usize {
+    *index.entry(key).or_insert_with(|| {
+        classes.push(key);
+        classes.len() - 1
+    })
 }
 
 /// A planned batch replay: every configuration of a sweep partitioned into
@@ -1155,12 +1417,16 @@ enum Disposition {
 ///
 /// The paper's central experiments — the 52-variable cost table and the
 /// exhaustive d-cache sweep — evaluate many configurations against one fixed
-/// program behaviour.  This plan walks each stream **once**, updating one
-/// lean cache model per distinct class simultaneously ([`crate::cache`]'s
-/// `TagCache`), and reconstructs every configuration's [`Stats`] closed-form
-/// from its class's walk results — bit-identical to full simulation and to
-/// any other partition of the same configurations into batches (pinned by
-/// `tests/replay_equivalence.rs`).
+/// program behaviour.  Each configuration's cache statistics come from one
+/// of three sources per stream: the capturing run (same geometry), a closed
+/// form (a cache the stream cannot conflict in, see [`LineFootprint`], and
+/// for the d-cache a window count of at least the maximum nesting depth +
+/// 2, which cannot trap), or a walk class.  The plan walks each stream
+/// **once** for all its classes, updating one lean cache model per class
+/// simultaneously ([`crate::cache`]'s `TagCache`), and reconstructs every
+/// configuration's [`Stats`] from its sources — bit-identical to full
+/// simulation and to any other partition of the same configurations into
+/// batches (pinned by `tests/replay_equivalence.rs`).
 ///
 /// The classes of each stream are exposed as an indexable axis
 /// ([`ReplayBatch::walk_mem_span`] / [`ReplayBatch::walk_fetch_span`]) so a
@@ -1178,12 +1444,16 @@ pub struct ReplayBatch<'a> {
 }
 
 impl<'a> ReplayBatch<'a> {
-    /// Plan a batch: validate every configuration and partition the batch
-    /// into distinct behavior classes (first-appearance order, so the plan
-    /// is deterministic for a given configuration sequence).  Performs no
-    /// walks.
+    /// Plan a batch: validate every configuration, finish what the captured
+    /// run or a closed form answers, and partition the rest into distinct
+    /// behavior classes (first-appearance order, so the plan is
+    /// deterministic for a given configuration sequence).  Performs no
+    /// walks; derives the trace's closed-form facts for a stream on the
+    /// first plan that needs them ([`Trace::mem_facts`],
+    /// [`Trace::fetch_footprint`]).
     pub fn new(trace: &'a Trace, configs: &[LeonConfig], max_cycles: u64) -> ReplayBatch<'a> {
         let captured = &trace.captured;
+        let summary = &trace.summary;
         let mut mem_classes = Vec::new();
         let mut fetch_classes = Vec::new();
         let mut mem_index: HashMap<MemClass, usize> = HashMap::new();
@@ -1194,27 +1464,43 @@ impl<'a> ReplayBatch<'a> {
                 if let Err(e) = config.validate() {
                     return Disposition::Invalid(SimError::InvalidConfig(e.to_string()));
                 }
-                let mem_class = if config.dcache == captured.dcache
-                    && config.iu.reg_windows == captured.iu.reg_windows
+                let windows = config.iu.reg_windows;
+                let mem = if config.dcache == captured.dcache && windows == captured.iu.reg_windows
                 {
-                    None
+                    Source::Captured
                 } else {
-                    let key =
-                        MemClass { dcache: config.dcache, reg_windows: config.iu.reg_windows };
-                    Some(*mem_index.entry(key).or_insert_with(|| {
-                        mem_classes.push(key);
-                        mem_classes.len() - 1
-                    }))
+                    let facts = trace.mem_facts();
+                    let trap_free = facts.trap_free(windows);
+                    let closed =
+                        facts.data.closed_form(&config.dcache, summary.loads, summary.stores);
+                    if trap_free
+                        && config.dcache == captured.dcache
+                        && facts.trap_free(captured.iu.reg_windows)
+                    {
+                        Source::Captured
+                    } else if let Some(stats) = closed.filter(|_| trap_free) {
+                        Source::Closed(stats)
+                    } else {
+                        // every trap-free count walks as the smallest one
+                        let reg_windows = match facts.max_depth {
+                            Some(depth) if trap_free => u8::try_from(depth + 2)
+                                .expect("a trap-free count is at most the configured count"),
+                            _ => windows,
+                        };
+                        let key = MemClass { dcache: config.dcache, reg_windows };
+                        Source::Walked(intern(key, &mut mem_classes, &mut mem_index))
+                    }
                 };
-                let fetch_class = if config.icache == captured.icache {
-                    None
+                let fetch = if config.icache == captured.icache {
+                    Source::Captured
+                } else if let Some(stats) =
+                    trace.fetch_footprint().closed_form(&config.icache, summary.instructions, 0)
+                {
+                    Source::Closed(stats)
                 } else {
-                    Some(*fetch_index.entry(config.icache).or_insert_with(|| {
-                        fetch_classes.push(config.icache);
-                        fetch_classes.len() - 1
-                    }))
+                    Source::Walked(intern(config.icache, &mut fetch_classes, &mut fetch_index))
                 };
-                Disposition::Valid { mem_class, fetch_class }
+                Disposition::Valid { mem, fetch }
             })
             .collect();
         ReplayBatch {
@@ -1237,12 +1523,14 @@ impl<'a> ReplayBatch<'a> {
         self.configs.is_empty()
     }
 
-    /// Number of distinct memory-walk behavior classes.
+    /// Number of distinct memory-walk behavior classes (configurations
+    /// answered by the capturing run or in closed form have none).
     pub fn mem_class_count(&self) -> usize {
         self.mem_classes.len()
     }
 
-    /// Number of distinct fetch-walk behavior classes.
+    /// Number of distinct fetch-walk behavior classes (configurations
+    /// answered by the capturing run or in closed form have none).
     pub fn fetch_class_count(&self) -> usize {
         self.fetch_classes.len()
     }
@@ -1415,14 +1703,18 @@ impl<'a> ReplayBatch<'a> {
             .zip(&self.configs)
             .map(|(disposition, config)| match disposition {
                 Disposition::Invalid(error) => Err(error.clone()),
-                Disposition::Valid { mem_class, fetch_class } => {
-                    let icache = match fetch_class {
-                        Some(class) => fetch[*class],
-                        None => trace.base_icache,
+                Disposition::Valid { mem: mem_source, fetch: fetch_source } => {
+                    let icache = match *fetch_source {
+                        Source::Captured => trace.base_icache,
+                        Source::Closed(stats) => stats,
+                        Source::Walked(class) => fetch[class],
                     };
-                    let (dcache, overflows, underflows) = match mem_class {
-                        Some(class) => mem[*class],
-                        None => (trace.base_dcache, trace.base_overflows, trace.base_underflows),
+                    let (dcache, overflows, underflows) = match *mem_source {
+                        Source::Captured => {
+                            (trace.base_dcache, trace.base_overflows, trace.base_underflows)
+                        }
+                        Source::Closed(stats) => (stats, 0, 0),
+                        Source::Walked(class) => mem[class],
                     };
                     reconstruct_stats(
                         &trace.summary,
@@ -1789,9 +2081,9 @@ impl FetchSpanWalker<'_> {
 /// but a batch of N configurations performs at most **two** trace walks —
 /// one over the memory stream for all distinct (d-cache geometry, window
 /// count) classes, one over the record stream for all distinct i-cache
-/// geometries — where N one-configuration replays perform up to 2N.
-/// Callers with a worker pool should partition the classes instead (see
-/// [`ReplayBatch`]).
+/// geometries, each skipped when the stream has no class — where N
+/// one-configuration replays perform up to 2N.  Callers with a worker pool
+/// should partition the classes instead (see [`ReplayBatch`]).
 pub fn replay_batch(
     trace: &Trace,
     configs: &[LeonConfig],
@@ -1821,8 +2113,18 @@ pub fn capture(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Cache;
     use crate::config::{Multiplier, ReplacementPolicy};
     use leon_isa::{Asm, Reg};
+
+    /// Serialises the tests that walk a trace: two of them assert exact
+    /// deltas of the process-wide walk counters, which any concurrent walk
+    /// would disturb.
+    static WALKS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn walk_lock() -> std::sync::MutexGuard<'static, ()> {
+        WALKS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn demo_program() -> leon_isa::Program {
         let mut a = Asm::new("trace-demo");
@@ -1858,6 +2160,39 @@ mod tests {
         a.assemble().unwrap()
     }
 
+    /// A program no closed form covers: 1.6 KB of straight-line text (a
+    /// 1 KB i-cache way conflicts), data 128 KB apart (so does every
+    /// d-cache) and recursion 12 deep (fewer than 14 windows trap).
+    fn wide_program() -> leon_isa::Program {
+        let mut a = Asm::new("wide");
+        a.set(Reg::L0, leon_isa::DATA_BASE);
+        a.set(Reg::L1, 3);
+        a.set(Reg::L4, 128 * 1024);
+        a.label("loop");
+        for _ in 0..400 {
+            a.add(Reg::L2, Reg::L2, 1);
+        }
+        a.st(Reg::L2, Reg::L0, 0);
+        a.ld(Reg::L3, Reg::L0, 4);
+        a.add(Reg::L0, Reg::L0, Reg::L4);
+        a.subcc(Reg::L1, Reg::L1, 1);
+        a.bne("loop");
+        a.set(Reg::O0, 11);
+        a.call("func");
+        a.halt();
+        a.label("func");
+        a.save(Reg::SP, Reg::SP, -96);
+        a.st(Reg::I0, Reg::SP, 64);
+        a.cmp(Reg::I0, 0);
+        a.be("leaf");
+        a.add(Reg::O0, Reg::I0, -1_i32);
+        a.call("func");
+        a.label("leaf");
+        a.ld(Reg::L0, Reg::SP, 64);
+        a.ret_restore();
+        a.assemble().unwrap()
+    }
+
     #[test]
     fn capture_matches_plain_simulation() {
         let config = LeonConfig::base();
@@ -1885,6 +2220,7 @@ mod tests {
 
     #[test]
     fn replay_retimes_cache_and_latency_perturbations_exactly() {
+        let _walks = walk_lock();
         let base = LeonConfig::base();
         let program = demo_program();
         let (_, trace) = capture(&base, &program, 1_000_000).unwrap();
@@ -1928,6 +2264,7 @@ mod tests {
 
     #[test]
     fn replay_retimes_register_window_changes_exactly() {
+        let _walks = walk_lock();
         // the recursion depth (12) straddles every window count here, so the
         // trap pattern genuinely differs between configurations
         let base = LeonConfig::base();
@@ -1987,6 +2324,7 @@ mod tests {
 
     #[test]
     fn replay_batch_matches_elementwise_replay_on_a_mixed_batch() {
+        let _walks = walk_lock();
         let base = LeonConfig::base();
         for program in [demo_program(), recursing_program()] {
             let (_, trace) = capture(&base, &program, 1_000_000).unwrap();
@@ -2044,10 +2382,8 @@ mod tests {
 
     #[test]
     fn batch_plan_deduplicates_behavior_classes_and_walks_once_per_span() {
+        let _walks = walk_lock();
         let base = LeonConfig::base();
-        let program = recursing_program();
-        let (_, trace) = capture(&base, &program, 1_000_000).unwrap();
-
         let mut dcache_small = base;
         dcache_small.dcache.way_kb = 1;
         let mut windows_low = base;
@@ -2056,15 +2392,54 @@ mod tests {
         icache_small.icache.way_kb = 1;
         let mut closed_form = base;
         closed_form.iu.multiplier = Multiplier::M32x32;
-        let configs =
-            [base, dcache_small, dcache_small, windows_low, icache_small, closed_form, base];
+        let mut windows_high = base;
+        windows_high.iu.reg_windows = 16;
+        let mut windows_max = base;
+        windows_max.iu.reg_windows = 32;
+        let configs = [
+            base,
+            dcache_small,
+            dcache_small,
+            windows_low,
+            icache_small,
+            closed_form,
+            base,
+            windows_high,
+            windows_max,
+        ];
 
+        // recursion 13 deep: 8 windows trap, so the d-cache variants walk;
+        // the ~40-byte text cannot conflict in a 1 KB way, so the i-cache
+        // variant is closed form, and so are 16 and 32 windows — trap-free,
+        // over a program with no loads or stores
+        let (_, trace) = capture(&base, &recursing_program(), 1_000_000).unwrap();
         let plan = ReplayBatch::new(&trace, &configs, 1_000_000);
-        assert_eq!(plan.len(), 7);
+        assert_eq!(plan.len(), 9);
         // duplicates and base-geometry configs never create classes
         assert_eq!(plan.mem_class_count(), 2, "dcache_small (deduped) + windows_low");
+        assert_eq!(plan.fetch_class_count(), 0, "icache_small is closed form");
+        assert_eq!(plan.class_count(), 2);
+        let before = trace_walks_performed();
+        let mem = plan.walk_mem_span(0..plan.mem_class_count());
+        assert_eq!(trace_walks_performed() - before, 1);
+        // empty spans — here the whole fetch stream — are free
+        let fetch = plan.walk_fetch_span(0..plan.fetch_class_count());
+        assert!(fetch.is_empty() && plan.walk_mem_span(0..0).is_empty());
+        assert_eq!(trace_walks_performed() - before, 1);
+        for (result, config) in plan.finish(&mem, &fetch).iter().zip(&configs) {
+            assert_eq!(
+                result.as_ref().unwrap(),
+                &walked_replay(&trace, config, 1_000_000).unwrap()
+            );
+        }
+
+        // the wide program walks every variant: 16 and 32 windows are both
+        // trap-free there (depth 12) and share one class
+        let (_, trace) = capture(&base, &wide_program(), 1_000_000).unwrap();
+        let plan = ReplayBatch::new(&trace, &configs, 1_000_000);
+        assert_eq!(plan.mem_class_count(), 3, "dcache_small + windows_low + trap-free windows");
         assert_eq!(plan.fetch_class_count(), 1, "icache_small");
-        assert_eq!(plan.class_count(), 3);
+        assert_eq!(plan.class_count(), 4);
 
         // a span walk is exactly one counted pass over the stream
         let before = trace_walks_performed();
@@ -2072,18 +2447,17 @@ mod tests {
         assert_eq!(trace_walks_performed() - before, 1);
         let fetch = plan.walk_fetch_span(0..plan.fetch_class_count());
         assert_eq!(trace_walks_performed() - before, 2);
-        // empty spans are free
-        assert!(plan.walk_mem_span(0..0).is_empty());
-        assert_eq!(trace_walks_performed() - before, 2);
 
         // split spans produce the same per-class results as the fused pass
         let first = plan.walk_mem_span(0..1);
-        let second = plan.walk_mem_span(1..2);
-        assert_eq!(mem, [first, second].concat());
+        let rest = plan.walk_mem_span(1..3);
+        assert_eq!(mem, [first, rest].concat());
 
         let finished = plan.finish(&mem, &fetch);
         for (result, config) in finished.iter().zip(&configs) {
             assert_eq!(result.as_ref().unwrap(), &replay(&trace, config, 1_000_000).unwrap());
+            let full = crate::simulate(config, &wide_program(), 1_000_000).unwrap();
+            assert_eq!(result.as_ref().unwrap(), &full.stats);
         }
     }
 
@@ -2112,6 +2486,7 @@ mod tests {
 
     #[test]
     fn binary_codec_round_trips_exactly() {
+        let _walks = walk_lock();
         let mut config = LeonConfig::base();
         // a non-default capture configuration exercises every encoded field
         config.icache.ways = 2;
@@ -2313,6 +2688,7 @@ mod tests {
 
     #[test]
     fn resegmented_traces_replay_and_round_trip_identically() {
+        let _walks = walk_lock();
         let base = LeonConfig::base();
         let configs = mixed_batch(&base);
         for program in [demo_program(), recursing_program()] {
@@ -2338,42 +2714,307 @@ mod tests {
 
     #[test]
     fn segment_walkers_tick_the_segment_counter() {
+        let _walks = walk_lock();
         let base = LeonConfig::base();
-        let (_, mut trace) = capture(&base, &recursing_program(), 1_000_000).unwrap();
-        let step = (trace.ops.len() / 4).max(1);
-        let boundaries: Vec<usize> = (0..trace.ops.len()).step_by(step).collect();
-        trace.resegment_at(&boundaries);
-        let segments = trace.segment_count() as u64;
-        assert!(segments >= 3);
-
         let configs = mixed_batch(&base);
-        let plan = ReplayBatch::new(&trace, &configs, 1_000_000);
-        let walks_before = trace_walks_performed();
-        let segs_before = trace_segments_walked();
-        let mem = plan.walk_mem_span(0..plan.mem_class_count());
-        let fetch = plan.walk_fetch_span(0..plan.fetch_class_count());
-        assert_eq!(trace_walks_performed() - walks_before, 2);
-        assert_eq!(trace_segments_walked() - segs_before, 2 * segments);
+        // the recursing program's i-cache variant is closed form (no fetch
+        // walk); the wide program walks both streams
+        for (program, streams) in [(recursing_program(), 1u64), (wide_program(), 2)] {
+            let (_, mut trace) = capture(&base, &program, 1_000_000).unwrap();
+            let step = (trace.ops.len() / 4).max(1);
+            let boundaries: Vec<usize> = (0..trace.ops.len()).step_by(step).collect();
+            trace.resegment_at(&boundaries);
+            let segments = trace.segment_count() as u64;
+            assert!(segments >= 3);
 
-        // per-segment partials reduce to exactly the fused span results
-        let mut walker = plan.mem_span_walker(0..plan.mem_class_count());
-        let partials: Vec<MemSegmentPartial> =
-            (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
-        assert_eq!(plan.reduce_mem_partials(0..plan.mem_class_count(), &partials), mem);
-        let mut walker = plan.fetch_span_walker(0..plan.fetch_class_count());
-        let partials: Vec<FetchSegmentPartial> =
-            (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
-        assert_eq!(plan.reduce_fetch_partials(0..plan.fetch_class_count(), &partials), fetch);
+            let plan = ReplayBatch::new(&trace, &configs, 1_000_000);
+            assert_eq!(plan.mem_class_count(), 1, "{}", program.name);
+            assert_eq!(plan.fetch_class_count() as u64, streams - 1, "{}", program.name);
+            let walks_before = trace_walks_performed();
+            let segs_before = trace_segments_walked();
+            let mem = plan.walk_mem_span(0..plan.mem_class_count());
+            let fetch = plan.walk_fetch_span(0..plan.fetch_class_count());
+            assert_eq!(trace_walks_performed() - walks_before, streams, "{}", program.name);
+            assert_eq!(trace_segments_walked() - segs_before, streams * segments);
 
-        // a one-configuration `replay` is a batch too: a config changing
-        // both caches walks each stream once, segment by segment
-        let mut both = base;
-        both.dcache.way_kb = 1;
-        both.icache.way_kb = 1;
-        let walks_before = trace_walks_performed();
-        let segs_before = trace_segments_walked();
-        replay(&trace, &both, 1_000_000).unwrap();
-        assert_eq!(trace_walks_performed() - walks_before, 2);
-        assert_eq!(trace_segments_walked() - segs_before, 2 * segments);
+            // per-segment partials reduce to exactly the fused span results
+            let mut walker = plan.mem_span_walker(0..plan.mem_class_count());
+            let partials: Vec<MemSegmentPartial> =
+                (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
+            assert_eq!(plan.reduce_mem_partials(0..plan.mem_class_count(), &partials), mem);
+            if streams == 2 {
+                let mut walker = plan.fetch_span_walker(0..plan.fetch_class_count());
+                let partials: Vec<FetchSegmentPartial> =
+                    (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
+                assert_eq!(
+                    plan.reduce_fetch_partials(0..plan.fetch_class_count(), &partials),
+                    fetch
+                );
+            }
+
+            // a one-configuration `replay` is a batch too: a config changing
+            // both caches walks each stream it cannot finish in closed form
+            // once, segment by segment
+            let mut both = base;
+            both.dcache.way_kb = 1;
+            both.icache.way_kb = 1;
+            let walks_before = trace_walks_performed();
+            let segs_before = trace_segments_walked();
+            replay(&trace, &both, 1_000_000).unwrap();
+            assert_eq!(trace_walks_performed() - walks_before, streams);
+            assert_eq!(trace_segments_walked() - segs_before, streams * segments);
+        }
+    }
+
+    /// Replay `config` with every stream that differs from capture walked:
+    /// the plan without its closed forms and window equivalence, i.e. the
+    /// reference the closed forms must equal exactly.
+    fn walked_replay(
+        trace: &Trace,
+        config: &LeonConfig,
+        max_cycles: u64,
+    ) -> Result<Stats, SimError> {
+        config.validate().map_err(|e| SimError::InvalidConfig(e.to_string()))?;
+        let plan = ReplayBatch {
+            trace,
+            max_cycles,
+            configs: vec![*config],
+            dispositions: Vec::new(),
+            mem_classes: vec![MemClass {
+                dcache: config.dcache,
+                reg_windows: config.iu.reg_windows,
+            }],
+            fetch_classes: vec![config.icache],
+        };
+        let captured = &trace.captured;
+        let (dcache, overflows, underflows) = if config.dcache == captured.dcache
+            && config.iu.reg_windows == captured.iu.reg_windows
+        {
+            (trace.base_dcache, trace.base_overflows, trace.base_underflows)
+        } else {
+            plan.walk_mem_span(0..1)[0]
+        };
+        let icache = if config.icache == captured.icache {
+            trace.base_icache
+        } else {
+            plan.walk_fetch_span(0..1)[0]
+        };
+        reconstruct_stats(&trace.summary, config, icache, dcache, overflows, underflows, max_cycles)
+    }
+
+    /// Every valid d-cache or i-cache geometry at the given line size.
+    fn geometries(line_words: u8) -> Vec<CacheConfig> {
+        let mut out = Vec::new();
+        for (ways, replacement) in [
+            (1u8, ReplacementPolicy::Random),
+            (2, ReplacementPolicy::Random),
+            (2, ReplacementPolicy::Lrr),
+            (2, ReplacementPolicy::Lru),
+            (3, ReplacementPolicy::Lru),
+            (4, ReplacementPolicy::Random),
+            (4, ReplacementPolicy::Lru),
+        ] {
+            for way_kb in CacheConfig::VALID_WAY_KB {
+                out.push(CacheConfig { ways, way_kb, line_words, replacement });
+            }
+        }
+        out
+    }
+
+    /// A batch crossing cache geometries with window counts: every
+    /// d-cache geometry at each window count in `windows`, and every
+    /// i-cache geometry.
+    fn geometry_batch(windows: &[u8]) -> Vec<LeonConfig> {
+        let base = LeonConfig::base();
+        let mut configs = Vec::new();
+        for line_words in [4, 8] {
+            for cache in geometries(line_words) {
+                for &reg_windows in windows {
+                    let mut c = base;
+                    c.dcache = cache;
+                    c.iu.reg_windows = reg_windows;
+                    configs.push(c);
+                }
+                let mut c = base;
+                c.icache = cache;
+                configs.push(c);
+            }
+        }
+        configs
+    }
+
+    #[test]
+    fn closed_forms_equal_the_walk_and_the_simulator() {
+        let _walks = walk_lock();
+        // every geometry × window count the shortcuts could take, on
+        // programs inside and outside their reach: the batch (closed forms,
+        // window equivalence) must equal the forced walk and full
+        // simulation exactly
+        let base = LeonConfig::base();
+        let configs = geometry_batch(&[2, 8, 14, 15, 32]);
+        for program in [demo_program(), recursing_program(), wide_program()] {
+            let (_, trace) = capture(&base, &program, 1_000_000).unwrap();
+            let batched = replay_batch(&trace, &configs, 1_000_000);
+            for (config, result) in configs.iter().zip(&batched) {
+                let walked = walked_replay(&trace, config, 1_000_000);
+                assert_eq!(result, &walked, "{}: {config:?}", program.name);
+                let full = crate::simulate(config, &program, 1_000_000).unwrap();
+                assert_eq!(result.as_ref().unwrap(), &full.stats, "{}: {config:?}", program.name);
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_facts_are_derived_lazily_once_per_stream() {
+        let base = LeonConfig::base();
+        let (_, trace) = capture(&base, &wide_program(), 1_000_000).unwrap();
+        let unset = |t: &Trace| (t.facts.mem.get().is_none(), t.facts.fetch.get().is_none());
+        assert_eq!(unset(&trace), (true, true), "capture derives nothing");
+        let decoded = Trace::from_bytes(&trace.to_bytes()).unwrap();
+        assert_eq!(unset(&decoded), (true, true), "decode derives nothing");
+
+        // a plan derives only the streams it needs: none for the captured
+        // geometry, then the fetch stream for an i-cache variant
+        let mut icache_small = base;
+        icache_small.icache.way_kb = 1;
+        ReplayBatch::new(&decoded, &[base], 1_000_000);
+        assert_eq!(unset(&decoded), (true, true));
+        ReplayBatch::new(&decoded, &[icache_small], 1_000_000);
+        assert_eq!(unset(&decoded), (true, false));
+        let mut windows = base;
+        windows.iu.reg_windows = 16;
+        ReplayBatch::new(&decoded, &[windows], 1_000_000);
+        assert_eq!(unset(&decoded), (false, false));
+        // derived once: later plans read the cached facts
+        let facts: *const MemFacts = decoded.mem_facts();
+        ReplayBatch::new(&decoded, &[windows, icache_small], 1_000_000);
+        assert!(std::ptr::eq(facts, decoded.mem_facts()));
+
+        // the facts are no part of equality, and re-cutting drops them
+        assert_eq!(decoded, trace);
+        assert_eq!(decoded.mem_facts().max_depth, Some(12));
+        assert_eq!(decoded.mem_facts().data.line16, None, "data 128 KB apart is wide");
+        let text = decoded.fetch_footprint().line16.unwrap();
+        assert!(text.span() > 64, "1.6 KB of text spans more than a 1 KB way");
+        let mut recut = decoded.clone();
+        recut.resegment_at(&[0]);
+        assert_eq!(unset(&recut), (true, true));
+    }
+
+    /// Re-encode `trace` after `damage` rewrote its records, and decode it:
+    /// a trace only a hostile input can produce, with a valid checksum.
+    fn hostile(trace: &Trace, damage: impl FnOnce(&mut Vec<TraceOp>)) -> Trace {
+        let mut altered = trace.clone();
+        damage(&mut altered.ops);
+        altered.resegment_at(&Trace::default_boundaries(altered.ops.len()));
+        Trace::from_bytes(&altered.to_bytes()).expect("the altered trace is well-formed")
+    }
+
+    #[test]
+    fn hostile_traces_replay_exactly_as_the_walk() {
+        let _walks = walk_lock();
+        let base = LeonConfig::base();
+        let configs = geometry_batch(&[2, 3, 8, 32]);
+        let (_, demo) = capture(&base, &demo_program(), 1_000_000).unwrap();
+        let (_, recursing) = capture(&base, &recursing_program(), 1_000_000).unwrap();
+        let relocate = |base_addr: u32| {
+            move |ops: &mut Vec<TraceOp>| {
+                for op in ops.iter_mut().filter(|op| op.flags & (flags::LOAD | flags::STORE) != 0) {
+                    op.aux = base_addr.wrapping_add(op.aux & 0xfff);
+                }
+            }
+        };
+        let restore_first = |ops: &mut Vec<TraceOp>| {
+            let restore = TraceOp { pc: 0, flags: flags::RESTORE, aux: 0x1000 };
+            ops.insert(0, restore);
+        };
+        let cases = [
+            // a `restore` before any `save`: it underflows under every
+            // window count, so no count is trap-free
+            ("restore first", hostile(&recursing, restore_first), None),
+            ("restore first, no saves", hostile(&demo, restore_first), None),
+            // loads and stores in the last 4 KB below u32::MAX: a footprint
+            // like any other
+            ("near u32::MAX", hostile(&demo, relocate(0xffff_f000)), Some(true)),
+            // ... and straddling the wrap to 0: lines a whole address space
+            // apart, so always walked
+            ("wrapping", hostile(&demo, relocate(0xffff_ff80)), Some(false)),
+        ];
+        for (name, trace, fits) in &cases {
+            let facts = trace.mem_facts();
+            match fits {
+                None => assert_eq!(facts.max_depth, None, "{name}"),
+                Some(fits) => assert_eq!(facts.data.line16.is_some(), *fits, "{name}"),
+            }
+            let batched = replay_batch(trace, &configs, 1_000_000_000);
+            for (config, result) in configs.iter().zip(&batched) {
+                let walked = walked_replay(trace, config, 1_000_000_000);
+                assert_eq!(result, &walked, "{name}: {config:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_cache_stats_match_the_cache_on_every_policy_and_geometry() {
+        // the oracle: drive the general `Cache` over random read/write
+        // streams whose lines fit, and do not fit, each geometry; wherever
+        // the closed form applies it must equal `Cache::stats()`, and it
+        // must apply whenever the touched lines fit in one way's sets
+        let mut state = 0x5eed_u64;
+        let mut next = move |n: u64| -> u64 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let mut applied = 0;
+        for line_words in [4u8, 8] {
+            for config in geometries(line_words) {
+                let line_bytes = config.line_bytes();
+                let sets = config.lines_per_way();
+                // the widest fitting range, twice that, and a stream near
+                // the top of the address space
+                for (span_lines, top) in [(sets, false), (2 * sets, false), (sets, true)] {
+                    let base = if top {
+                        0u32.wrapping_sub(span_lines * line_bytes)
+                    } else {
+                        next(1 << 20) as u32 * line_bytes
+                    };
+                    let mut cache = Cache::new(config);
+                    let mut stream = Vec::new();
+                    let (mut reads, mut writes) = (0u64, 0u64);
+                    let (mut first, mut last) = (u32::MAX, 0u32);
+                    for _ in 0..3000 {
+                        let addr =
+                            base.wrapping_add(next((span_lines * line_bytes) as u64) as u32 & !3);
+                        let write = next(3) == 0;
+                        if write {
+                            writes += 1;
+                            cache.write(addr);
+                        } else {
+                            reads += 1;
+                            cache.read(addr);
+                        }
+                        stream.push(addr as u64 | if write { TagCache::WRITE_BIT } else { 0 });
+                        first = first.min(addr / line_bytes);
+                        last = last.max(addr / line_bytes);
+                    }
+                    let footprint = MemFacts::derive(&stream).data;
+                    let closed = footprint.closed_form(&config, reads, writes);
+                    assert_eq!(
+                        closed.is_some(),
+                        last - first < sets,
+                        "{config:?} span {span_lines}"
+                    );
+                    if let Some(stats) = closed {
+                        assert_eq!(stats, cache.stats(), "{config:?} span {span_lines}");
+                        applied += 1;
+                    }
+                }
+            }
+        }
+        let fitting_streams = 2 * (geometries(4).len() + geometries(8).len());
+        assert!(applied >= fitting_streams, "every geometry must see fitting streams: {applied}");
     }
 }

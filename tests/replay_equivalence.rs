@@ -3,6 +3,13 @@
 //! simulator's `cycles` and cache statistics *bit-identically* — on every
 //! workload of the paper's suite.  This is the property the fast measurement
 //! path in `autoreconf::measure` and the Figure 2 sweep rely on.
+//!
+//! The suite's guests are small enough that replay finishes most of their
+//! configurations in closed form, so the property tests also run the probe
+//! guest (`probe_guest`), which keeps the fetch walk, the window-trap
+//! expansion and the mixed-window-count memory walk under the same check.
+
+mod probe_guest;
 
 use std::sync::OnceLock;
 
@@ -134,20 +141,70 @@ fn replay_rejects_invalid_configurations_like_the_simulator() {
     assert!(matches!(sim::replay(&trace, &c, MAX_CYCLES), Err(SimError::InvalidConfig(_))));
 }
 
-/// One captured (program, trace) per suite workload, shared by every
-/// property-test case (capture is the expensive part and is config-free).
+/// One captured (program, trace) per suite workload plus the probe guest,
+/// shared by every property-test case (capture is the expensive part and is
+/// config-free).
 fn captured_suite() -> &'static Vec<(String, Program, Trace)> {
     static SUITE: OnceLock<Vec<(String, Program, Trace)>> = OnceLock::new();
     SUITE.get_or_init(|| {
         benchmark_suite(Scale::Tiny)
             .iter()
-            .map(|w| {
-                let program = w.build();
+            .map(|w| (w.name().to_string(), w.build()))
+            .chain([("PROBE".to_string(), probe_guest::probe_program())])
+            .map(|(name, program)| {
                 let (_, trace) = sim::capture(&LeonConfig::base(), &program, MAX_CYCLES).unwrap();
-                (w.name().to_string(), program, trace)
+                (name, program, trace)
             })
             .collect()
     })
+}
+
+#[test]
+fn probe_guest_walks_what_the_suite_finishes_in_closed_form() {
+    let (_, program, trace) = captured_suite().last().unwrap();
+    let base = LeonConfig::base();
+    let mut small_icache = base;
+    small_icache.icache.way_kb = 1;
+    let mut large_icache = base;
+    large_icache.icache.way_kb = 2;
+    let mut large_dcache = base;
+    large_dcache.dcache.ways = 4;
+    large_dcache.dcache.way_kb = 64;
+    large_dcache.dcache.replacement = ReplacementPolicy::Lru;
+    // a batch mixing trapping window counts walks access by access
+    let windows = |n: u8| {
+        let mut c = base;
+        c.iu.reg_windows = n;
+        c
+    };
+    let configs = [
+        small_icache,
+        large_icache,
+        large_dcache,
+        windows(2),
+        windows(13),
+        windows(14),
+        windows(32),
+    ];
+
+    let plan = sim::ReplayBatch::new(trace, &configs, MAX_CYCLES);
+    assert_eq!(trace.mem_facts().max_depth, Some(12));
+    assert_eq!(plan.fetch_class_count(), 1, "a 1 KB way walks, a 2 KB way is closed form");
+    assert_eq!(
+        plan.mem_class_count(),
+        4,
+        "the 64 KB d-cache, 2 and 13 windows, and one class for 14 and 32 windows (trap-free)"
+    );
+    let walks = sim::trace_walks_performed();
+    let replayed = sim::replay_batch(trace, &configs, MAX_CYCLES);
+    assert!(sim::trace_walks_performed() - walks >= 2, "both streams are walked");
+    for (config, replayed) in configs.iter().zip(replayed) {
+        let full = sim::simulate(config, program, MAX_CYCLES).unwrap();
+        assert_eq!(replayed.unwrap(), full.stats, "PROBE: {config:?}");
+        if config.iu.reg_windows < 14 {
+            assert!(full.stats.window_overflows > 0, "{} windows trap", config.iu.reg_windows);
+        }
+    }
 }
 
 /// Decode a seed into a *structurally valid* configuration covering the

@@ -9,7 +9,11 @@
 //! * and the class-span × segment worker pool (`replay_batch_indexed`) at
 //!   `threads = 1` and `threads = 4`.
 //!
-//! All four workloads of the paper's suite are covered.
+//! All four workloads of the paper's suite are covered, plus the probe
+//! guest (`probe_guest`), whose configurations still walk both streams
+//! where the suite's are finished in closed form.
+
+mod probe_guest;
 
 use std::sync::OnceLock;
 
@@ -21,17 +25,19 @@ use proptest::prelude::*;
 
 const MAX_CYCLES: u64 = 400_000_000;
 
-/// One captured trace per suite workload, shared by every test case
-/// (capture is the expensive part and is segmentation-free).
+/// One captured trace per suite workload plus the probe guest, shared by
+/// every test case (capture is the expensive part and is
+/// segmentation-free).
 fn captured_suite() -> &'static Vec<(String, Trace)> {
     static SUITE: OnceLock<Vec<(String, Trace)>> = OnceLock::new();
     SUITE.get_or_init(|| {
         benchmark_suite(Scale::Tiny)
             .iter()
-            .map(|w| {
-                let program = w.build();
+            .map(|w| (w.name().to_string(), w.build()))
+            .chain([("PROBE".to_string(), probe_guest::probe_program())])
+            .map(|(name, program)| {
                 let (_, trace) = sim::capture(&LeonConfig::base(), &program, MAX_CYCLES).unwrap();
-                (w.name().to_string(), trace)
+                (name, trace)
             })
             .collect()
     })
