@@ -7,11 +7,12 @@
 //!
 //! * `capture/<workload>` — one verified guest run with tracing on
 //!   (`workloads::capture_verified`), the work a stored trace saves;
-//! * `encode/<workload>` — `Trace::to_bytes`: header, segment index,
-//!   records and the XXH64 trailer;
-//! * `decode/<workload>` — `Trace::from_bytes`: the trailer check, header
-//!   and index, the records, and the derived summary, folded stream and
-//!   segment table.
+//! * `encode/<workload>` — `Trace::to_bytes` (format version 5): the
+//!   header with the event counts, the two segment indexes, the fetch runs
+//!   and folded memory items at 8 bytes each, and the XXH64 trailer;
+//! * `decode/<workload>` — `Trace::from_bytes`: the trailer check, the
+//!   header and indexes, one bulk read per stream, and one validation pass
+//!   of the streams against the counts.  Nothing is derived.
 //!
 //! ROADMAP item 3 targets encode + decode ≤ 25% of capture per workload.
 //! Before anything is timed, `prepare` asserts that every trace
@@ -41,11 +42,12 @@ fn prepare(workload: Box<dyn Workload + Send + Sync>) -> Prepared {
         workload.name()
     );
     eprintln!(
-        "codec: {} round-trips ({} records, {} segments, {} bytes)",
+        "codec: {} round-trips ({} fetch runs, {} memory items, {} bytes, {:.2} per instruction)",
         workload.name(),
-        trace.len(),
-        trace.segment_count(),
-        bytes.len()
+        trace.fetch_runs().len(),
+        trace.memory_items().len(),
+        bytes.len(),
+        bytes.len() as f64 / trace.instructions() as f64
     );
     Prepared { workload, trace, bytes }
 }
@@ -60,11 +62,13 @@ fn codec(c: &mut Criterion) {
     for p in &prepared {
         let name = p.workload.name().to_lowercase();
         group.bench_function(format!("capture/{name}"), |b| {
-            b.iter(|| capture_verified(p.workload.as_ref(), &base, MAX_CYCLES).unwrap().1.len())
+            b.iter(|| {
+                capture_verified(p.workload.as_ref(), &base, MAX_CYCLES).unwrap().1.instructions()
+            })
         });
         group.bench_function(format!("encode/{name}"), |b| b.iter(|| p.trace.to_bytes().len()));
         group.bench_function(format!("decode/{name}"), |b| {
-            b.iter(|| Trace::from_bytes(&p.bytes).unwrap().len())
+            b.iter(|| Trace::from_bytes(&p.bytes).unwrap().instructions())
         });
     }
     group.finish();

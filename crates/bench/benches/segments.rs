@@ -62,10 +62,10 @@ fn prepare(scale: Scale) -> Prepared {
         );
     }
     eprintln!(
-        "segments: contracts verified at scale {:?} ({} records, {} segments, {} configs)",
+        "segments: contracts verified at scale {:?} ({} memory items, {} segments, {} configs)",
         scale,
-        trace.len(),
-        trace.segment_count(),
+        trace.memory_items().len(),
+        trace.memory_segment_count(),
         configs.len()
     );
     Prepared { scale, trace, configs }

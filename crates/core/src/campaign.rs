@@ -164,14 +164,15 @@ fn class_spans(count: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
 ///
 /// Each class span owns a stateful segmented walker
 /// ([`leon_sim::MemSpanWalker`]/[`leon_sim::FetchSpanWalker`]) parked in a
-/// per-span slot; the work unit `(span g, segment s)` waits until segment
-/// `s − 1` of its span is done, resumes the walker through segment `s`, and
-/// parks it again.  Units are laid out segment-major (`i = s·nspans + g`)
-/// and `run_indexed` claims indexes in order, so a unit's predecessor is
-/// always already claimed and being computed — chains make progress, and
-/// different spans' segments overlap in time.  This unlocks *intra-trace*
-/// parallelism: a sweep dominated by one big trace stream no longer
-/// serialises on a single monolithic walk.
+/// per-span slot; a memory span walks the memory stream's segments and a
+/// fetch span the fetch stream's, each stream cut on its own.  The work
+/// unit `(span g, segment s)` waits until segment `s − 1` of its span is
+/// done, resumes the walker through segment `s`, and parks it again.  Units
+/// are laid out segment-major and `run_indexed` claims indexes in order, so
+/// a unit's predecessor is always already claimed and being computed —
+/// chains make progress, and different spans' segments overlap in time.
+/// This unlocks *intra-trace* parallelism: a sweep dominated by one big
+/// trace stream no longer serialises on a single monolithic walk.
 ///
 /// Element `i` of the result equals `leon_sim::replay(trace, &configs[i],
 /// max_cycles)` bit-for-bit (including errors), at any thread count: each
@@ -195,9 +196,19 @@ pub fn replay_batch_indexed(
     let mem_spans = class_spans(plan.mem_class_count(), workers);
     let fetch_spans = class_spans(plan.fetch_class_count(), workers);
     let nspans = mem_spans.len() + fetch_spans.len();
-    let segments = plan.segment_count();
-    if nspans == 0 || segments == 0 {
-        // no classes to walk, or an empty trace (every span reduces over
+    // span g walks the memory stream when g < mem_spans.len()
+    let segments_of = |g: usize| {
+        if g < mem_spans.len() {
+            plan.mem_segment_count()
+        } else {
+            plan.fetch_segment_count()
+        }
+    };
+    let units: Vec<(usize, usize)> = (0..(0..nspans).map(segments_of).max().unwrap_or(0))
+        .flat_map(|s| (0..nspans).filter(move |&g| s < segments_of(g)).map(move |g| (g, s)))
+        .collect();
+    if units.is_empty() {
+        // no classes to walk, or empty streams (every span reduces over
         // zero partials — `walk_*_span` handles both for free)
         let mem: Vec<_> =
             mem_spans.iter().flat_map(|span| plan.walk_mem_span(span.clone())).collect();
@@ -222,8 +233,8 @@ pub fn replay_batch_indexed(
         .map(|_| (Mutex::new(ChainSlot { walker: None, next_seg: 0 }), Condvar::new()))
         .collect();
 
-    let outs = run_indexed(nspans * segments, threads, |i| {
-        let (g, s) = (i % nspans, i / nspans);
+    let outs = run_indexed(units.len(), threads, |i| {
+        let (g, s) = units[i];
         let (lock, ready) = &chains[g];
         let mut slot = lock.lock().unwrap();
         while slot.next_seg != s {
@@ -253,28 +264,27 @@ pub fn replay_batch_indexed(
         partial
     });
 
-    let mut outs: Vec<Option<Partial>> = outs.into_iter().map(Some).collect();
-    let mut mem = Vec::with_capacity(plan.mem_class_count());
-    let mut fetch = Vec::with_capacity(plan.fetch_class_count());
-    for (g, span) in mem_spans.iter().enumerate() {
-        let partials: Vec<leon_sim::MemSegmentPartial> = (0..segments)
-            .map(|s| match outs[s * nspans + g].take() {
-                Some(Partial::Mem(p)) => p,
-                _ => unreachable!("mem span units produce mem partials"),
-            })
-            .collect();
-        mem.extend(plan.reduce_mem_partials(span.clone(), &partials));
+    // units are segment-major, so each span's partials arrive in segment
+    // order
+    let mut mem_partials: Vec<Vec<leon_sim::MemSegmentPartial>> = vec![Vec::new(); mem_spans.len()];
+    let mut fetch_partials: Vec<Vec<leon_sim::FetchSegmentPartial>> =
+        vec![Vec::new(); fetch_spans.len()];
+    for (&(g, _), partial) in units.iter().zip(outs) {
+        match partial {
+            Partial::Mem(p) => mem_partials[g].push(p),
+            Partial::Fetch(p) => fetch_partials[g - mem_spans.len()].push(p),
+        }
     }
-    for (g, span) in fetch_spans.iter().enumerate() {
-        let g = g + mem_spans.len();
-        let partials: Vec<leon_sim::FetchSegmentPartial> = (0..segments)
-            .map(|s| match outs[s * nspans + g].take() {
-                Some(Partial::Fetch(p)) => p,
-                _ => unreachable!("fetch span units produce fetch partials"),
-            })
-            .collect();
-        fetch.extend(plan.reduce_fetch_partials(span.clone(), &partials));
-    }
+    let mem: Vec<_> = mem_spans
+        .iter()
+        .zip(&mem_partials)
+        .flat_map(|(span, partials)| plan.reduce_mem_partials(span.clone(), partials))
+        .collect();
+    let fetch: Vec<_> = fetch_spans
+        .iter()
+        .zip(&fetch_partials)
+        .flat_map(|(span, partials)| plan.reduce_fetch_partials(span.clone(), partials))
+        .collect();
     plan.finish(&mem, &fetch)
 }
 

@@ -618,14 +618,15 @@ pub struct DoctorReport {
     /// `.pin-*` markers still inside their TTL: a session in this or
     /// another process holds the entry pinned.  Informational, never dirt.
     pub active_pins: usize,
-    /// Trace entries whose header, segment index and trailing checksum all
-    /// validate.
+    /// Trace entries whose header, segment indexes, streams and trailing
+    /// checksum all validate.
     pub trace_entries: usize,
     /// Trace entries whose envelope checksum passes but whose embedded
     /// trace fails validation — a foreign format version (such as version
-    /// 3 of earlier releases, with its per-segment checksums), a broken
-    /// segment index (starts not strictly increasing, or not tiling the
-    /// record region) or a trailing-checksum mismatch (deleted when
+    /// 4 of earlier releases, with one record per eventful instruction), a
+    /// broken segment index (starts not strictly increasing), stream
+    /// lengths the payload does not hold, streams that disagree with the
+    /// event counts, or a trailing-checksum mismatch (deleted when
     /// repairing).
     pub segment_index_errors: usize,
     /// `search` entries whose payload deserialises as a search outcome.
@@ -1656,9 +1657,8 @@ impl ArtifactStore {
 
     /// Whether the trace embedded in a stored `trace` payload validates
     /// (`store doctor`'s inner integrity pass): the 16-byte base-cost prefix
-    /// must be present, the trace header must parse at the current format
-    /// version, and the segment index and the trace's trailing checksum
-    /// must check out.
+    /// must be present and the trace must pass every check a load makes
+    /// ([`leon_sim::Trace::validate_segments`]).
     fn stored_trace_is_valid(payload: &[u8]) -> bool {
         payload
             .get(crate::campaign::STORED_TRACE_PREFIX_LEN..)
@@ -1865,8 +1865,9 @@ impl ArtifactStore {
     /// checksum*, the manifest ↔ directory correspondence, and leftover
     /// temporary files.  An entry in an older envelope version (such as
     /// version 1's FNV-1a checksums) counts as corrupt.  Trace entries get
-    /// a deeper pass — the embedded trace's format version, segment index
-    /// and trailing checksum are validated, so a trace in a retired format
+    /// a deeper pass — the embedded trace is validated exactly as a load
+    /// decodes it (format version, segment indexes, streams against the
+    /// event counts, trailing checksum), so a trace in a retired format
     /// counts as a broken segment index.  With `repair`, corrupt entries and
     /// stray files are deleted and the manifest is rebuilt to match the
     /// surviving entries (preserving access stamps where known); one
@@ -2830,10 +2831,11 @@ mod tests {
         let k_bad = FingerprintBuilder::new().str("trace-bad").finish();
         store.save("trace", k_bad, &stored_trace_payload(&bad)).unwrap();
         // entries in a retired format version (the monolithic version 1,
-        // version 2, which stored derived data, and version 3, with its
-        // per-segment FNV-1a checksums, of earlier releases) are no longer
+        // version 2, which stored derived data, version 3, with its
+        // per-segment FNV-1a checksums, and version 4, one record per
+        // eventful instruction, of earlier releases) are no longer
         // decodable, so they are damage too
-        let retired: Vec<Fingerprint> = [1u32, 2, 3]
+        let retired: Vec<Fingerprint> = [1u32, 2, 3, 4]
             .into_iter()
             .map(|version| {
                 let mut retired = good.clone();
@@ -2846,7 +2848,7 @@ mod tests {
             .collect();
         let report = store.doctor(false).unwrap();
         assert!(!report.is_clean());
-        assert_eq!(report.segment_index_errors, 4);
+        assert_eq!(report.segment_index_errors, 5);
         assert_eq!(report.corrupt_entries, 0, "the envelopes themselves are fine");
         assert!(report.render().contains("broken segment index"));
 

@@ -196,6 +196,15 @@ impl Cache {
         Access::Miss
     }
 
+    /// Count a read hit without probing: for a read of the line the
+    /// previous access read, with no access in between, a probe finds the
+    /// line and changes no state any replacement policy reads (it already is
+    /// the most recently used line, and random and LRR state move only on
+    /// fills).
+    pub(crate) fn count_read_hit(&mut self) {
+        self.stats.read_hits += 1;
+    }
+
     /// Perform a write access.  The cache is write-through and does not
     /// allocate on a write miss; a write hit updates the line's LRU state.
     pub fn write(&mut self, addr: u32) -> Access {
@@ -249,7 +258,7 @@ const INVALID_TAG: u32 = u32::MAX;
 ///
 /// Together these roughly halve the per-access cost, which the one-pass
 /// batched walk multiplies by the number of behavior classes it updates per
-/// trace record.  Equivalence with [`Cache`] is pinned by the
+/// stream entry.  Equivalence with [`Cache`] is pinned by the
 /// `tag_cache_matches_cache_*` tests below and, end to end, by the
 /// replay-batch equivalence suite (`tests/replay_equivalence.rs`).
 pub(crate) struct TagCache {

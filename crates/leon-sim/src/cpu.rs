@@ -31,7 +31,7 @@ use crate::error::SimError;
 use crate::memory::Memory;
 use crate::profiler::{RunResult, Stats};
 use crate::regwin::{RegisterWindows, WindowEvent};
-use crate::trace::{flags, TraceOp};
+use crate::trace::{flags, Recorder};
 
 /// Pipeline flush + trap entry overhead of a register-window trap, in cycles.
 /// Shared with [`crate::trace::replay`], which must charge identical costs.
@@ -59,8 +59,13 @@ pub struct Cpu {
     /// Whether the immediately preceding instruction set the condition codes
     /// (for the ICC-hold interlock).
     prev_set_icc: bool,
-    /// Execution-trace buffer, populated when tracing is enabled.
-    trace: Option<Vec<TraceOp>>,
+    /// The line the previous fetch read, as `pc >> line shift` of the
+    /// i-cache (see `step`).
+    last_fetch_line: Option<u32>,
+    /// Shift from a pc to its i-cache line.
+    fetch_line_shift: u32,
+    /// Execution-trace recorder, present when tracing is enabled.
+    trace: Option<Recorder>,
 }
 
 impl Cpu {
@@ -96,6 +101,8 @@ impl Cpu {
             halted: None,
             last_load_dest: None,
             prev_set_icc: false,
+            last_fetch_line: None,
+            fetch_line_shift: config.icache.line_bytes().trailing_zeros(),
             trace: None,
         })
     }
@@ -104,13 +111,13 @@ impl Cpu {
     /// Tracing never perturbs timing or architectural behaviour.
     pub fn enable_trace(&mut self) {
         if self.trace.is_none() {
-            self.trace = Some(Vec::new());
+            self.trace = Some(Recorder::new());
         }
     }
 
-    /// Take the recorded raw record stream, leaving tracing disabled.
-    /// [`crate::trace::capture`] assembles it into a full [`crate::Trace`].
-    pub fn take_trace(&mut self) -> Option<Vec<TraceOp>> {
+    /// Take the trace recorder, leaving tracing disabled.
+    /// [`crate::trace::capture`] finishes it into a full [`crate::Trace`].
+    pub fn take_trace(&mut self) -> Option<Recorder> {
         self.trace.take()
     }
 
@@ -224,15 +231,26 @@ impl Cpu {
         }
 
         // ---- fetch -------------------------------------------------------
-        // The trace record mirrors every timing-relevant *event*; whether an
-        // event costs cycles (and how many) stays a property of the config,
-        // so the same record can be retimed under any trace-invariant
-        // perturbation (see `crate::trace`).
+        // The recorded event bits mirror every timing-relevant *event*;
+        // whether an event costs cycles (and how many) stays a property of
+        // the config, so the same trace can be retimed under any
+        // trace-invariant perturbation (see `crate::trace`).
         let mut ev_flags: u16 = 0;
         let mut ev_aux: u32 = 0;
         let mut cycles: u64 = 1;
-        if self.icache.read(self.pc) == Access::Miss {
-            cycles += self.icache_fill_penalty();
+        // Only fetches reach the i-cache, so a fetch in the line the
+        // previous fetch read always hits.  Its probe would change no state
+        // any policy reads — the line stays the most recently used one, and
+        // random and LRR state move only on fills — so it is counted, not
+        // probed.
+        let line = self.pc >> self.fetch_line_shift;
+        if self.last_fetch_line == Some(line) {
+            self.icache.count_read_hit();
+        } else {
+            self.last_fetch_line = Some(line);
+            if self.icache.read(self.pc) == Access::Miss {
+                cycles += self.icache_fill_penalty();
+            }
         }
         let instr = self.decoded[(self.pc / 4) as usize];
 
@@ -420,27 +438,8 @@ impl Cpu {
             }
         }
 
-        if let Some(trace) = &mut self.trace {
-            let mut merged = false;
-            if ev_flags == 0 {
-                // Run-length compress event-free sequential fetches within one
-                // 16-byte block (the minimum line size, so "same cache line"
-                // holds under every valid geometry the trace may be replayed
-                // against).
-                if let Some(last) = trace.last_mut() {
-                    if last.flags == 0
-                        && self.pc == last.pc.wrapping_add(4 * last.aux)
-                        && self.pc >> 4 == last.pc >> 4
-                    {
-                        last.aux += 1;
-                        merged = true;
-                    }
-                }
-            }
-            if !merged {
-                let aux = if ev_flags == 0 { 1 } else { ev_aux };
-                trace.push(TraceOp { pc: self.pc, flags: ev_flags, aux });
-            }
+        if let Some(recorder) = &mut self.trace {
+            recorder.record(self.pc, ev_flags, ev_aux);
         }
         self.stats.cycles += cycles;
         self.stats.instructions += 1;

@@ -50,10 +50,10 @@ pub use profiler::{RunResult, Stats};
 pub use regwin::{RegisterWindows, WindowEvent};
 pub use trace::{
     capture, fnv1a64, fnv1a64_extend, replay, replay_batch, trace_segments_walked,
-    trace_walks_performed, xxh64, FetchSegmentPartial, FetchSpanWalker, LineFootprint,
-    MemClassDelta, MemFacts, MemSegmentPartial, MemSpanWalker, ReplayBatch, SegmentMeta,
-    StreamFootprint, Trace, TraceCodecError, TraceHeader, TraceOp, FNV1A64_OFFSET,
-    SEGMENT_TARGET_OPS, TRACE_FORMAT_VERSION,
+    trace_walks_performed, xxh64, FetchRun, FetchSegmentPartial, FetchSpanWalker, LineFootprint,
+    MemClassDelta, MemFacts, MemItem, MemSegmentPartial, MemSpanWalker, Recorder, ReplayBatch,
+    StreamFootprint, Trace, TraceCodecError, TraceHeader, FNV1A64_OFFSET, SEGMENT_ITEMS,
+    TRACE_FORMAT_VERSION,
 };
 
 /// Default per-run cycle budget used by the higher-level crates.

@@ -11,26 +11,30 @@
 //!
 //! # What the trace holds
 //!
-//! * [`Trace::ops`] — one [`TraceOp`] per eventful instruction (loads,
-//!   stores, branches, multiplies, window rotations, …), with runs of
-//!   event-free sequential fetches inside one 16-byte block (the minimum
-//!   line size, so "same cache line" holds under every valid geometry)
-//!   run-length compressed into a single record;
-//! * [`Trace::folded`] — the data-cache-relevant stream, folded from `ops`:
-//!   load/store run leaders (an access strictly following a read of its own
-//!   16-byte line folds into the leader, a guaranteed hit under every
-//!   geometry) and `save`/`restore` markers with their (architecturally
-//!   configuration-independent) stack pointers;
-//! * [`Trace::segments`] — where each segment starts in both streams, so
-//!   each segment walks on its own;
-//! * [`Trace::summary`] — configuration-independent event *counts*;
-//! * the capturing configuration and its cache statistics.
+//! Replay reads three things from a run, and the trace holds exactly those:
 //!
-//! Only the records, the segment boundaries, the capture results and one
-//! trailing [`xxh64`] checksum are serialised ([`Trace::to_bytes`], format
-//! version 4): `folded`, the per-segment folded offsets and `summary` are
-//! pure functions of `ops`, so [`Trace::from_bytes`] derives them exactly as
-//! capture does.
+//! * the **fetch stream** ([`Trace::fetch_runs`]) — one entry per maximal
+//!   run of sequential fetches: its first pc and its instruction count.  A
+//!   run ends only where the next pc is not the previous pc + 4;
+//! * the **folded memory stream** ([`Trace::memory_items`]) — load/store run
+//!   leaders (an access strictly following a read of its own 16-byte line
+//!   folds into the leader's run count: the minimum line size, so a
+//!   guaranteed hit under every geometry) and `save`/`restore` markers with
+//!   their (architecturally configuration-independent) stack pointers;
+//! * [`Trace::summary`] — the configuration-independent event *counts*;
+//!
+//! plus the capturing configuration and its cache statistics.  A
+//! [`Recorder`] builds all of it while the run retires instructions: it
+//! appends a fetch run only where the pc stops being sequential, a memory
+//! item only on a load, store, `save` or `restore` (folding the stream once,
+//! at capture), and counts event words.  Each stream is cut into segments
+//! of its own, every [`SEGMENT_ITEMS`] entries, so each segment walks on
+//! its own.
+//!
+//! [`Trace::to_bytes`] (format version 5) stores exactly these, 8 bytes per
+//! run and per memory item, under one trailing [`xxh64`] checksum;
+//! [`Trace::from_bytes`] derives nothing, and rejects counts that disagree
+//! with the streams and any entry replay could not walk.
 //!
 //! # How replay retimes a configuration
 //!
@@ -44,8 +48,9 @@
 //!    the fetch stream cannot conflict (every fetched line owns its set, see
 //!    [`LineFootprint`]) is finished in closed form.  Every other distinct
 //!    i-cache geometry is one fetch class, and all fetch classes are
-//!    re-simulated together in one walk of `ops` through lean tag-only
-//!    cache models ([`crate::cache`]'s `TagCache`).
+//!    re-simulated together in one walk of the fetch runs, each split at
+//!    16-byte blocks, through lean tag-only cache models
+//!    ([`crate::cache`]'s `TagCache`).
 //! 2. **d-cache + window traps**: a window count of at least the maximum
 //!    nesting depth + 2 never traps ([`MemFacts`]), so all such counts
 //!    behave alike.  If the d-cache geometry matches and the window
@@ -53,10 +58,10 @@
 //!    captured statistics are reused; a trap-free count with a d-cache in
 //!    which the loads and stores cannot conflict is finished in closed
 //!    form; otherwise each distinct (geometry, window count) pair is one
-//!    memory class, and all memory classes share one walk of `folded` — a
-//!    resident-window automaton per window count re-derives overflow/
-//!    underflow traps and expands each trap into its 16 spill/fill
-//!    accesses.
+//!    memory class, and all memory classes share one walk of the folded
+//!    stream — a resident-window automaton per window count re-derives
+//!    overflow/underflow traps and expands each trap into its 16
+//!    spill/fill accesses.
 //! 3. **everything else** (latency options, decode/jump/interlock, fast
 //!    read/write, multiplier/divider, memory timing) is closed-form
 //!    arithmetic over [`TraceSummary`] — O(1).
@@ -89,10 +94,10 @@ use crate::error::SimError;
 use crate::profiler::Stats;
 
 /// Process-wide count of trace-stream walks: one tick per span walker, i.e.
-/// per pass over a trace's record or folded memory stream that
-/// re-simulates a span of behavior classes at once ([`ReplayBatch`], which
-/// [`replay`] runs as a one-configuration batch).  Closed-form retimes never
-/// walk and never tick.
+/// per pass over a trace's fetch or folded memory stream that re-simulates
+/// a span of behavior classes at once ([`ReplayBatch`], which [`replay`]
+/// runs as a one-configuration batch).  Closed-form retimes never walk and
+/// never tick.
 ///
 /// This is the replay engine's headline counter, next to
 /// `workloads::guest_instructions_executed` and
@@ -118,11 +123,11 @@ fn record_trace_walk() {
 /// Process-wide count of trace *segments* walked: one tick per segment
 /// processed by a segmented span walker ([`MemSpanWalker`] /
 /// [`FetchSpanWalker`]), whichever engine drives it.  A full span walk over
-/// a trace with S segments ticks this S times (and [`TRACE_WALKS`] once), so
-/// the segment-level budget of a batched measurement is
-/// `classes × segments`, and a fused Figure 2 memory pass is exactly
-/// `segments` — `tests/batch_walk_budget.rs` asserts both against deltas of
-/// this counter.
+/// a stream with S segments ticks this S times (and [`TRACE_WALKS`] once),
+/// so the segment-level budget of a batched measurement is the sum of its
+/// walked streams' segments, and a fused Figure 2 memory pass is exactly
+/// the memory stream's segments — `tests/batch_walk_budget.rs` asserts
+/// both against deltas of this counter.
 static TRACE_SEGMENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Total trace segments walked so far by this process.  Monotonic; compare
@@ -136,10 +141,10 @@ fn record_segment_walk() {
     TRACE_SEGMENTS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Flag bits of one [`TraceOp`].  A bit records that the *event occurred* in
-/// the instruction stream; whether and how many cycles it costs is decided at
-/// replay time from the configuration under evaluation.  A record with no
-/// flag bits is a compressed run of `aux` event-free sequential fetches.
+/// Event bits of one retired instruction, as [`crate::Cpu`] hands them to
+/// the [`Recorder`].  A bit records that the *event occurred* in the
+/// instruction stream; whether and how many cycles it costs is decided at
+/// replay time from the configuration under evaluation.
 pub mod flags {
     /// The instruction uses a slow-decode format (`sethi`/`save`/`restore`/
     /// `jmpl`); costs one extra cycle unless fast decode is enabled.
@@ -154,9 +159,9 @@ pub mod flags {
     pub const MUL: u16 = 1 << 3;
     /// Hardware divide.
     pub const DIV: u16 = 1 << 4;
-    /// Memory load; `aux` holds the effective address.
+    /// Memory load; the address is the effective address.
     pub const LOAD: u16 = 1 << 5;
-    /// Memory store; `aux` holds the effective address.
+    /// Memory store; the address is the effective address.
     pub const STORE: u16 = 1 << 6;
     /// Conditional branch.
     pub const BRANCH: u16 = 1 << 7;
@@ -164,37 +169,13 @@ pub mod flags {
     pub const TAKEN: u16 = 1 << 8;
     /// Call or indirect jump (`call`/`jmpl` address-generation cycles).
     pub const CALL: u16 = 1 << 9;
-    /// Register-window rotation forward (`save`); `aux` holds the
+    /// Register-window rotation forward (`save`); the address is the
     /// (architectural, configuration-independent) post-save stack pointer a
     /// spill would write through.
     pub const SAVE: u16 = 1 << 10;
-    /// Register-window rotation backward (`restore`); `aux` holds the
+    /// Register-window rotation backward (`restore`); the address is the
     /// post-restore stack pointer a fill would read through.
     pub const RESTORE: u16 = 1 << 11;
-}
-
-/// One trace record: a single eventful instruction, or a compressed run of
-/// event-free sequential fetches when `flags == 0`.
-///
-/// 12 bytes per record: the fetch address (for the i-cache), an event
-/// bitmask, and one auxiliary word (load/store effective address, save/
-/// restore stack pointer, or the run length of a compressed fetch run).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceOp {
-    /// Program counter of the (first) fetch.
-    pub pc: u32,
-    /// Event bits from [`flags`]; `0` marks a compressed fetch run.
-    pub flags: u16,
-    /// Effective address (loads/stores), trap stack pointer (save/restore),
-    /// or run length in instructions (compressed fetch runs).
-    pub aux: u32,
-}
-
-impl TraceOp {
-    /// A single event-free fetch (a run of length 1).
-    pub fn fetch(pc: u32) -> TraceOp {
-        TraceOp { pc, flags: 0, aux: 1 }
-    }
 }
 
 /// Configuration-independent event counts of a captured run: everything the
@@ -229,11 +210,32 @@ pub struct TraceSummary {
     pub restores: u64,
 }
 
-/// Target number of records per trace segment (the "fixed-size-ish" cut):
-/// large enough that per-segment scheduling and index overhead is noise,
-/// small enough that a large trace yields dozens of independently walkable
-/// units for intra-trace parallelism.
-pub const SEGMENT_TARGET_OPS: usize = 1 << 16;
+impl TraceSummary {
+    /// The counts in declaration order (the serialised order).
+    fn counts(&self) -> [u64; 13] {
+        [
+            self.instructions,
+            self.slow_decode,
+            self.load_use,
+            self.icc_branch,
+            self.mul_ops,
+            self.div_ops,
+            self.loads,
+            self.stores,
+            self.branches,
+            self.taken_branches,
+            self.calls,
+            self.saves,
+            self.restores,
+        ]
+    }
+}
+
+/// Entries per trace segment, in each stream: the fetch runs and the folded
+/// memory items are each cut every `SEGMENT_ITEMS` entries.  Large enough
+/// that per-segment scheduling and index overhead is noise, small enough
+/// that a large trace yields several independently walkable units.
+pub const SEGMENT_ITEMS: usize = 1 << 16;
 
 /// Marker flag of a folded-stream item (bit 63): the item is a
 /// `save`/`restore` window rotation, not a load/store run leader.
@@ -243,71 +245,79 @@ const FOLD_MARKER_BIT: u64 = 1 << 63;
 /// hold the (configuration-independent) trap stack pointer either way.
 const FOLD_RESTORE_BIT: u64 = 1 << 32;
 
-/// Where one segment of a [`Trace`] starts in each stream, so a span walker
-/// can walk it without touching its predecessors.  Deliberately
-/// cache-independent: cache tag and window-automaton state chain through
-/// the span walkers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentMeta {
-    /// First record of this segment in [`Trace::ops`].
-    pub ops_start: usize,
-    /// First item of this segment in [`Trace::folded`].
-    pub folded_start: usize,
+/// One access folded into a run leader (or one fetch merged into a walk
+/// entry), in the run field above [`TagCache::MEM_RUN_SHIFT`].
+const RUN_ONE: u64 = 1 << TagCache::MEM_RUN_SHIFT;
+
+/// The largest run an item or walk entry carries: the run field ends below
+/// the marker bit.  A longer run starts a new leader, which every cache
+/// then hits, so no result depends on where that happens.
+const MAX_RUN: u64 = (FOLD_MARKER_BIT >> TagCache::MEM_RUN_SHIFT) - 1;
+
+/// A fetch run's encoding: the first pc in the low 32 bits, the count in
+/// the high 32.
+fn run_entry(pc: u32, count: u32) -> u64 {
+    u64::from(pc) | u64::from(count) << 32
 }
 
-/// Build the segment table and the folded memory stream for a record stream
-/// cut at `boundaries` (record indices; first must be 0, strictly
-/// increasing, all within the stream).
-///
-/// The folded stream is the pre-computation of the batched walk's
-/// guaranteed-hit elision: an access that strictly-consecutively follows a
-/// **read** of its own 16-byte line folds into the leader's run count (a
-/// write never establishes presence, so write leaders carry no run).  Folds
-/// split at every `save`/`restore` marker — whether the marker traps depends
-/// on the replayed window count, so folding across it would be unsound —
-/// and at every segment boundary, so each segment's items stand alone; the
-/// walk re-folds across non-trapping markers at run time, recovering the
-/// monolithic elision exactly.
-fn derive_segments(ops: &[TraceOp], boundaries: &[usize]) -> (Vec<SegmentMeta>, Vec<u64>) {
-    let mut segments = Vec::with_capacity(boundaries.len());
-    let mut folded: Vec<u64> = Vec::new();
-    let fold_push = |folded: &mut Vec<u64>, run_line: &mut Option<u32>, addr: u32, write: bool| {
-        if *run_line == Some(addr >> 4) {
-            *folded.last_mut().expect("a run leader precedes every extension") +=
-                1 << TagCache::MEM_RUN_SHIFT;
-        } else {
-            folded.push(addr as u64 | if write { TagCache::WRITE_BIT } else { 0 });
-            *run_line = (!write).then(|| addr >> 4);
-        }
-    };
+/// The inverse of [`run_entry`].
+fn run_parts(entry: u64) -> (u32, u32) {
+    (entry as u32, (entry >> 32) as u32)
+}
 
-    for (index, &start) in boundaries.iter().enumerate() {
-        let end = boundaries.get(index + 1).copied().unwrap_or(ops.len());
-        segments.push(SegmentMeta { ops_start: start, folded_start: folded.len() });
-        // a fold never crosses a segment boundary, so `folded_start` always
-        // aligns with `ops_start`
-        let mut run_line: Option<u32> = None;
-        for op in &ops[start..end] {
-            if op.flags == 0 {
-                continue;
+/// One maximal run of sequential fetches ([`Trace::fetch_runs`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FetchRun {
+    /// Program counter of the run's first fetch.
+    pub pc: u32,
+    /// Instructions in the run, at `pc`, `pc + 4`, …; at least 1.
+    pub count: u32,
+}
+
+/// One item of the folded memory stream ([`Trace::memory_items`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MemItem {
+    /// A load at `addr` and the `run` accesses (loads or stores) that
+    /// followed it strictly consecutively within its 16-byte line.
+    Read {
+        /// Effective address.
+        addr: u32,
+        /// Accesses folded into the leader.
+        run: u32,
+    },
+    /// A store that no read leader absorbed.
+    Write {
+        /// Effective address.
+        addr: u32,
+    },
+    /// A `save` and the stack pointer a spill would write through.
+    Save {
+        /// Post-save stack pointer.
+        sp: u32,
+    },
+    /// A `restore` and the stack pointer a fill would read through.
+    Restore {
+        /// Post-restore stack pointer.
+        sp: u32,
+    },
+}
+
+impl MemItem {
+    /// Decode one folded item.
+    fn of(item: u64) -> MemItem {
+        let addr = item as u32;
+        if item & FOLD_MARKER_BIT != 0 {
+            if item & FOLD_RESTORE_BIT != 0 {
+                MemItem::Restore { sp: addr }
+            } else {
+                MemItem::Save { sp: addr }
             }
-            if op.flags & flags::LOAD != 0 {
-                fold_push(&mut folded, &mut run_line, op.aux, false);
-            }
-            if op.flags & flags::STORE != 0 {
-                fold_push(&mut folded, &mut run_line, op.aux, true);
-            }
-            if op.flags & flags::SAVE != 0 {
-                folded.push(FOLD_MARKER_BIT | op.aux as u64);
-                run_line = None;
-            }
-            if op.flags & flags::RESTORE != 0 {
-                folded.push(FOLD_MARKER_BIT | FOLD_RESTORE_BIT | op.aux as u64);
-                run_line = None;
-            }
+        } else if item & TagCache::WRITE_BIT != 0 {
+            MemItem::Write { addr }
+        } else {
+            MemItem::Read { addr, run: (item >> TagCache::MEM_RUN_SHIFT) as u32 }
         }
     }
-    (segments, folded)
 }
 
 /// A captured execution trace: the full timing-relevant event stream of one
@@ -315,19 +325,20 @@ fn derive_segments(ops: &[TraceOp], boundaries: &[usize]) -> (Vec<SegmentMeta>, 
 /// register-window count — window traps are re-derived at replay time).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Trace {
-    /// Per-instruction records with fetch-run compression, in execution order.
-    pub ops: Vec<TraceOp>,
+    /// The fetch runs in execution order, each [`run_entry`]-encoded.
+    fetch: Vec<u64>,
     /// The folded data-cache/window event stream, in execution order: one
-    /// item per load/store run leader or `save`/`restore` marker (see
-    /// [`derive_segments`]), segment-aligned.  The memory walkers consume it
-    /// directly, so the guaranteed-hit elision is derived once per capture
-    /// or decode, not per walk.
-    pub folded: Vec<u64>,
-    /// Segment starts, in segment order ([`SegmentMeta`]); every trace with
-    /// records has at least one segment.
-    pub segments: Vec<SegmentMeta>,
-    /// Configuration-independent event counts (derived from `ops`).
-    pub summary: TraceSummary,
+    /// item per load/store run leader or `save`/`restore` marker.  The
+    /// memory walkers consume it directly, so the guaranteed-hit elision is
+    /// done once, at capture, not per walk.
+    folded: Vec<u64>,
+    /// First run of each fetch segment; empty only for an empty stream.
+    fetch_segments: Vec<usize>,
+    /// First item of each memory segment; empty only for an empty stream.
+    memory_segments: Vec<usize>,
+    /// Configuration-independent event counts; they agree with the streams
+    /// (see [`check_streams`]).
+    summary: TraceSummary,
     /// The configuration the trace was captured on.
     pub captured: LeonConfig,
     /// I-cache statistics of the capturing run (reused verbatim when the
@@ -345,8 +356,8 @@ pub struct Trace {
 
 /// The closed-form facts of a [`Trace`], each derived at most once, by the
 /// first replay plan that needs it — never by capture or decode.  They are
-/// pure functions of the record stream, so they take no part in equality
-/// and are never serialised.
+/// pure functions of the streams, so they take no part in equality and are
+/// never serialised.
 #[derive(Clone, Debug, Default)]
 struct LazyFacts {
     mem: OnceLock<MemFacts>,
@@ -359,15 +370,25 @@ impl PartialEq for LazyFacts {
     }
 }
 
+/// The entries of segment `seg` of a stream of `len` entries cut at
+/// `starts`.
+fn segment_range(starts: &[usize], len: usize, seg: usize) -> Range<usize> {
+    starts[seg]..starts.get(seg + 1).copied().unwrap_or(len)
+}
+
 impl Trace {
-    /// Number of records (compressed runs count once).
-    pub fn len(&self) -> usize {
-        self.ops.len()
+    /// The fetch stream: one entry per maximal run of sequential fetches,
+    /// in execution order.
+    pub fn fetch_runs(&self) -> impl ExactSizeIterator<Item = FetchRun> + '_ {
+        self.fetch.iter().map(|&entry| {
+            let (pc, count) = run_parts(entry);
+            FetchRun { pc, count }
+        })
     }
 
-    /// True when nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+    /// The folded memory stream, in execution order.
+    pub fn memory_items(&self) -> impl ExactSizeIterator<Item = MemItem> + '_ {
+        self.folded.iter().map(|&item| MemItem::of(item))
     }
 
     /// Dynamic instruction count of the captured run.
@@ -375,138 +396,219 @@ impl Trace {
         self.summary.instructions
     }
 
-    /// Approximate in-memory footprint of the trace buffers, in bytes.
+    /// The configuration-independent event counts of the captured run.
+    pub fn summary(&self) -> &TraceSummary {
+        &self.summary
+    }
+
+    /// In-memory footprint of the streams and segment tables, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.ops.len() * std::mem::size_of::<TraceOp>()
-            + self.folded.len() * std::mem::size_of::<u64>()
-            + self.segments.len() * std::mem::size_of::<SegmentMeta>()
+        (self.fetch.len() + self.folded.len()) * std::mem::size_of::<u64>()
+            + (self.fetch_segments.len() + self.memory_segments.len())
+                * std::mem::size_of::<usize>()
     }
 
-    /// Number of segments (0 only for an empty trace).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
+    /// Segments of the fetch stream (0 only for an empty stream).
+    pub fn fetch_segment_count(&self) -> usize {
+        self.fetch_segments.len()
     }
 
-    /// Record range of segment `seg` in [`Trace::ops`].
-    fn ops_range(&self, seg: usize) -> Range<usize> {
-        let start = self.segments[seg].ops_start;
-        let end = self.segments.get(seg + 1).map_or(self.ops.len(), |s| s.ops_start);
-        start..end
+    /// Segments of the memory stream (0 only for an empty stream).
+    pub fn memory_segment_count(&self) -> usize {
+        self.memory_segments.len()
     }
 
-    /// Item range of segment `seg` in [`Trace::folded`].
-    fn folded_range(&self, seg: usize) -> Range<usize> {
-        let start = self.segments[seg].folded_start;
-        let end = self.segments.get(seg + 1).map_or(self.folded.len(), |s| s.folded_start);
-        start..end
-    }
-
-    /// `true` when `boundaries` is a valid segmentation of `records` records:
-    /// empty for an empty trace, otherwise starting at 0, strictly
-    /// increasing, and within the stream.
-    fn valid_boundaries(records: usize, boundaries: &[usize]) -> bool {
-        if records == 0 {
+    /// `true` when `boundaries` is a valid segmentation of a stream of
+    /// `len` entries: empty for an empty stream, otherwise starting at 0,
+    /// strictly increasing, and within the stream.
+    fn valid_boundaries(len: usize, boundaries: &[usize]) -> bool {
+        if len == 0 {
             return boundaries.is_empty();
         }
         boundaries.first() == Some(&0)
             && boundaries.windows(2).all(|w| w[0] < w[1])
-            && boundaries.iter().all(|&b| b < records)
+            && boundaries.iter().all(|&b| b < len)
     }
 
-    /// The default segmentation: a cut every [`SEGMENT_TARGET_OPS`] records.
-    fn default_boundaries(records: usize) -> Vec<usize> {
-        (0..records).step_by(SEGMENT_TARGET_OPS).collect()
+    /// The default segmentation: a cut every [`SEGMENT_ITEMS`] entries.
+    fn default_boundaries(len: usize) -> Vec<usize> {
+        (0..len).step_by(SEGMENT_ITEMS).collect()
     }
 
-    /// Re-cut the trace at the given record boundaries (first must be 0,
-    /// strictly increasing, all `< ops.len()`; empty only for an empty
-    /// trace), rebuilding the segment table and the folded stream and
-    /// dropping any derived closed-form facts.  Replay results are
-    /// independent of the segmentation — the segmented-replay proptest
+    /// Re-cut each stream at its own boundaries — the first fetch run of
+    /// each fetch segment, the first item of each memory segment (each list
+    /// starting at 0, strictly increasing and in range; empty only for an
+    /// empty stream) — dropping any derived closed-form facts.  Any cut is
+    /// valid, because a fold never spans items, and replay results are
+    /// independent of the segmentation: the segmented-replay proptest
     /// exercises exactly this API.
     ///
     /// # Panics
     ///
-    /// Panics when `boundaries` is not a valid segmentation.
-    pub fn resegment_at(&mut self, boundaries: &[usize]) {
+    /// Panics when either list is not a valid segmentation of its stream.
+    pub fn resegment_at(&mut self, fetch: &[usize], memory: &[usize]) {
         assert!(
-            Trace::valid_boundaries(self.ops.len(), boundaries),
+            Trace::valid_boundaries(self.fetch.len(), fetch)
+                && Trace::valid_boundaries(self.folded.len(), memory),
             "segment boundaries must start at 0, increase strictly and stay in-range"
         );
-        let (segments, folded) = derive_segments(&self.ops, boundaries);
-        self.segments = segments;
-        self.folded = folded;
+        self.fetch_segments = fetch.to_vec();
+        self.memory_segments = memory.to_vec();
         self.facts = LazyFacts::default();
     }
 
     /// The memory stream's closed-form facts: the maximum window nesting
-    /// depth and the footprint of the loads and stores.  Derived from
-    /// [`Trace::folded`] on the first call and cached.
+    /// depth and the footprint of the loads and stores.  Derived from the
+    /// folded stream on the first call and cached.
     pub fn mem_facts(&self) -> &MemFacts {
         self.facts.mem.get_or_init(|| MemFacts::derive(&self.folded))
     }
 
-    /// The fetch stream's footprint, derived by one pass over
-    /// [`Trace::ops`] on the first call and cached.
+    /// The fetch stream's footprint, derived by one pass over the fetch
+    /// runs on the first call and cached.
     pub fn fetch_footprint(&self) -> &StreamFootprint {
-        // every instruction reads its pc's line; a record's fetches stay in
-        // the 16-byte block of its first one, and the walker charges them
-        // the same way
-        let fetches = || self.ops.iter().map(|op| (op.pc, false));
+        let fetches =
+            || self.fetch.iter().flat_map(|&entry| run_lines(entry)).map(|pc| (pc, false));
         self.facts.fetch.get_or_init(|| StreamFootprint::derive(fetches()))
     }
+}
 
-    /// Count a raw record stream's events into its [`TraceSummary`].
-    ///
-    /// The summary is a pure function of `ops`, so it is never stored:
-    /// capture and decode both derive it here, which makes an internally
-    /// inconsistent (ops vs. summary) trace unrepresentable.
-    ///
-    /// A program has few distinct event combinations, so one pass counts
-    /// records per `flags` word into a histogram of the 12 event bits, and
-    /// the per-event bit tests then run once per distinct word instead of
-    /// once per record.
-    fn derive_summary(ops: &[TraceOp]) -> TraceSummary {
-        const EVENT_MASK: usize = (1 << 12) - 1;
-        let mut histogram = [0u64; EVENT_MASK + 1];
-        let mut summary = TraceSummary::default();
-        for op in ops {
-            // bucket 0 collects the fetch runs, whose bit tests are all zero
-            summary.instructions += if op.flags == 0 { op.aux as u64 } else { 1 };
-            histogram[op.flags as usize & EVENT_MASK] += 1;
+/// One address in each 16-byte line a fetch run reads, in order: its first
+/// pc, then the start of each later line.  Stops one line past 64 KB —
+/// beyond that the run alone makes the footprint too wide to count.
+fn run_lines(entry: u64) -> impl Iterator<Item = u32> {
+    let (pc, count) = run_parts(entry);
+    let last = u64::from(pc) + 4 * (u64::from(count) - 1);
+    let later = ((last >> 4) - u64::from(pc >> 4)).min(u64::from(FOOTPRINT_LINES)) as u32;
+    std::iter::once(pc).chain((1..=later).map(move |line| ((pc >> 4) + line) << 4))
+}
+
+/// Distinct event words: every combination of the 12 [`flags`] bits.
+const EVENT_WORDS: usize = 1 << 12;
+
+/// The events that produce a folded memory item.
+const MEMORY_EVENTS: u16 = flags::LOAD | flags::STORE | flags::SAVE | flags::RESTORE;
+
+/// Builds a [`Trace`] while a run retires instructions: [`crate::Cpu`]
+/// hands it each instruction's pc, event bits and address
+/// ([`Recorder::record`]).  It appends a fetch run only where the pc stops
+/// being sequential, appends a memory item only on a load, store, `save` or
+/// `restore` — a same-line follower of a read folds into the read's run —
+/// and counts event words, so the trace needs no pass of its own at the
+/// end.
+#[derive(Clone, Debug)]
+pub struct Recorder {
+    fetch: Vec<u64>,
+    folded: Vec<u64>,
+    /// First pc and length of the open fetch run (length 0 before the
+    /// first instruction).
+    run_pc: u32,
+    run_count: u32,
+    /// The pc that extends the open run: its last pc + 4, widened so that
+    /// no run continues past `u32::MAX`.
+    next_pc: u64,
+    /// The 16-byte line the last read leader established: accesses to it
+    /// fold into the leader until another line or a marker intervenes (a
+    /// write establishes no line — the caches are no-write-allocate).
+    run_line: Option<u32>,
+    /// Retired instructions per event word.
+    events: Box<[u64; EVENT_WORDS]>,
+}
+
+impl Default for Recorder {
+    fn default() -> Recorder {
+        Recorder::new()
+    }
+}
+
+impl Recorder {
+    /// An empty recorder.
+    pub fn new() -> Recorder {
+        Recorder {
+            fetch: Vec::new(),
+            folded: Vec::new(),
+            run_pc: 0,
+            run_count: 0,
+            next_pc: u64::MAX,
+            run_line: None,
+            events: Box::new([0; EVENT_WORDS]),
         }
-        for (word, &count) in histogram.iter().enumerate().filter(|(_, &count)| count != 0) {
-            let events = |bit: u16| if word as u16 & bit != 0 { count } else { 0 };
-            summary.slow_decode += events(flags::SLOW_DECODE);
-            summary.load_use += events(flags::LOAD_USE);
-            summary.icc_branch += events(flags::ICC_BRANCH);
-            summary.mul_ops += events(flags::MUL);
-            summary.div_ops += events(flags::DIV);
-            summary.branches += events(flags::BRANCH);
-            summary.taken_branches += events(flags::TAKEN);
-            summary.calls += events(flags::CALL);
-            summary.loads += events(flags::LOAD);
-            summary.stores += events(flags::STORE);
-            summary.saves += events(flags::SAVE);
-            summary.restores += events(flags::RESTORE);
-        }
-        summary
     }
 
-    /// Build the derived data (summary, segments, folded stream) from a raw
-    /// record stream and the capturing run's results.
-    fn assemble(ops: Vec<TraceOp>, captured: &LeonConfig, stats: &Stats) -> Trace {
-        let summary = Trace::derive_summary(&ops);
-        debug_assert_eq!(summary.instructions, stats.instructions);
-        debug_assert_eq!(summary.loads, stats.loads);
-        debug_assert_eq!(summary.stores, stats.stores);
-        debug_assert_eq!(summary.branches, stats.branches);
-        let (segments, folded) = derive_segments(&ops, &Trace::default_boundaries(ops.len()));
+    /// Record one retired instruction: its pc, its [`flags`] event bits and
+    /// the address its event carries (a load's or store's effective
+    /// address, the stack pointer after a `save` or `restore`; ignored for
+    /// other instructions).
+    #[inline]
+    pub fn record(&mut self, pc: u32, events: u16, addr: u32) {
+        self.events[usize::from(events) & (EVENT_WORDS - 1)] += 1;
+        if u64::from(pc) == self.next_pc {
+            self.run_count += 1;
+        } else {
+            self.close_run();
+            self.run_pc = pc;
+            self.run_count = 1;
+        }
+        self.next_pc = u64::from(pc) + 4;
+        if events & MEMORY_EVENTS != 0 {
+            self.memory(events, addr);
+        }
+    }
+
+    fn close_run(&mut self) {
+        if self.run_count > 0 {
+            self.fetch.push(run_entry(self.run_pc, self.run_count));
+        }
+    }
+
+    fn memory(&mut self, events: u16, addr: u32) {
+        if events & flags::LOAD != 0 {
+            self.access(addr, false);
+        }
+        if events & flags::STORE != 0 {
+            self.access(addr, true);
+        }
+        if events & flags::SAVE != 0 {
+            self.marker(addr, 0);
+        }
+        if events & flags::RESTORE != 0 {
+            self.marker(addr, FOLD_RESTORE_BIT);
+        }
+    }
+
+    /// Fold a same-line follower into the read leader's run, or append a
+    /// new leader.  Folds stop at every marker — whether it traps depends
+    /// on the replayed window count — and the walk re-folds across the
+    /// markers that do not trap.
+    fn access(&mut self, addr: u32, write: bool) {
+        let line = addr >> 4;
+        if self.run_line == Some(line) {
+            let leader = self.folded.last_mut().expect("a read leader established the line");
+            if *leader >> TagCache::MEM_RUN_SHIFT < MAX_RUN {
+                *leader += RUN_ONE;
+                return;
+            }
+        }
+        self.folded.push(u64::from(addr) | if write { TagCache::WRITE_BIT } else { 0 });
+        self.run_line = (!write).then_some(line);
+    }
+
+    fn marker(&mut self, sp: u32, restore: u64) {
+        self.folded.push(FOLD_MARKER_BIT | restore | u64::from(sp));
+        self.run_line = None;
+    }
+
+    /// The recorded trace, captured on `captured` by a run with statistics
+    /// `stats` (whose cache statistics and window traps replay reuses when
+    /// a configuration matches the capturing one).
+    pub fn finish(mut self, captured: &LeonConfig, stats: &Stats) -> Trace {
+        self.close_run();
         Trace {
-            ops,
-            folded,
-            segments,
-            summary,
+            fetch_segments: Trace::default_boundaries(self.fetch.len()),
+            memory_segments: Trace::default_boundaries(self.folded.len()),
+            fetch: self.fetch,
+            folded: self.folded,
+            summary: summarize(&self.events),
             captured: *captured,
             base_icache: stats.icache,
             base_dcache: stats.dcache,
@@ -517,23 +619,47 @@ impl Trace {
     }
 }
 
+/// Count the recorded event words into a [`TraceSummary`]: a program has
+/// few distinct event combinations, so the per-event bit tests run once
+/// per word that occurred, not once per instruction.
+fn summarize(events: &[u64; EVENT_WORDS]) -> TraceSummary {
+    let mut summary = TraceSummary::default();
+    for (word, &count) in events.iter().enumerate().filter(|(_, &count)| count != 0) {
+        let events = |bit: u16| if word as u16 & bit != 0 { count } else { 0 };
+        summary.instructions += count;
+        summary.slow_decode += events(flags::SLOW_DECODE);
+        summary.load_use += events(flags::LOAD_USE);
+        summary.icc_branch += events(flags::ICC_BRANCH);
+        summary.mul_ops += events(flags::MUL);
+        summary.div_ops += events(flags::DIV);
+        summary.branches += events(flags::BRANCH);
+        summary.taken_branches += events(flags::TAKEN);
+        summary.calls += events(flags::CALL);
+        summary.loads += events(flags::LOAD);
+        summary.stores += events(flags::STORE);
+        summary.saves += events(flags::SAVE);
+        summary.restores += events(flags::RESTORE);
+    }
+    summary
+}
+
 // ---------------------------------------------------------------------------
 // Versioned binary serialization
 // ---------------------------------------------------------------------------
 
 /// Version number of the binary trace format produced by [`Trace::to_bytes`].
 ///
-/// Bump this whenever the record layout, the captured-configuration encoding
+/// Bump this whenever the stream layout, the captured-configuration encoding
 /// or the semantics of any serialised field change: persisted traces carry
 /// the version they were written with, and [`Trace::from_bytes`] refuses to
 /// decode any other version, so stale artifacts fall back to recapture
-/// instead of silently mis-replaying.  Version 4 stores the records, each
-/// segment's first record and one trailing [`xxh64`] checksum, nothing
-/// derivable.  Earlier releases' versions are stale: the monolithic version
-/// 1, version 2 (which also stored the summary, the folded stream and
-/// per-segment checkpoints) and version 3 (FNV-1a checksums per segment and
-/// over the whole trace).
-pub const TRACE_FORMAT_VERSION: u32 = 4;
+/// instead of silently mis-replaying.  Version 5 stores the fetch runs, the
+/// folded memory stream, the event counts, a segment index per stream and
+/// one trailing [`xxh64`] checksum.  Earlier releases' versions are stale:
+/// all four stored one record per eventful instruction — the monolithic
+/// version 1, version 2 (which also stored derived data and per-segment
+/// checkpoints), version 3 (FNV-1a checksums) and version 4 (XXH64).
+pub const TRACE_FORMAT_VERSION: u32 = 5;
 
 /// Magic bytes opening every serialised trace.
 const TRACE_MAGIC: [u8; 4] = *b"LTRC";
@@ -812,24 +938,24 @@ fn decode_cache_stats(r: &mut ByteReader) -> Result<CacheStats, TraceCodecError>
     })
 }
 
-/// Serialised size of one [`TraceOp`] record: `pc` (4 bytes), `flags` (2)
-/// and `aux` (4), little-endian.
-const RECORD_LEN: usize = 10;
+/// Serialised size of one fetch run or folded memory item.
+const ENTRY_LEN: usize = 8;
 
-/// Serialised size of one segment-index entry: the segment's first record.
+/// Serialised size of one segment-index entry: the segment's first entry.
 const SEGMENT_INFO_LEN: usize = 8;
 
 /// Serialised size of the fixed header: magic, version, capturing
 /// configuration (40 bytes), base cache statistics and window-trap counts
-/// (80), record count and segment count (12).
-const HEADER_LEN: usize = 140;
+/// (80), the 13 event counts (104), the run and item counts (16) and the
+/// two segment counts (8).
+const HEADER_LEN: usize = 256;
 
 /// Serialised size of the trailing checksum.
 const TRAILER_LEN: usize = 8;
 
-/// The header of a serialised trace, decodable without touching the record
-/// payload (see [`Trace::peek_header`]): the capture results, the record
-/// count and the segment index.
+/// The header of a serialised trace, decodable without touching the
+/// streams (see [`Trace::peek_header`]): the capture results, the event
+/// counts, the stream lengths and the segment indexes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceHeader {
     /// The configuration the trace was captured on.
@@ -842,18 +968,22 @@ pub struct TraceHeader {
     pub base_overflows: u64,
     /// Window underflow traps of the capturing run.
     pub base_underflows: u64,
-    /// Number of trace records in the (unread) record stream.
-    pub records: u64,
-    /// The segment index: each segment's first record, in segment order.
-    /// Segment `i`'s bytes start `segments[i] × 10` bytes into the record
-    /// region.
-    pub segments: Vec<u64>,
+    /// The event counts.
+    pub summary: TraceSummary,
+    /// Fetch runs in the (unread) fetch stream.
+    pub runs: u64,
+    /// Items in the (unread) folded memory stream.
+    pub items: u64,
+    /// The fetch stream's segment index: each segment's first run.
+    pub fetch_segments: Vec<u64>,
+    /// The memory stream's segment index: each segment's first item.
+    pub memory_segments: Vec<u64>,
 }
 
-/// Parse a serialised trace header (fixed fields, record count and segment
-/// index) from `r`, leaving `r` at the first record byte.  Structural
-/// validation of the index is the caller's job (via
-/// [`validate_segment_index`]).
+/// Parse a serialised trace header (fixed fields, stream lengths and both
+/// segment indexes) from `r`, leaving `r` at the first run.  Structural
+/// validation of the indexes is the caller's job (via
+/// [`check_segment_index`]).
 fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
     if r.take(4)? != TRACE_MAGIC {
         return Err(TraceCodecError::new("bad magic (not a serialised trace)"));
@@ -872,77 +1002,194 @@ fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
     let base_dcache = decode_cache_stats(r)?;
     let base_overflows = r.u64()?;
     let base_underflows = r.u64()?;
-    let records = r.u64()?;
-    let count = r.u32()? as usize;
-    let mut segments = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        segments.push(r.u64()?);
-    }
+    let summary = TraceSummary {
+        instructions: r.u64()?,
+        slow_decode: r.u64()?,
+        load_use: r.u64()?,
+        icc_branch: r.u64()?,
+        mul_ops: r.u64()?,
+        div_ops: r.u64()?,
+        loads: r.u64()?,
+        stores: r.u64()?,
+        branches: r.u64()?,
+        taken_branches: r.u64()?,
+        calls: r.u64()?,
+        saves: r.u64()?,
+        restores: r.u64()?,
+    };
+    let runs = r.u64()?;
+    let items = r.u64()?;
+    let fetch_count = r.u32()?;
+    let memory_count = r.u32()?;
+    let fetch_segments = words(r.take(fetch_count as usize * SEGMENT_INFO_LEN)?).collect();
+    let memory_segments = words(r.take(memory_count as usize * SEGMENT_INFO_LEN)?).collect();
     Ok(TraceHeader {
         captured,
         base_icache,
         base_dcache,
         base_overflows,
         base_underflows,
-        records,
-        segments,
+        summary,
+        runs,
+        items,
+        fetch_segments,
+        memory_segments,
     })
 }
 
-/// Structurally validate a parsed header's segment index — the first
-/// segment starts at record 0 and the starts increase strictly within the
-/// record count — and return the byte length of the record region.  The
-/// arithmetic is checked: a hostile record count is a typed error, not an
-/// overflow.
-fn validate_segment_index(header: &TraceHeader) -> Result<u64, TraceCodecError> {
-    let segs = &header.segments;
-    let payload = header.records.checked_mul(RECORD_LEN as u64).ok_or_else(|| {
-        TraceCodecError::new(format!("record count {} overflows the payload", header.records))
-    })?;
-    if header.records == 0 {
-        if !segs.is_empty() {
-            return Err(TraceCodecError::new("an empty trace must have an empty segment index"));
-        }
-        return Ok(0);
-    }
-    if segs.first() != Some(&0) {
-        return Err(TraceCodecError::new("segment index must start at record 0"));
-    }
-    for (i, &ops_start) in segs.iter().enumerate() {
-        let ops_end = segs.get(i + 1).copied().unwrap_or(header.records);
-        if ops_end <= ops_start || ops_end > header.records {
+/// Little-endian 8-byte words of `bytes` (whose length is a multiple of 8).
+fn words(bytes: &[u8]) -> impl ExactSizeIterator<Item = u64> + '_ {
+    bytes.chunks_exact(8).map(|word| u64::from_le_bytes(word.try_into().expect("8-byte chunks")))
+}
+
+/// Structurally validate one stream's segment index against its entry
+/// count: empty for an empty stream, otherwise starting at entry 0 and
+/// strictly increasing within the stream.
+fn check_segment_index(stream: &str, starts: &[u64], entries: u64) -> Result<(), TraceCodecError> {
+    if entries == 0 {
+        if !starts.is_empty() {
             return Err(TraceCodecError::new(format!(
-                "segment {i}: record offsets are not strictly increasing"
+                "an empty {stream} stream must have an empty segment index"
+            )));
+        }
+        return Ok(());
+    }
+    if starts.first() != Some(&0) {
+        return Err(TraceCodecError::new(format!("{stream} segment index must start at entry 0")));
+    }
+    for (i, &start) in starts.iter().enumerate() {
+        let end = starts.get(i + 1).copied().unwrap_or(entries);
+        if end <= start || end > entries {
+            return Err(TraceCodecError::new(format!(
+                "{stream} segment {i}: offsets are not strictly increasing"
             )));
         }
     }
-    Ok(payload)
+    Ok(())
 }
 
-/// Parse the header of a serialised trace and check its segment index
-/// against the input length.  Returns the header and the record region;
-/// reads neither the records nor the trailing checksum.
-fn parse_layout(bytes: &[u8]) -> Result<(TraceHeader, &[u8]), TraceCodecError> {
+/// Parse the header of a serialised trace and check its segment indexes
+/// and stream lengths against the input length.  Returns the header, the
+/// run region and the item region; reads neither stream nor the trailing
+/// checksum.  The length arithmetic is checked: a hostile count is a typed
+/// error, not an overflow.
+fn parse_layout(bytes: &[u8]) -> Result<(TraceHeader, &[u8], &[u8]), TraceCodecError> {
     if bytes.len() < TRACE_MAGIC.len() + 4 + TRAILER_LEN {
         return Err(TraceCodecError::new("input shorter than the fixed header"));
     }
     let body = &bytes[..bytes.len() - TRAILER_LEN];
     let mut r = ByteReader { bytes: body, pos: 0 };
     let header = parse_header(&mut r)?;
-    let payload = validate_segment_index(&header)?;
-    let records = &body[r.pos..];
-    if payload != records.len() as u64 {
-        return Err(TraceCodecError::new(format!(
-            "record count {} does not match the remaining payload",
-            header.records
-        )));
+    check_segment_index("fetch", &header.fetch_segments, header.runs)?;
+    check_segment_index("memory", &header.memory_segments, header.items)?;
+    let payload = &body[r.pos..];
+    let runs_len = header.runs.checked_mul(ENTRY_LEN as u64);
+    let items_len = header.items.checked_mul(ENTRY_LEN as u64);
+    match runs_len.zip(items_len).and_then(|(runs, items)| runs.checked_add(items)) {
+        Some(len) if len == payload.len() as u64 => {}
+        _ => {
+            return Err(TraceCodecError::new(format!(
+                "{} runs and {} items do not fill the {}-byte payload",
+                header.runs,
+                header.items,
+                payload.len()
+            )))
+        }
     }
-    Ok((header, records))
+    let (runs, items) = payload.split_at(header.runs as usize * ENTRY_LEN);
+    Ok((header, runs, items))
+}
+
+/// Check that the streams and the event counts agree, and that replay can
+/// walk every entry: each fetch run holds at least one instruction and
+/// ends at or below `u32::MAX`; a write leader carries no run and a marker
+/// no bit besides its marker, restore and stack-pointer bits; the runs
+/// hold exactly the instructions, the leaders and their runs exactly the
+/// loads and stores (at least one load per read leader and one store per
+/// write leader), the markers exactly the saves and restores; no count
+/// exceeds the instructions and no more branches are taken than there are.
+/// Everything replay derives — hits as accesses minus misses, the cycle
+/// total — then stays in range.
+fn check_streams(
+    runs: impl Iterator<Item = u64>,
+    items: impl Iterator<Item = u64>,
+    s: &TraceSummary,
+) -> Result<(), TraceCodecError> {
+    let error = |message: String| Err(TraceCodecError::new(message));
+    let overflow = || TraceCodecError::new("the streams' counts overflow");
+    let mut instructions = 0u64;
+    for (i, entry) in runs.enumerate() {
+        let (pc, count) = run_parts(entry);
+        if count == 0 {
+            return error(format!("fetch run {i} is empty"));
+        }
+        if u64::from(pc) + 4 * (u64::from(count) - 1) > u64::from(u32::MAX) {
+            return error(format!("fetch run {i} wraps past the top of the address space"));
+        }
+        instructions = instructions.checked_add(count.into()).ok_or_else(overflow)?;
+    }
+    let (mut reads, mut writes, mut saves, mut restores, mut accesses) = (0u64, 0, 0, 0, 0u64);
+    for (i, item) in items.enumerate() {
+        if item & FOLD_MARKER_BIT != 0 {
+            if item & !(FOLD_MARKER_BIT | FOLD_RESTORE_BIT | u64::from(u32::MAX)) != 0 {
+                return error(format!("memory item {i}: a marker with stray bits {item:#018x}"));
+            }
+            if item & FOLD_RESTORE_BIT != 0 {
+                restores += 1;
+            } else {
+                saves += 1;
+            }
+        } else if item & TagCache::WRITE_BIT != 0 {
+            if item >> TagCache::MEM_RUN_SHIFT != 0 {
+                return error(format!("memory item {i}: a write leader with a run"));
+            }
+            writes += 1;
+            accesses += 1;
+        } else {
+            reads += 1;
+            accesses =
+                accesses.checked_add(1 + (item >> TagCache::MEM_RUN_SHIFT)).ok_or_else(overflow)?;
+        }
+    }
+    if s.instructions != instructions {
+        return error(format!(
+            "{} instructions, but the fetch runs hold {instructions}",
+            s.instructions
+        ));
+    }
+    if s.counts().iter().any(|&count| count > s.instructions) {
+        return error(format!("an event count exceeds the {} instructions", s.instructions));
+    }
+    if s.taken_branches > s.branches {
+        return error(format!(
+            "{} taken branches, but only {} branches",
+            s.taken_branches, s.branches
+        ));
+    }
+    if s.loads.checked_add(s.stores) != Some(accesses) {
+        return error(format!(
+            "{} loads and {} stores, but the memory stream holds {accesses} accesses",
+            s.loads, s.stores
+        ));
+    }
+    if s.loads < reads || s.stores < writes {
+        return error(format!(
+            "{} loads and {} stores cannot lead {reads} read and {writes} write runs",
+            s.loads, s.stores
+        ));
+    }
+    if (s.saves, s.restores) != (saves, restores) {
+        return error(format!(
+            "{} saves and {} restores, but the memory stream marks {saves} and {restores}",
+            s.saves, s.restores
+        ));
+    }
+    Ok(())
 }
 
 /// Check a serialised trace's trailing [`xxh64`] against everything before
 /// it.  This one pass is the format's only integrity check: it covers the
-/// header, the segment index and every record.
+/// header, the segment indexes and both streams.
 fn verify_trailer(bytes: &[u8]) -> Result<(), TraceCodecError> {
     if bytes.len() < TRACE_MAGIC.len() + 4 + TRAILER_LEN {
         return Err(TraceCodecError::new("input shorter than the fixed header"));
@@ -959,16 +1206,16 @@ fn verify_trailer(bytes: &[u8]) -> Result<(), TraceCodecError> {
 }
 
 impl Trace {
-    /// Serialise the trace into the versioned binary format (version 4).
+    /// Serialise the trace into the versioned binary format (version 5).
     ///
-    /// Layout (all integers little-endian): a 140-byte header — the magic
+    /// Layout (all integers little-endian): a 256-byte header — the magic
     /// `LTRC`, the [`TRACE_FORMAT_VERSION`], the capturing configuration,
-    /// the capturing run's cache statistics and window-trap counts, the
-    /// record count and the segment count — then the segment index (each
-    /// segment's first record, 8 bytes apiece), the records at 10 bytes
-    /// apiece, and a trailing [`xxh64`] over everything before it.  Nothing
-    /// derivable from the records is stored: the summary, the folded stream
-    /// and the folded offsets are rebuilt on decode.
+    /// the capturing run's cache statistics and window-trap counts, the 13
+    /// event counts of the [`TraceSummary`], the run and item counts and the
+    /// two segment counts — then the fetch and memory segment indexes (each
+    /// segment's first entry, 8 bytes apiece), the fetch runs and the folded
+    /// memory items at 8 bytes apiece, and a trailing [`xxh64`] over
+    /// everything before it.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode_into(&mut out);
@@ -981,9 +1228,9 @@ impl Trace {
     /// appended bytes.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let start = out.len();
-        let index_len = self.segments.len() * SEGMENT_INFO_LEN;
-        let records_len = self.ops.len() * RECORD_LEN;
-        out.reserve(HEADER_LEN + index_len + records_len + TRAILER_LEN);
+        let index_len = (self.fetch_segments.len() + self.memory_segments.len()) * SEGMENT_INFO_LEN;
+        let streams_len = (self.fetch.len() + self.folded.len()) * ENTRY_LEN;
+        out.reserve(HEADER_LEN + index_len + streams_len + TRAILER_LEN);
         let mut w = ByteWriter(out);
         w.0.extend_from_slice(&TRACE_MAGIC);
         w.u32(TRACE_FORMAT_VERSION);
@@ -992,80 +1239,82 @@ impl Trace {
         encode_cache_stats(&mut w, &self.base_dcache);
         w.u64(self.base_overflows);
         w.u64(self.base_underflows);
-        w.u64(self.ops.len() as u64);
-        w.u32(self.segments.len() as u32);
-        for meta in &self.segments {
-            w.u64(meta.ops_start as u64);
+        for count in self.summary.counts() {
+            w.u64(count);
+        }
+        w.u64(self.fetch.len() as u64);
+        w.u64(self.folded.len() as u64);
+        w.u32(self.fetch_segments.len() as u32);
+        w.u32(self.memory_segments.len() as u32);
+        for &first in self.fetch_segments.iter().chain(&self.memory_segments) {
+            w.u64(first as u64);
         }
         debug_assert_eq!(out.len() - start, HEADER_LEN + index_len);
-        let records_at = out.len();
-        out.resize(records_at + records_len, 0);
-        for (record, op) in out[records_at..].chunks_exact_mut(RECORD_LEN).zip(&self.ops) {
-            record[..4].copy_from_slice(&op.pc.to_le_bytes());
-            record[4..6].copy_from_slice(&op.flags.to_le_bytes());
-            record[6..].copy_from_slice(&op.aux.to_le_bytes());
+        for stream in [&self.fetch, &self.folded] {
+            let at = out.len();
+            out.resize(at + stream.len() * ENTRY_LEN, 0);
+            for (bytes, entry) in out[at..].chunks_exact_mut(ENTRY_LEN).zip(stream) {
+                bytes.copy_from_slice(&entry.to_le_bytes());
+            }
         }
         let checksum = xxh64(&out[start..]);
         out.extend_from_slice(&checksum.to_le_bytes());
     }
 
-    /// Decode only the header of a serialised trace — O(header + index)
-    /// regardless of how many records follow, because neither the record
-    /// stream nor the trailing checksum is read.
+    /// Decode only the header of a serialised trace — O(header + indexes)
+    /// regardless of how long the streams are, because neither stream nor
+    /// the trailing checksum is read.
     ///
     /// This is the *peek* half of the lazy-materialization contract: a store
     /// layer can check the format version, the capturing configuration and
-    /// the record count of a multi-megabyte trace entry without paying the
-    /// full decode (checksum + record decode + derived-stream rebuild).  It
-    /// is **not** an integrity check — a bit flip in the record stream
-    /// passes `peek_header` and is only caught by [`Trace::from_bytes`] — so
-    /// callers must still decode fully before trusting the records.
+    /// the stream lengths of a multi-megabyte trace entry without paying the
+    /// full decode.  It is **not** an integrity check — a bit flip in a
+    /// stream passes `peek_header` and is only caught by
+    /// [`Trace::from_bytes`] — so callers must still decode fully before
+    /// trusting the streams.
     pub fn peek_header(bytes: &[u8]) -> Result<TraceHeader, TraceCodecError> {
         Ok(parse_layout(bytes)?.0)
     }
 
-    /// Validate a serialised trace without decoding it: the header fields,
-    /// the segment index (first record 0, strictly increasing starts, total
-    /// length), then the trailing checksum over every byte.  Returns the
-    /// parsed header.
+    /// Validate a serialised trace without building it: the header fields,
+    /// both segment indexes, the stream lengths, every check
+    /// [`Trace::from_bytes`] makes of the streams against the counts, and
+    /// the trailing checksum over every byte.  Returns the parsed header.
     ///
-    /// Cheaper than [`Trace::from_bytes`] (no record decode, no derived
-    /// stream rebuild), which makes it the right integrity pass for
-    /// `store doctor`.
+    /// Allocates nothing for the streams, which makes it the right
+    /// integrity pass for `store doctor`: it accepts exactly the inputs
+    /// `from_bytes` accepts.
     pub fn validate_segments(bytes: &[u8]) -> Result<TraceHeader, TraceCodecError> {
-        let (header, _) = parse_layout(bytes)?;
+        let (header, runs, items) = parse_layout(bytes)?;
+        check_streams(words(runs), words(items), &header.summary)?;
         verify_trailer(bytes)?;
         Ok(header)
     }
 
     /// Decode a trace serialised by [`Trace::to_bytes`]: the trailing
-    /// checksum, the header and index, then one pass over the record region.
+    /// checksum, the header and indexes, one bulk read per stream, and one
+    /// validation pass of the streams against the event counts.
     ///
-    /// Fails — rather than ever producing a wrong trace — on a checksum
-    /// mismatch, a bad magic, a different format version, a malformed
-    /// segment index, truncated or trailing bytes, or any malformed field.
-    /// The summary, the folded stream and the segment table are derived
-    /// from the records exactly as capture derives them, so on success the
-    /// decoded trace is exactly the one serialised.
+    /// Fails — rather than ever producing a trace replay could mis-handle —
+    /// on a checksum mismatch, a bad magic, a different format version, a
+    /// malformed segment index, a stream length the payload cannot hold,
+    /// truncated or trailing bytes, counts that disagree with the streams,
+    /// or any malformed field.  Nothing is derived: on success the decoded
+    /// trace is exactly the one serialised.
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceCodecError> {
         verify_trailer(bytes)?;
-        let (header, records) = parse_layout(bytes)?;
-        let ops: Vec<TraceOp> = records
-            .chunks_exact(RECORD_LEN)
-            .map(|r| TraceOp {
-                pc: u32::from_le_bytes([r[0], r[1], r[2], r[3]]),
-                flags: u16::from_le_bytes([r[4], r[5]]),
-                aux: u32::from_le_bytes([r[6], r[7], r[8], r[9]]),
-            })
-            .collect();
-        // `validate_segment_index` bounded every start by the record count
-        let boundaries: Vec<usize> = header.segments.iter().map(|&s| s as usize).collect();
-        let (segments, folded) = derive_segments(&ops, &boundaries);
+        let (header, runs, items) = parse_layout(bytes)?;
+        let fetch: Vec<u64> = words(runs).collect();
+        let folded: Vec<u64> = words(items).collect();
+        check_streams(fetch.iter().copied(), folded.iter().copied(), &header.summary)?;
+        // `check_segment_index` bounded every start by its stream's length
+        let starts = |index: &[u64]| index.iter().map(|&first| first as usize).collect();
         Ok(Trace {
-            summary: Trace::derive_summary(&ops),
-            ops,
+            fetch_segments: starts(&header.fetch_segments),
+            memory_segments: starts(&header.memory_segments),
+            fetch,
             folded,
-            segments,
+            summary: header.summary,
             captured: header.captured,
             base_icache: header.base_icache,
             base_dcache: header.base_dcache,
@@ -1080,7 +1329,8 @@ impl Trace {
 /// `Cpu::step`'s charges): given a
 /// configuration's cache behaviour and window-trap counts, rebuild the exact
 /// [`Stats`] a full run would produce, enforcing the cycle budget as a bound
-/// on the run total.
+/// on the run total.  The arithmetic is checked: a total beyond `u64` is
+/// beyond every budget, so it fails like any run past the budget.
 fn reconstruct_stats(
     s: &TraceSummary,
     config: &LeonConfig,
@@ -1090,32 +1340,39 @@ fn reconstruct_stats(
     window_underflows: u64,
     max_cycles: u64,
 ) -> Result<Stats, SimError> {
+    let over = || SimError::CycleLimitExceeded { limit: max_cycles };
+    let times = |count: u64, cost: u64| count.checked_mul(cost).ok_or_else(over);
     let m = &config.memory;
-    let icache_fill = (m.read_first + (config.icache.line_words as u32 - 1) * m.read_burst) as u64;
-    let dcache_fill = (m.read_first + (config.dcache.line_words as u32 - 1) * m.read_burst) as u64;
+    let fill = |line_words: u8| {
+        u64::from(m.read_first) + (u64::from(line_words) - 1) * u64::from(m.read_burst)
+    };
     let dread_hit: u64 = if config.dcache_fast_read { 0 } else { 1 };
     let dwrite_hit: u64 = if config.dcache_fast_write { 0 } else { 1 };
 
-    let load_use_stalls = s.load_use * config.iu.load_delay as u64;
+    let load_use_stalls = times(s.load_use, config.iu.load_delay.into())?;
     let icc_hold_stalls = if config.iu.icc_hold { s.icc_branch } else { 0 };
-    let traps = window_overflows + window_underflows;
-    let cycles = s.instructions
-        + icache.read_misses * icache_fill
-        + if config.iu.fast_decode { 0 } else { s.slow_decode }
-        + load_use_stalls
-        + icc_hold_stalls
-        + s.mul_ops * (config.iu.multiplier.latency() - 1) as u64
-        + s.div_ops * (config.iu.divider.latency() - 1) as u64
-        + s.taken_branches
-        + s.calls * if config.iu.fast_jump { 1 } else { 2 }
-        + dcache.read_hits * dread_hit
-        + dcache.read_misses * (dread_hit + dcache_fill)
-        + dcache.write_hits * dwrite_hit
-        + dcache.write_misses * (dwrite_hit + 1)
-        + traps * (crate::cpu::WINDOW_TRAP_OVERHEAD + crate::cpu::WINDOW_TRAP_REGS as u64);
-
+    let traps = window_overflows.checked_add(window_underflows).ok_or_else(over)?;
+    let trap_cost = crate::cpu::WINDOW_TRAP_OVERHEAD + u64::from(crate::cpu::WINDOW_TRAP_REGS);
+    let terms = [
+        s.instructions,
+        times(icache.read_misses, fill(config.icache.line_words))?,
+        if config.iu.fast_decode { 0 } else { s.slow_decode },
+        load_use_stalls,
+        icc_hold_stalls,
+        times(s.mul_ops, (config.iu.multiplier.latency() - 1).into())?,
+        times(s.div_ops, (config.iu.divider.latency() - 1).into())?,
+        s.taken_branches,
+        times(s.calls, if config.iu.fast_jump { 1 } else { 2 })?,
+        times(dcache.read_hits, dread_hit)?,
+        times(dcache.read_misses, dread_hit + fill(config.dcache.line_words))?,
+        times(dcache.write_hits, dwrite_hit)?,
+        times(dcache.write_misses, dwrite_hit + 1)?,
+        times(traps, trap_cost)?,
+    ];
+    let cycles =
+        terms.iter().try_fold(0u64, |sum, &term| sum.checked_add(term)).ok_or_else(over)?;
     if cycles > max_cycles {
-        return Err(SimError::CycleLimitExceeded { limit: max_cycles });
+        return Err(over());
     }
 
     Ok(Stats {
@@ -1392,8 +1649,10 @@ enum Source {
 /// Per-configuration disposition within a [`ReplayBatch`].
 #[derive(Clone, Debug)]
 enum Disposition {
-    /// Failed validation; [`crate::simulate`] fails with exactly this error.
-    Invalid(SimError),
+    /// Fails before any walk — the configuration is invalid, or the run's
+    /// instructions alone exceed the budget; [`crate::simulate`] fails with
+    /// exactly this error.
+    Failed(SimError),
     /// Valid: where this configuration's d-cache (with window traps) and
     /// i-cache statistics come from.
     Valid { mem: Source, fetch: Source },
@@ -1462,7 +1721,12 @@ impl<'a> ReplayBatch<'a> {
             .iter()
             .map(|config| {
                 if let Err(e) = config.validate() {
-                    return Disposition::Invalid(SimError::InvalidConfig(e.to_string()));
+                    return Disposition::Failed(SimError::InvalidConfig(e.to_string()));
+                }
+                // every instruction costs at least one cycle, so no walk
+                // can bring such a run back within the budget
+                if summary.instructions > max_cycles {
+                    return Disposition::Failed(SimError::CycleLimitExceeded { limit: max_cycles });
                 }
                 let windows = config.iu.reg_windows;
                 let mem = if config.dcache == captured.dcache && windows == captured.iu.reg_windows
@@ -1541,10 +1805,16 @@ impl<'a> ReplayBatch<'a> {
         self.mem_classes.len() + self.fetch_classes.len()
     }
 
-    /// Number of segments of the underlying trace — the second axis of the
+    /// Segments of the trace's memory stream — the second axis of the
+    /// memory class × segment work partition.
+    pub fn mem_segment_count(&self) -> usize {
+        self.trace.memory_segment_count()
+    }
+
+    /// Segments of the trace's fetch stream — the second axis of the fetch
     /// class × segment work partition.
-    pub fn segment_count(&self) -> usize {
-        self.trace.segment_count()
+    pub fn fetch_segment_count(&self) -> usize {
+        self.trace.fetch_segment_count()
     }
 
     /// Walk the memory stream **once**, re-simulating every memory class in
@@ -1702,7 +1972,7 @@ impl<'a> ReplayBatch<'a> {
             .iter()
             .zip(&self.configs)
             .map(|(disposition, config)| match disposition {
-                Disposition::Invalid(error) => Err(error.clone()),
+                Disposition::Failed(error) => Err(error.clone()),
                 Disposition::Valid { mem: mem_source, fetch: fetch_source } => {
                     let icache = match *fetch_source {
                         Source::Captured => trace.base_icache,
@@ -1818,10 +2088,10 @@ impl<'a> MemSpanWalker<'a> {
         }
     }
 
-    /// Segments of the underlying trace (the number of `walk_segment` calls
-    /// a full span walk makes).
+    /// Segments of the trace's memory stream (the number of `walk_segment`
+    /// calls a full span walk makes).
     pub fn segment_count(&self) -> usize {
-        self.trace.segment_count()
+        self.trace.memory_segment_count()
     }
 
     /// Walk segment `seg` (must be `0, 1, 2, …` in order) and return its
@@ -1836,7 +2106,7 @@ impl<'a> MemSpanWalker<'a> {
         self.next_segment += 1;
         record_segment_walk();
         let trace = self.trace;
-        let folded = &trace.folded[trace.folded_range(seg)];
+        let folded = &trace.folded[segment_range(&trace.memory_segments, trace.folded.len(), seg)];
 
         let miss_before: Vec<(u64, u64)> =
             self.caches.iter().map(|cache| cache.miss_counts()).collect();
@@ -1868,17 +2138,16 @@ impl<'a> MemSpanWalker<'a> {
         MemSegmentPartial { classes }
     }
 
-    /// Single-window-count path: the segment's pre-folded items stream into
+    /// Single-window-count path: the segment's folded items stream into
     /// [`WALK_BLOCK`]-entry buffers that fan out class by class (cache
-    /// blocking, as before — the folded-item encoding *is* the block-entry
-    /// encoding, so a leader whose line is not already established is pushed
-    /// verbatim).  Walk-time folding re-merges items across non-trapping
-    /// markers and block starts, recovering the monolithic elision exactly:
-    /// every re-merged access is a guaranteed hit whose only state effect
-    /// (LRU clock/stamp) is identical either way, and flush/boundary
-    /// `run_line` resets are stats-invisible for the same reason.
+    /// blocking — the folded-item encoding *is* the block-entry encoding, so
+    /// a leader whose line is not already established is pushed verbatim).
+    /// Walk-time folding re-merges items across non-trapping markers and
+    /// capture-time run caps, recovering the full elision: every re-merged
+    /// access is a guaranteed hit whose only state effect (LRU clock/stamp)
+    /// is identical either way, and flush/boundary `run_line` resets and
+    /// [`MAX_RUN`] splits are stats-invisible for the same reason.
     fn walk_folded_blocked(&mut self, folded: &[u64]) {
-        const RUN_ONE: u64 = 1 << TagCache::MEM_RUN_SHIFT;
         let group = &mut self.groups[0];
         let caches = &mut self.caches;
         let block = &mut self.block;
@@ -1894,13 +2163,21 @@ impl<'a> MemSpanWalker<'a> {
             *run_line = None; // never extend an entry across a flush
         };
 
-        let push = |block: &mut Vec<u64>, run_line: &mut Option<u32>, addr: u32, write: bool| {
-            if *run_line == Some(addr >> 4) {
-                *block.last_mut().expect("a run leader precedes every extension") += RUN_ONE;
-            } else {
-                block.push(addr as u64 | if write { TagCache::WRITE_BIT } else { 0 });
-                *run_line = (!write).then(|| addr >> 4);
+        // append a leader (with the run it carries), or merge it and its run
+        // into the last entry when that entry established its line: after
+        // that read they are all guaranteed hits
+        let push = |block: &mut Vec<u64>, run_line: &mut Option<u32>, entry: u64| {
+            let line = entry as u32 >> 4;
+            let accesses = 1 + (entry >> TagCache::MEM_RUN_SHIFT);
+            if *run_line == Some(line) {
+                let last = block.last_mut().expect("a run leader precedes every extension");
+                if (*last >> TagCache::MEM_RUN_SHIFT) + accesses <= MAX_RUN {
+                    *last += accesses * RUN_ONE;
+                    return;
+                }
             }
+            block.push(entry);
+            *run_line = (entry & TagCache::WRITE_BIT == 0).then_some(line);
         };
 
         for &item in folded {
@@ -1910,7 +2187,7 @@ impl<'a> MemSpanWalker<'a> {
                     if group.resident <= 1 {
                         group.underflows += 1;
                         for i in 0..crate::cpu::WINDOW_TRAP_REGS {
-                            push(block, &mut run_line, sp.wrapping_sub(4 + i * 4), false);
+                            push(block, &mut run_line, u64::from(sp.wrapping_sub(4 + i * 4)));
                         }
                     } else {
                         group.resident -= 1;
@@ -1918,24 +2195,14 @@ impl<'a> MemSpanWalker<'a> {
                 } else if group.resident >= group.nwindows - 1 {
                     group.overflows += 1;
                     for i in 0..crate::cpu::WINDOW_TRAP_REGS {
-                        push(block, &mut run_line, sp.wrapping_sub(4 + i * 4), true);
+                        let spill = u64::from(sp.wrapping_sub(4 + i * 4)) | TagCache::WRITE_BIT;
+                        push(block, &mut run_line, spill);
                     }
                 } else {
                     group.resident += 1;
                 }
             } else {
-                let addr = item as u32;
-                let write = item & TagCache::WRITE_BIT != 0;
-                if run_line == Some(addr >> 4) {
-                    // the stored leader and its whole run are guaranteed hits
-                    // here: merge all of them into the established entry
-                    let run = item >> TagCache::MEM_RUN_SHIFT;
-                    *block.last_mut().expect("a run leader precedes every extension") +=
-                        (1 + run) * RUN_ONE;
-                } else {
-                    block.push(item);
-                    run_line = (!write).then(|| addr >> 4);
-                }
+                push(block, &mut run_line, item);
             }
             if block.len() >= WALK_BLOCK {
                 flush(block, &mut run_line, caches);
@@ -2007,9 +2274,9 @@ pub struct FetchSpanWalker<'a> {
 }
 
 impl FetchSpanWalker<'_> {
-    /// Segments of the underlying trace.
+    /// Segments of the trace's fetch stream.
     pub fn segment_count(&self) -> usize {
-        self.trace.segment_count()
+        self.trace.fetch_segment_count()
     }
 
     /// Walk segment `seg` (must be `0, 1, 2, …` in order) and return its
@@ -2023,21 +2290,21 @@ impl FetchSpanWalker<'_> {
         self.next_segment += 1;
         record_segment_walk();
         let trace = self.trace;
-        self.walk_ops(&trace.ops[trace.ops_range(seg)])
+        self.walk_runs(&trace.fetch[segment_range(&trace.fetch_segments, trace.fetch.len(), seg)])
     }
 
-    /// Walk one segment's records through every class, returning per-class
-    /// read-miss deltas (the fetch counterpart of
+    /// Walk one segment's fetch runs through every class, returning
+    /// per-class read-miss deltas (the fetch counterpart of
     /// [`MemSpanWalker::walk_folded_blocked`]).
-    fn walk_ops(&mut self, ops: &[TraceOp]) -> FetchSegmentPartial {
+    fn walk_runs(&mut self, runs: &[u64]) -> FetchSegmentPartial {
         let before: Vec<u64> = self.caches.iter().map(|cache| cache.miss_counts().0).collect();
 
-        // Consecutive records inside one 16-byte block — the captured
-        // fetch-run invariant guarantees a compressed run never crosses one
-        // — merge into the previous entry's run: after the leading fetch
-        // the line is present in every class, so the followers are
-        // guaranteed hits (probed by nobody, clock-accounted under LRU).
-        const RUN_ONE: u64 = 1 << TagCache::MEM_RUN_SHIFT;
+        // Each run is split at 16-byte blocks, and a piece in the block of
+        // the previous entry merges into that entry's run: after the
+        // leading fetch the line is present in every class, so the
+        // followers are guaranteed hits (probed by nobody, clock-accounted
+        // under LRU).  The entries are the maximal stretches of consecutive
+        // fetches within one block.
         let caches = &mut self.caches;
         let block = &mut self.block;
         let mut run_line: Option<u32> = None;
@@ -2048,17 +2315,33 @@ impl FetchSpanWalker<'_> {
             block.clear();
             *run_line = None;
         };
-        for op in ops {
-            let fetches = if op.flags == 0 { op.aux as u64 } else { 1 };
-            if run_line == Some(op.pc >> 4) {
-                *block.last_mut().expect("a run leader precedes every extension") +=
-                    fetches * RUN_ONE;
-            } else {
-                block.push(op.pc as u64 | (fetches - 1) * RUN_ONE);
-                run_line = Some(op.pc >> 4);
-                if block.len() >= WALK_BLOCK {
-                    flush(block, &mut run_line, caches);
+        for &entry in runs {
+            let (mut pc, count) = run_parts(entry);
+            let mut left = u64::from(count);
+            loop {
+                // the fetches at pc, pc + 4, … that stay in pc's block
+                let fetches = (u64::from(19 - (pc & 15)) / 4).min(left);
+                let merged = run_line == Some(pc >> 4)
+                    && block.last().is_some_and(|&last| {
+                        (last >> TagCache::MEM_RUN_SHIFT) + fetches <= MAX_RUN
+                    });
+                if merged {
+                    *block.last_mut().expect("a run leader precedes every extension") +=
+                        fetches * RUN_ONE;
+                } else {
+                    block.push(u64::from(pc) | ((fetches - 1) * RUN_ONE));
+                    run_line = Some(pc >> 4);
+                    if block.len() >= WALK_BLOCK {
+                        flush(block, &mut run_line, caches);
+                    }
                 }
+                left -= fetches;
+                if left == 0 {
+                    break;
+                }
+                // a checked run ends at or below u32::MAX, so another block
+                // follows
+                pc = (pc | 15) + 1;
             }
         }
         flush(block, &mut run_line, caches);
@@ -2080,7 +2363,7 @@ impl FetchSpanWalker<'_> {
 /// bit-for-bit (including `InvalidConfig` and `CycleLimitExceeded` errors),
 /// but a batch of N configurations performs at most **two** trace walks —
 /// one over the memory stream for all distinct (d-cache geometry, window
-/// count) classes, one over the record stream for all distinct i-cache
+/// count) classes, one over the fetch stream for all distinct i-cache
 /// geometries, each skipped when the stream has no class — where N
 /// one-configuration replays perform up to 2N.  Callers with a worker pool
 /// should partition the classes instead (see [`ReplayBatch`]).
@@ -2105,8 +2388,12 @@ pub fn capture(
     let mut cpu = crate::Cpu::new(*config, program)?;
     cpu.enable_trace();
     let result = cpu.run(max_cycles)?;
-    let ops = cpu.take_trace().expect("trace was enabled before the run");
-    let trace = Trace::assemble(ops, config, &result.stats);
+    let recorder = cpu.take_trace().expect("trace was enabled before the run");
+    let trace = recorder.finish(config, &result.stats);
+    debug_assert_eq!(trace.summary.instructions, result.stats.instructions);
+    debug_assert_eq!(trace.summary.loads, result.stats.loads);
+    debug_assert_eq!(trace.summary.stores, result.stats.stores);
+    debug_assert_eq!(trace.summary.branches, result.stats.branches);
     Ok((result, trace))
 }
 
@@ -2202,7 +2489,7 @@ mod tests {
             assert_eq!(run.stats, plain.stats, "tracing must not perturb the run");
             assert_eq!(trace.instructions(), plain.stats.instructions);
             assert!(
-                trace.len() as u64 <= plain.stats.instructions,
+                (trace.fetch_runs().len() as u64) < plain.stats.instructions,
                 "fetch runs must compress, not expand"
             );
         }
@@ -2295,6 +2582,42 @@ mod tests {
         let replayed = replay(&trace, &base, limit).unwrap_err();
         assert_eq!(full, replayed);
         assert!(matches!(replayed, SimError::CycleLimitExceeded { .. }));
+
+        // a budget below the instruction count fails before any walk
+        let _walks = walk_lock();
+        let mut dcache_small = base;
+        dcache_small.dcache.way_kb = 1;
+        let limit = trace.instructions() - 1;
+        let before = trace_walks_performed();
+        let replayed = replay(&trace, &dcache_small, limit).unwrap_err();
+        assert_eq!(trace_walks_performed(), before, "no walk can bring the run within budget");
+        assert_eq!(replayed, crate::simulate(&dcache_small, &program, limit).unwrap_err());
+    }
+
+    #[test]
+    fn runs_split_where_the_run_field_ends() {
+        let _walks = walk_lock();
+        // three read leaders of one line, each carrying the longest run an
+        // item holds, then a write 128 KB away, so the d-cache is walked:
+        // merging all three into one walk entry would overflow the run
+        // field, so the walk starts a new entry, which hits; four runs of
+        // 2^30 sequential fetches pay for the accesses
+        let (_, mut trace) = capture(&LeonConfig::base(), &demo_program(), 1_000_000).unwrap();
+        let leader = 0x4000 | MAX_RUN << TagCache::MEM_RUN_SHIFT;
+        let loads = 3 * (1 + MAX_RUN);
+        trace.fetch = vec![run_entry(0, 1 << 30); 4];
+        trace.folded = vec![leader, leader, leader, 0x2_4000 | TagCache::WRITE_BIT];
+        trace.summary =
+            TraceSummary { instructions: 1 << 32, loads, stores: 1, ..TraceSummary::default() };
+        trace.resegment_at(&[0], &[0]);
+        let trace = Trace::from_bytes(&trace.to_bytes()).expect("a well-formed trace");
+        assert_eq!(trace.mem_facts().data.line16, None, "the data is walked");
+        let mut config = LeonConfig::base();
+        config.dcache.way_kb = 1;
+        let stats = replay(&trace, &config, u64::MAX).unwrap();
+        let expected =
+            CacheStats { read_hits: loads - 1, read_misses: 1, write_hits: 0, write_misses: 1 };
+        assert_eq!(stats.dcache, expected);
     }
 
     #[test]
@@ -2467,20 +2790,21 @@ mod tests {
         // pool; the trace type must stay plain shareable data
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Trace>();
-        assert_send_sync::<TraceOp>();
     }
 
     #[test]
-    fn compressed_runs_never_cross_a_16_byte_block() {
+    fn fetch_runs_are_maximal_and_hold_every_instruction() {
         let base = LeonConfig::base();
-        let program = demo_program();
-        let (_, trace) = capture(&base, &program, 1_000_000).unwrap();
-        for op in &trace.ops {
-            if op.flags == 0 {
-                assert!(op.aux >= 1 && op.aux <= 4);
-                let last_pc = op.pc + 4 * (op.aux - 1);
-                assert_eq!(op.pc >> 4, last_pc >> 4, "run crosses a minimum-size line");
+        for program in [demo_program(), recursing_program(), wide_program()] {
+            let (run, trace) = capture(&base, &program, 1_000_000).unwrap();
+            let runs: Vec<FetchRun> = trace.fetch_runs().collect();
+            assert!(runs.iter().all(|r| r.count >= 1), "{}", program.name);
+            // a run ends only where the next pc is not the previous pc + 4
+            for pair in runs.windows(2) {
+                assert_ne!(pair[1].pc, pair[0].pc + 4 * pair[0].count, "{}", program.name);
             }
+            let total: u64 = runs.iter().map(|r| u64::from(r.count)).sum();
+            assert_eq!(total, run.stats.instructions, "{}", program.name);
         }
     }
 
@@ -2524,10 +2848,14 @@ mod tests {
         assert_eq!(header.base_icache, run.stats.icache);
         assert_eq!(header.base_dcache, run.stats.dcache);
         assert_eq!(header.base_overflows, run.stats.window_overflows);
-        assert_eq!(header.records, trace.ops.len() as u64);
+        assert_eq!(header.summary, trace.summary);
+        assert_eq!(
+            (header.runs, header.items),
+            (trace.fetch.len() as u64, trace.folded.len() as u64)
+        );
 
-        // a record-stream bit flip passes the peek (no integrity claim) but
-        // still fails the full decode
+        // a stream bit flip passes the peek (no integrity claim) but still
+        // fails the full decode
         let mut flipped = bytes.clone();
         let pos = flipped.len() - 20;
         flipped[pos] ^= 0x40;
@@ -2542,25 +2870,33 @@ mod tests {
         assert!(err.to_string().contains("version"), "got: {err}");
         let mut truncated = bytes.clone();
         truncated.truncate(bytes.len() - 10);
-        assert!(Trace::peek_header(&truncated).is_err(), "record count must mismatch");
+        assert!(Trace::peek_header(&truncated).is_err(), "stream lengths must mismatch");
     }
+
+    /// Header offsets of the run and item counts (after the magic, version,
+    /// configuration, base statistics, traps and the 13 event counts).
+    const RUNS_AT: usize = 232;
+    const ITEMS_AT: usize = 240;
 
     #[test]
     fn binary_codec_rejects_damage() {
-        let (_, trace) = capture(&LeonConfig::base(), &demo_program(), 1_000_000).unwrap();
+        let (_, trace) = capture(&LeonConfig::base(), &wide_program(), 1_000_000).unwrap();
         let good = trace.to_bytes();
-        assert!(Trace::from_bytes(&good).is_ok());
+        assert_eq!(Trace::from_bytes(&good).unwrap(), trace);
+        assert_eq!(good[RUNS_AT..RUNS_AT + 8], (trace.fetch.len() as u64).to_le_bytes());
+        assert_eq!(good[ITEMS_AT..ITEMS_AT + 8], (trace.folded.len() as u64).to_le_bytes());
 
-        // truncation (both mid-record and mid-header)
+        // truncation (both mid-stream and mid-header)
         assert!(Trace::from_bytes(&good[..good.len() - 1]).is_err());
         assert!(Trace::from_bytes(&good[..10]).is_err());
         assert!(Trace::from_bytes(&[]).is_err());
 
-        // a different format version — newer, or the retired version 3
-        // (FNV-1a per segment), version 2 (stored derived data) or
-        // monolithic version 1 — must be rejected even with a valid
-        // checksum over the altered body, by every decoder
-        for version in [TRACE_FORMAT_VERSION + 1, 3, 2, 1] {
+        // a different format version — newer, or a retired one that stored
+        // one record per eventful instruction (version 4, version 3 with
+        // FNV-1a per segment, version 2 with derived data, monolithic
+        // version 1) — must be rejected even with a valid checksum over the
+        // altered body, by every decoder
+        for version in [TRACE_FORMAT_VERSION + 1, 4, 3, 2, 1] {
             let mut versioned = good.clone();
             versioned[4..8].copy_from_slice(&version.to_le_bytes());
             let versioned = rechecksummed(versioned);
@@ -2572,29 +2908,104 @@ mod tests {
             assert!(err.to_string().contains("version"), "got: {err}");
         }
 
-        // trailing garbage is rejected (record count no longer matches)
+        // trailing garbage is rejected (the stream lengths no longer match)
         let mut padded = good[..good.len() - 8].to_vec();
-        padded.extend_from_slice(&[0u8; 10]);
+        padded.extend_from_slice(&[0u8; 8]);
         let checksum = xxh64(&padded);
         padded.extend_from_slice(&checksum.to_le_bytes());
         assert!(Trace::from_bytes(&padded).is_err());
 
-        // a hostile segment index or record count — claimed offsets near
-        // u64::MAX, an overflowing payload size — is a typed error from
-        // every decoder, never an overflow panic
+        // streams and counts replay could not handle, each encoded with a
+        // valid checksum: one case per rule, each tripping only its rule,
+        // and rejected alike by the full decode and the doctor's pass
+        let damaged = |keyword: &str, damage: &dyn Fn(&mut Trace)| {
+            let mut bad = trace.clone();
+            damage(&mut bad);
+            let bytes = bad.to_bytes();
+            assert!(Trace::peek_header(&bytes).is_ok(), "{keyword}: the layout is intact");
+            for err in [Trace::from_bytes(&bytes), Trace::validate_segments(&bytes).map(|_| bad)]
+                .map(|decoded| decoded.unwrap_err())
+            {
+                assert!(err.to_string().contains(keyword), "expected {keyword:?}, got: {err}");
+            }
+        };
+        let first = |t: &Trace, kind: fn(&MemItem) -> bool| {
+            t.folded.iter().position(|&item| kind(&MemItem::of(item))).unwrap()
+        };
+        let leaders = |t: &Trace, write: bool| {
+            t.memory_items()
+                .filter(|item| match item {
+                    MemItem::Read { .. } => !write,
+                    MemItem::Write { .. } => write,
+                    _ => false,
+                })
+                .count() as u64
+        };
+        damaged("is empty", &|t| {
+            let (pc, count) = run_parts(t.fetch[1]);
+            t.fetch[1] = run_entry(pc, 0);
+            t.summary.instructions -= u64::from(count);
+        });
+        damaged("wraps past the top", &|t| {
+            let (_, count) = run_parts(t.fetch[0]);
+            t.fetch[0] = run_entry(u32::MAX - 3, 2);
+            t.summary.instructions = t.summary.instructions - u64::from(count) + 2;
+        });
+        damaged("write leader with a run", &|t| {
+            let at = first(t, |item| matches!(item, MemItem::Write { .. }));
+            t.folded[at] += RUN_ONE;
+            t.summary.stores += 1;
+        });
+        damaged("stray bits", &|t| {
+            let at = first(t, |item| matches!(item, MemItem::Save { .. }));
+            t.folded[at] |= 1 << 40;
+        });
+        damaged("fetch runs hold", &|t| t.summary.instructions += 1);
+        damaged("accesses", &|t| t.summary.loads += 1);
+        damaged("cannot lead", &|t| {
+            let reads = leaders(t, false);
+            t.summary.stores += t.summary.loads - (reads - 1);
+            t.summary.loads = reads - 1;
+        });
+        damaged("cannot lead", &|t| {
+            let writes = leaders(t, true);
+            t.summary.loads += t.summary.stores - (writes - 1);
+            t.summary.stores = writes - 1;
+        });
+        damaged("marks", &|t| t.summary.saves += 1);
+        damaged("marks", &|t| t.summary.restores -= 1);
+        damaged("exceeds", &|t| t.summary.slow_decode = t.summary.instructions + 1);
+        damaged("exceeds", &|t| t.summary.calls = t.summary.instructions + 1);
+        damaged("taken branches", &|t| t.summary.taken_branches = t.summary.branches + 1);
+        // a run ending exactly at u32::MAX is well-formed
+        let mut top = trace.clone();
+        let (_, count) = run_parts(top.fetch[0]);
+        top.fetch[0] = run_entry(u32::MAX - 3, 1);
+        top.summary.instructions = top.summary.instructions - u64::from(count) + 1;
+        assert_eq!(Trace::from_bytes(&top.to_bytes()).unwrap(), top);
+
+        // run and item counts the payload cannot hold, up to 2^60 and
+        // beyond, and a hostile segment index — starts near u64::MAX — are
+        // typed errors from every decoder, never an overflow panic
         let mut segmented = trace.clone();
-        segmented.resegment_at(&[0, 1, trace.len() / 2]);
+        let thirds = |n: usize| vec![0, 1, n / 2];
+        segmented.resegment_at(&thirds(trace.fetch.len()), &thirds(trace.folded.len()));
         let good = segmented.to_bytes();
         assert_eq!(Trace::from_bytes(&good).unwrap(), segmented);
-        let index_at = good.len() - 8 - trace.len() * RECORD_LEN - 3 * SEGMENT_INFO_LEN;
-        let records_at = index_at - 12;
-        assert_eq!(good[records_at..records_at + 8], (trace.len() as u64).to_le_bytes());
+        let fetch_index_at = HEADER_LEN;
+        let memory_index_at = HEADER_LEN + 3 * SEGMENT_INFO_LEN;
         for (at, value) in [
-            (index_at + SEGMENT_INFO_LEN, u64::MAX - 1),
-            (index_at + 2 * SEGMENT_INFO_LEN, u64::MAX),
-            (index_at, u64::MAX / 2),
-            (records_at, 1 << 60),
-            (records_at, u64::MAX),
+            (RUNS_AT, 1 << 60),
+            (RUNS_AT, u64::MAX),
+            (ITEMS_AT, 1 << 60),
+            (ITEMS_AT, u64::MAX),
+            (RUNS_AT, 1 << 61),
+            (ITEMS_AT, (trace.fetch.len() + trace.folded.len()) as u64),
+            (fetch_index_at + SEGMENT_INFO_LEN, u64::MAX - 1),
+            (fetch_index_at + 2 * SEGMENT_INFO_LEN, u64::MAX),
+            (fetch_index_at, u64::MAX / 2),
+            (memory_index_at + SEGMENT_INFO_LEN, u64::MAX - 1),
+            (memory_index_at + 2 * SEGMENT_INFO_LEN, u64::MAX),
         ] {
             let mut hostile = good.clone();
             hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
@@ -2603,6 +3014,29 @@ mod tests {
             assert!(Trace::peek_header(&hostile).is_err(), "{value:#x} at byte {at}");
             assert!(Trace::validate_segments(&hostile).is_err(), "{value:#x} at byte {at}");
         }
+        // both counts inflated so that only their sum overflows
+        let mut hostile = good.clone();
+        hostile[RUNS_AT..RUNS_AT + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        hostile[ITEMS_AT..ITEMS_AT + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        let err = Trace::from_bytes(&rechecksummed(hostile)).unwrap_err();
+        assert!(err.to_string().contains("do not fill"), "got: {err}");
+    }
+
+    #[test]
+    fn reconstruct_stats_turns_overflow_into_a_cycle_limit_error() {
+        let (_, trace) = capture(&LeonConfig::base(), &demo_program(), 1_000_000).unwrap();
+        let mut config = LeonConfig::base();
+        config.memory.read_first = u32::MAX;
+        config.memory.read_burst = u32::MAX;
+        let huge = CacheStats { read_misses: u64::MAX / 2, ..CacheStats::default() };
+        let over = SimError::CycleLimitExceeded { limit: u64::MAX };
+        let stats = |icache, dcache, traps| {
+            reconstruct_stats(&trace.summary, &config, icache, dcache, traps, traps, u64::MAX)
+        };
+        assert_eq!(stats(huge, CacheStats::default(), 0), Err(over.clone()));
+        assert_eq!(stats(CacheStats::default(), huge, 0), Err(over.clone()));
+        assert_eq!(stats(CacheStats::default(), CacheStats::default(), u64::MAX), Err(over));
+        assert!(stats(CacheStats::default(), CacheStats::default(), 0).is_ok());
     }
 
     /// Re-seal `bytes` with a valid trailing checksum, so only the
@@ -2656,21 +3090,36 @@ mod tests {
     #[test]
     fn summary_and_folded_stream_are_consistent() {
         let base = LeonConfig::base();
-        let program = recursing_program();
-        let (run, trace) = capture(&base, &program, 1_000_000).unwrap();
-        let s = &trace.summary;
-        assert_eq!(s.instructions, run.stats.instructions);
-        assert_eq!(s.loads, run.stats.loads);
-        assert_eq!(s.stores, run.stats.stores);
-        assert_eq!(s.branches, run.stats.branches);
-        assert_eq!(s.taken_branches, run.stats.taken_branches);
-        assert_eq!(s.calls, run.stats.calls);
-        // every rotation is one folded marker; loads and stores fold into
-        // at most one leader each
-        let markers = trace.folded.iter().filter(|&&item| item & FOLD_MARKER_BIT != 0).count();
-        assert_eq!(markers as u64, s.saves + s.restores);
-        assert!((trace.folded.len() - markers) as u64 <= s.loads + s.stores);
-        assert!(s.saves > 0 && s.restores > 0, "recursion must rotate windows");
+        for program in [demo_program(), recursing_program(), wide_program()] {
+            let (run, trace) = capture(&base, &program, 1_000_000).unwrap();
+            let s = &trace.summary;
+            assert_eq!(s.instructions, run.stats.instructions);
+            assert_eq!(s.loads, run.stats.loads);
+            assert_eq!(s.stores, run.stats.stores);
+            assert_eq!(s.branches, run.stats.branches);
+            assert_eq!(s.taken_branches, run.stats.taken_branches);
+            assert_eq!(s.calls, run.stats.calls);
+            // every rotation is one folded marker, and the leaders with
+            // their runs hold every load and store
+            let items: Vec<MemItem> = trace.memory_items().collect();
+            let markers = items
+                .iter()
+                .filter(|item| matches!(item, MemItem::Save { .. } | MemItem::Restore { .. }))
+                .count();
+            assert_eq!(markers as u64, s.saves + s.restores, "{}", program.name);
+            let accesses: u64 = items
+                .iter()
+                .map(|item| match item {
+                    MemItem::Read { run, .. } => 1 + u64::from(*run),
+                    MemItem::Write { .. } => 1,
+                    _ => 0,
+                })
+                .sum();
+            assert_eq!(accesses, s.loads + s.stores, "{}", program.name);
+            if program.name == "recurse" {
+                assert!(s.saves > 0 && s.restores > 0, "recursion must rotate windows");
+            }
+        }
     }
 
     /// A small mixed batch: base geometry, a d-cache + window variant, an
@@ -2695,16 +3144,23 @@ mod tests {
             let (_, trace) = capture(&base, &program, 1_000_000).unwrap();
             let expected = replay_batch(&trace, &configs, 1_000_000);
 
-            // deliberately odd boundaries: 1-record segments up front, cuts
-            // mid-stream — results and the codec round-trip must not care
-            let n = trace.ops.len();
-            let mut boundaries: Vec<usize> = vec![0, 1, 2, n / 3, n / 2, n - 1];
-            boundaries.sort_unstable();
-            boundaries.dedup();
-            boundaries.retain(|&b| b < n);
+            // deliberately odd boundaries: 1-entry segments up front, cuts
+            // mid-stream, each stream cut on its own — results and the
+            // codec round-trip must not care
+            let cuts = |n: usize| {
+                let mut boundaries: Vec<usize> = [0, 1, 2, n / 3, n / 2, n.saturating_sub(1)]
+                    .into_iter()
+                    .filter(|&b| b < n)
+                    .collect();
+                boundaries.sort_unstable();
+                boundaries.dedup();
+                boundaries
+            };
+            let (fetch, memory) = (cuts(trace.fetch.len()), cuts(trace.folded.len()));
             let mut resegmented = trace.clone();
-            resegmented.resegment_at(&boundaries);
-            assert!(resegmented.segment_count() >= 4);
+            resegmented.resegment_at(&fetch, &memory);
+            assert!(resegmented.fetch_segment_count() >= 4);
+            assert!(resegmented.memory_segment_count() >= 4);
 
             assert_eq!(replay_batch(&resegmented, &configs, 1_000_000), expected);
             let decoded = Trace::from_bytes(&resegmented.to_bytes()).unwrap();
@@ -2721,11 +3177,14 @@ mod tests {
         // walk); the wide program walks both streams
         for (program, streams) in [(recursing_program(), 1u64), (wide_program(), 2)] {
             let (_, mut trace) = capture(&base, &program, 1_000_000).unwrap();
-            let step = (trace.ops.len() / 4).max(1);
-            let boundaries: Vec<usize> = (0..trace.ops.len()).step_by(step).collect();
-            trace.resegment_at(&boundaries);
-            let segments = trace.segment_count() as u64;
-            assert!(segments >= 3);
+            let quarters = |n: usize| (0..n).step_by((n / 4).max(1)).collect::<Vec<usize>>();
+            let (fetch, memory) = (quarters(trace.fetch.len()), quarters(trace.folded.len()));
+            trace.resegment_at(&fetch, &memory);
+            let mem_segments = trace.memory_segment_count() as u64;
+            let fetch_segments = trace.fetch_segment_count() as u64;
+            assert!(mem_segments >= 3 && fetch_segments >= 3);
+            // each walked stream ticks once per segment of its own
+            let segments = mem_segments + if streams == 2 { fetch_segments } else { 0 };
 
             let plan = ReplayBatch::new(&trace, &configs, 1_000_000);
             assert_eq!(plan.mem_class_count(), 1, "{}", program.name);
@@ -2735,7 +3194,7 @@ mod tests {
             let mem = plan.walk_mem_span(0..plan.mem_class_count());
             let fetch = plan.walk_fetch_span(0..plan.fetch_class_count());
             assert_eq!(trace_walks_performed() - walks_before, streams, "{}", program.name);
-            assert_eq!(trace_segments_walked() - segs_before, streams * segments);
+            assert_eq!(trace_segments_walked() - segs_before, segments);
 
             // per-segment partials reduce to exactly the fused span results
             let mut walker = plan.mem_span_walker(0..plan.mem_class_count());
@@ -2762,7 +3221,7 @@ mod tests {
             let segs_before = trace_segments_walked();
             replay(&trace, &both, 1_000_000).unwrap();
             assert_eq!(trace_walks_performed() - walks_before, streams);
-            assert_eq!(trace_segments_walked() - segs_before, streams * segments);
+            assert_eq!(trace_segments_walked() - segs_before, segments);
         }
     }
 
@@ -2897,16 +3356,18 @@ mod tests {
         let text = decoded.fetch_footprint().line16.unwrap();
         assert!(text.span() > 64, "1.6 KB of text spans more than a 1 KB way");
         let mut recut = decoded.clone();
-        recut.resegment_at(&[0]);
+        recut.resegment_at(&[0], &[0]);
         assert_eq!(unset(&recut), (true, true));
     }
 
-    /// Re-encode `trace` after `damage` rewrote its records, and decode it:
-    /// a trace only a hostile input can produce, with a valid checksum.
-    fn hostile(trace: &Trace, damage: impl FnOnce(&mut Vec<TraceOp>)) -> Trace {
+    /// Re-encode `trace` after `damage` rewrote its memory stream and
+    /// counts, and decode it: a trace only a hostile input can produce, with
+    /// a valid checksum.
+    fn hostile(trace: &Trace, damage: impl FnOnce(&mut Trace)) -> Trace {
         let mut altered = trace.clone();
-        damage(&mut altered.ops);
-        altered.resegment_at(&Trace::default_boundaries(altered.ops.len()));
+        damage(&mut altered);
+        let fetch = altered.fetch_segments.clone();
+        altered.resegment_at(&fetch, &Trace::default_boundaries(altered.folded.len()));
         Trace::from_bytes(&altered.to_bytes()).expect("the altered trace is well-formed")
     }
 
@@ -2917,16 +3378,19 @@ mod tests {
         let configs = geometry_batch(&[2, 3, 8, 32]);
         let (_, demo) = capture(&base, &demo_program(), 1_000_000).unwrap();
         let (_, recursing) = capture(&base, &recursing_program(), 1_000_000).unwrap();
+        // moving every leader keeps its folded followers in its line: the
+        // base is 16-byte aligned
         let relocate = |base_addr: u32| {
-            move |ops: &mut Vec<TraceOp>| {
-                for op in ops.iter_mut().filter(|op| op.flags & (flags::LOAD | flags::STORE) != 0) {
-                    op.aux = base_addr.wrapping_add(op.aux & 0xfff);
+            move |t: &mut Trace| {
+                for item in t.folded.iter_mut().filter(|&&mut item| item & FOLD_MARKER_BIT == 0) {
+                    let addr = base_addr.wrapping_add(*item as u32 & 0xfff);
+                    *item = *item & !u64::from(u32::MAX) | u64::from(addr);
                 }
             }
         };
-        let restore_first = |ops: &mut Vec<TraceOp>| {
-            let restore = TraceOp { pc: 0, flags: flags::RESTORE, aux: 0x1000 };
-            ops.insert(0, restore);
+        let restore_first = |t: &mut Trace| {
+            t.folded.insert(0, FOLD_MARKER_BIT | FOLD_RESTORE_BIT | 0x1000);
+            t.summary.restores += 1;
         };
         let cases = [
             // a `restore` before any `save`: it underflows under every

@@ -1,9 +1,10 @@
 //! Print the trace-engine profile of every benchmark workload: dynamic
-//! instruction count, record counts after fetch-run compression, the event
-//! mix that decides which replay tier (closed-form / memory-walk /
-//! fetch-walk) a perturbation uses, and the facts behind the closed-form
-//! cache tier: the maximum window nesting depth and the byte ranges the
-//! loads/stores and the fetches touch (in 16-byte lines).
+//! instruction count, the two stored streams — fetch runs and folded memory
+//! items — and what they cost stored (bytes per instruction), the event mix
+//! that decides which replay tier (closed-form / memory-walk / fetch-walk)
+//! a perturbation uses, and the facts behind the closed-form cache tier:
+//! the maximum window nesting depth and the byte ranges the loads/stores
+//! and the fetches touch (in 16-byte lines).
 //!
 //! ```sh
 //! cargo run --release --example trace_profile
@@ -28,17 +29,17 @@ fn touched(footprint: &StreamFootprint) -> String {
 fn main() {
     let base = LeonConfig::base();
     println!(
-        "{:<8} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>9} {:>7} {:>9} {:>5}  {:<30} {:<30}",
+        "{:<8} {:>9} {:>9} {:>9} {:>7} {:>9} {:>8} {:>8} {:>9} {:>7} {:>5}  {:<30} {:<30}",
         "workload",
         "instrs",
-        "records",
-        "mem ops",
+        "runs",
+        "mem items",
+        "B/instr",
         "branches",
         "loads",
         "stores",
         "mul/div",
         "traps",
-        "KiB",
         "depth",
         "data lines",
         "text lines"
@@ -46,20 +47,20 @@ fn main() {
     for workload in benchmark_suite(Scale::Tiny) {
         let program = workload.build();
         let (run, trace) = leon_sim::capture(&base, &program, 2_000_000_000).unwrap();
-        let s = &trace.summary;
+        let s = trace.summary();
         let mem = trace.mem_facts();
         println!(
-            "{:<8} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>9} {:>7} {:>9.1} {:>5}  {:<30} {:<30}",
+            "{:<8} {:>9} {:>9} {:>9} {:>7.2} {:>9} {:>8} {:>8} {:>9} {:>7} {:>5}  {:<30} {:<30}",
             workload.name(),
             s.instructions,
-            trace.len(),
-            s.loads + s.stores + s.saves + s.restores,
+            trace.fetch_runs().len(),
+            trace.memory_items().len(),
+            trace.to_bytes().len() as f64 / s.instructions as f64,
             s.branches,
             s.loads,
             s.stores,
             s.mul_ops + s.div_ops,
             run.stats.window_overflows + run.stats.window_underflows,
-            trace.memory_bytes() as f64 / 1024.0,
             mem.max_depth.map_or("-".to_string(), |depth| depth.to_string()),
             touched(&mem.data),
             touched(trace.fetch_footprint()),

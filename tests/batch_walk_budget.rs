@@ -16,8 +16,9 @@
 //!   memory-stream pass, where one `leon_sim::replay` per configuration
 //!   pays one walk per feasible geometry it cannot finish in closed form;
 //! * the segmented engine's finer-grained `trace_segments_walked` counter
-//!   stays within classes × segments (parallel table) and hits exactly one
-//!   tick per segment for the fused Figure 2 pass;
+//!   ticks once per segment of the walked stream — each stream is cut on
+//!   its own — for every walk of the parallel table, and exactly once per
+//!   memory segment for the fused Figure 2 pass;
 //! * batching changes no result: the tables are byte-identical across
 //!   thread counts, and every batched cycle count equals its per-config
 //!   `replay`, so the walk budget is a pure cost change.
@@ -37,8 +38,8 @@ use std::sync::Mutex;
 use liquid_autoreconf::apps::{benchmark_suite, capture_verified, Blastn, Scale};
 use liquid_autoreconf::fpga::SynthesisModel;
 use liquid_autoreconf::sim::{
-    self, replay, trace::flags, trace_segments_walked, trace_walks_performed, CacheConfig,
-    LeonConfig, ReplacementPolicy, ReplayBatch, Trace,
+    self, replay, trace_segments_walked, trace_walks_performed, CacheConfig, LeonConfig, MemItem,
+    ReplacementPolicy, ReplayBatch, Trace,
 };
 use liquid_autoreconf::tuner::{
     dcache_exhaustive_traced, measure_cost_table_traced, replay_batch_indexed, DcacheRow,
@@ -82,8 +83,9 @@ fn table_batch(space: &ParameterSpace, base: &LeonConfig) -> Vec<LeonConfig> {
         .collect()
 }
 
-/// What replay can answer without a walk, re-derived from the raw records
-/// rather than through the engine's own footprint code.
+/// What replay can answer without a walk, re-derived from the fetch runs and
+/// the folded memory items rather than through the engine's own footprint
+/// code.
 struct Reach {
     /// Deepest window nesting; `None` after a `restore` at depth 0.
     depth: Option<u64>,
@@ -100,20 +102,24 @@ impl Reach {
         };
         let (mut depth, mut max_depth, mut balanced) = (0u64, 0u64, true);
         let (mut data, mut text) = (None, None);
-        for op in &trace.ops {
-            // a compressed fetch run never leaves its first fetch's 16-byte
-            // block, so its first pc bounds its lines
-            text = widen(text, op.pc);
-            if op.flags & (flags::LOAD | flags::STORE) != 0 {
-                data = widen(data, op.aux);
-            }
-            if op.flags & flags::SAVE != 0 {
-                depth += 1;
-                max_depth = max_depth.max(depth);
-            }
-            if op.flags & flags::RESTORE != 0 {
-                balanced &= depth > 0;
-                depth = depth.saturating_sub(1);
+        for run in trace.fetch_runs() {
+            // a run fetches every pc from its first to its last
+            text = widen(text, run.pc);
+            text = widen(text, run.pc + 4 * (run.count - 1));
+        }
+        for item in trace.memory_items() {
+            match item {
+                // a leader's folded followers stay in its 16-byte line, so
+                // the leaders bound the lines
+                MemItem::Read { addr, .. } | MemItem::Write { addr } => data = widen(data, addr),
+                MemItem::Save { .. } => {
+                    depth += 1;
+                    max_depth = max_depth.max(depth);
+                }
+                MemItem::Restore { .. } => {
+                    balanced &= depth > 0;
+                    depth = depth.saturating_sub(1);
+                }
             }
         }
         Reach { depth: balanced.then_some(max_depth), data, text }
@@ -202,9 +208,10 @@ fn cost_table_walks_at_most_once_per_behavior_class() {
     assert_eq!(serial_walks, 1, "one memory pass, no fetch pass");
 
     // threads = 4: classes are partitioned, never duplicated — and the
-    // segmented engine ticks at most one segment walk per class × segment
-    // unit (each class-span walker visits every segment exactly once)
-    let segments = trace.segment_count() as u64;
+    // segmented engine ticks one segment walk per class span × memory
+    // segment unit (each class-span walker visits every segment of its
+    // stream exactly once)
+    let segments = trace.memory_segment_count() as u64;
     let before = trace_walks_performed();
     let seg_before = trace_segments_walked();
     let parallel =
@@ -291,8 +298,8 @@ fn fig2_sweep_collapses_to_one_memory_stream_pass() {
         );
         assert_eq!(
             batched_segment_walks,
-            trace.segment_count() as u64,
-            "{name}: that one pass visits each of the trace's segments exactly once"
+            trace.memory_segment_count() as u64,
+            "{name}: that one pass visits each of the memory stream's segments exactly once"
         );
 
         // one `replay` per feasible row, on the geometry the sweep times

@@ -325,25 +325,27 @@ fn trace_is_compact() {
         let (run, trace) = sim::capture(&base, &program, MAX_CYCLES).unwrap();
         // run compression must account for every dynamic instruction exactly
         assert_eq!(trace.instructions(), run.stats.instructions, "{}", workload.name());
+        // a run of sequential fetches covers several instructions, and the
+        // folded memory stream fewer items than loads, stores and rotations
+        let (runs, items) = (trace.fetch_runs().len(), trace.memory_items().len());
+        let s = trace.summary();
         assert!(
-            (trace.len() as u64) < run.stats.instructions,
-            "{}: fetch runs should compress the record stream",
+            (runs as u64) < run.stats.instructions / 2,
+            "{}: fetch runs should compress the fetch stream",
             workload.name()
         );
-        // 12-byte packed records plus the pre-folded memory stream and the
-        // per-segment checkpoints
-        let seg_meta_bytes = std::mem::size_of::<liquid_autoreconf::sim::trace::SegmentMeta>();
-        assert_eq!(
-            trace.memory_bytes(),
-            trace.len() * 12
-                + trace.folded.len() * 8
-                + trace.segment_count() * seg_meta_bytes,
-            "{}",
+        assert!(
+            items as u64 <= s.loads + s.stores + s.saves + s.restores,
+            "{}: folding must not expand the memory stream",
             workload.name()
         );
-        // the checkpoint overhead itself stays negligible next to the streams
+        // 8 bytes per run and per item, plus one start per segment
+        let segments = trace.fetch_segment_count() + trace.memory_segment_count();
+        let index_bytes = segments * std::mem::size_of::<usize>();
+        assert_eq!(trace.memory_bytes(), (runs + items) * 8 + index_bytes, "{}", workload.name());
+        // the segment index stays negligible next to the streams
         assert!(
-            trace.segment_count() * seg_meta_bytes <= trace.memory_bytes() / 100,
+            index_bytes <= trace.memory_bytes() / 100,
             "{}: segment metadata should stay under 1% of the trace",
             workload.name()
         );

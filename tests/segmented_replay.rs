@@ -1,9 +1,10 @@
 //! Segmentation-equivalence contract of segmented traces: *where* a trace
-//! is cut into segments is a pure representation choice.  For any
-//! segmentation — including pathological ones: one record per segment, a
-//! boundary in the middle of a window-trap burst, a boundary splitting a
-//! compressed run — batched replay must be bit-identical to the monolithic
-//! walk, through every engine:
+//! is cut into segments is a pure representation choice.  Each stream — the
+//! fetch runs and the folded memory items — is cut on its own, and for any
+//! segmentation — including pathological ones: one entry per segment, a
+//! boundary between a trap's `save` and `restore`, a boundary splitting a
+//! stretch of fetches in one 16-byte block — batched replay must be
+//! bit-identical to the monolithic walk, through every engine:
 //!
 //! * the serial fused walk (`replay_batch`),
 //! * and the class-span × segment worker pool (`replay_batch_indexed`) at
@@ -83,11 +84,15 @@ fn config_from_seed(seed: u64) -> LeonConfig {
     config
 }
 
-/// Decode a seed into a valid segmentation of a `len`-record trace: random
-/// strictly increasing cut points starting at 0.  Random cuts land inside
-/// window-trap bursts and compressed runs as a matter of course — exactly
-/// the boundaries the checkpoint machinery has to get right.
+/// Decode a seed into a valid segmentation of a `len`-entry stream: random
+/// strictly increasing cut points starting at 0 (none for an empty stream).
+/// Random cuts land between a leader and an item that re-folds into it, and
+/// between the blocks of one line's fetches, as a matter of course —
+/// exactly the boundaries the walkers' chained state has to get right.
 fn boundaries_from_seed(seed: u64, len: usize) -> Vec<usize> {
+    if len == 0 {
+        return Vec::new();
+    }
     let mut state = seed;
     let cuts = 1 + (splitmix(&mut state) % 12) as usize;
     let mut boundaries = vec![0usize];
@@ -136,31 +141,44 @@ fn assert_all_engines_match(
     }
 }
 
+/// A named way to cut a stream of `n` entries into segments.
+type Cut = (&'static str, fn(usize) -> Vec<usize>);
+
 #[test]
 fn pathological_segmentations_are_bit_identical() {
     let configs = mixed_batch();
     for (name, trace) in captured_suite() {
-        let n = trace.len();
-        assert!(n > 2, "{name}: trace too small to segment meaningfully");
+        let (runs, items) = (trace.fetch_runs().len(), trace.memory_items().len());
+        assert!(runs > 2, "{name}: trace too small to segment meaningfully");
         let expected = sim::replay_batch(trace, &configs, MAX_CYCLES);
 
-        // one record per segment: every window-trap burst and every
-        // compressed run that spans records is split somewhere
-        let every_record: Vec<usize> = (0..n).collect();
-        // a single segment (the monolithic layout)
-        let single = vec![0usize];
-        // one interior cut
-        let halves = vec![0usize, n / 2];
-        for (tag, boundaries) in
-            [("1-op", &every_record), ("single", &single), ("halves", &halves)]
-        {
-            let mut seg = trace.clone();
-            seg.resegment_at(boundaries);
-            assert_eq!(seg.segment_count(), boundaries.len(), "{name}/{tag}");
-            assert_all_engines_match(name, tag, &seg, &configs, &expected);
-            // the codec round-trips the segmentation, not just the records
-            let decoded = Trace::from_bytes(&seg.to_bytes()).unwrap();
-            assert_eq!(decoded, seg, "{name}/{tag}: codec round trip");
+        let cuts: [Cut; 3] = [
+            // one entry per segment: every trap's markers and every line's
+            // stretch of fetches that spans runs is split somewhere
+            ("1-entry", |n| (0..n).collect()),
+            // a single segment (the monolithic layout)
+            ("single", |n| (0..n.min(1)).collect()),
+            // one interior cut
+            ("halves", |n| {
+                let mut cuts: Vec<usize> = [0, n / 2].into_iter().filter(|&b| b < n).collect();
+                cuts.dedup();
+                cuts
+            }),
+        ];
+        for (fetch_tag, fetch_cut) in cuts {
+            for (memory_tag, memory_cut) in cuts {
+                let tag = &format!("{fetch_tag}/{memory_tag}");
+                let (fetch, memory) = (fetch_cut(runs), memory_cut(items));
+                let mut seg = trace.clone();
+                seg.resegment_at(&fetch, &memory);
+                assert_eq!(seg.fetch_segment_count(), fetch.len(), "{name}/{tag}");
+                assert_eq!(seg.memory_segment_count(), memory.len(), "{name}/{tag}");
+                assert_all_engines_match(name, tag, &seg, &configs, &expected);
+                // the codec round-trips the segmentation, not just the
+                // streams
+                let decoded = Trace::from_bytes(&seg.to_bytes()).unwrap();
+                assert_eq!(decoded, seg, "{name}/{tag}: codec round trip");
+            }
         }
     }
 }
@@ -186,10 +204,13 @@ proptest! {
 
         for (name, trace) in captured_suite() {
             let expected = sim::replay_batch(trace, &configs, MAX_CYCLES);
-            let boundaries = boundaries_from_seed(cut_seed, trace.len());
+            // each stream draws its own cuts
+            let fetch = boundaries_from_seed(cut_seed, trace.fetch_runs().len());
+            let memory = boundaries_from_seed(!cut_seed, trace.memory_items().len());
             let mut seg = trace.clone();
-            seg.resegment_at(&boundaries);
-            prop_assert_eq!(seg.segment_count(), boundaries.len());
+            seg.resegment_at(&fetch, &memory);
+            prop_assert_eq!(seg.fetch_segment_count(), fetch.len());
+            prop_assert_eq!(seg.memory_segment_count(), memory.len());
             assert_all_engines_match(name, "random", &seg, &configs, &expected);
         }
     }
