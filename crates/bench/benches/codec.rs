@@ -7,12 +7,12 @@
 //!
 //! * `capture/<workload>` — one verified guest run with tracing on
 //!   (`workloads::capture_verified`), the work a stored trace saves;
-//! * `encode/<workload>` — `Trace::to_bytes` (format version 5): the
-//!   header with the event counts, the two segment indexes, the fetch runs
-//!   and folded memory items at 8 bytes each, and the XXH64 trailer;
+//! * `encode/<workload>` — `Trace::to_bytes` (format version 6): the
+//!   header with the event counts, the fetch runs and folded memory items
+//!   at 8 bytes each, and the XXH64 trailer;
 //! * `decode/<workload>` — `Trace::from_bytes`: the trailer check, the
-//!   header and indexes, one bulk read per stream, and one validation pass
-//!   of the streams against the counts.  Nothing is derived.
+//!   header, one bulk read per stream, and one validation pass of the
+//!   streams against the counts.  Nothing is derived.
 //!
 //! ROADMAP item 3 targets encode + decode ≤ 25% of capture per workload.
 //! Before anything is timed, `prepare` asserts that every trace

@@ -158,29 +158,17 @@ fn class_spans(count: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// Retime every configuration of `configs` against one captured trace
-/// through the one-pass batched replay engine, partitioning **class-span ×
-/// segment** units — not configurations, and not whole streams — over the
-/// worker pool.
+/// through the one-pass batched replay engine, partitioning behavior
+/// classes — not configurations — over the worker pool.
 ///
-/// Each class span owns a stateful segmented walker
-/// ([`leon_sim::MemSpanWalker`]/[`leon_sim::FetchSpanWalker`]) parked in a
-/// per-span slot; a memory span walks the memory stream's segments and a
-/// fetch span the fetch stream's, each stream cut on its own.  The work
-/// unit `(span g, segment s)` waits until segment `s − 1` of its span is
-/// done, resumes the walker through segment `s`, and parks it again.  Units
-/// are laid out segment-major and `run_indexed` claims indexes in order, so
-/// a unit's predecessor is always already claimed and being computed —
-/// chains make progress, and different spans' segments overlap in time.
-/// This unlocks *intra-trace* parallelism: a sweep dominated by one big
-/// trace stream no longer serialises on a single monolithic walk.
-///
-/// Element `i` of the result equals `leon_sim::replay(trace, &configs[i],
-/// max_cycles)` bit-for-bit (including errors), at any thread count: each
-/// span's per-segment partial sequence is schedule-independent (the walker
-/// chains its state through the segments in order no matter which worker
-/// runs which unit), and the partials are merged by the deterministic
-/// segment-order reduction.  `threads = 1` degenerates to one fused ordered
-/// pass per stream.  This is the retiming kernel behind
+/// Each stream's classes are cut into at most `threads` contiguous spans,
+/// and every span is one [`run_indexed`] job that walks its whole stream
+/// once ([`leon_sim::ReplayBatch::walk_mem_span`] /
+/// [`leon_sim::ReplayBatch::walk_fetch_span`]).  A class's result does not
+/// depend on which span holds it, so element `i` of the result equals
+/// `leon_sim::replay(trace, &configs[i], max_cycles)` bit-for-bit
+/// (including errors) at any thread count; `threads = 1` degenerates to one
+/// fused pass per stream.  This is the retiming kernel behind
 /// [`crate::measure::measure_cost_table_traced`] and
 /// [`crate::dcache_study::dcache_exhaustive_traced`].
 pub fn replay_batch_indexed(
@@ -189,103 +177,17 @@ pub fn replay_batch_indexed(
     max_cycles: u64,
     threads: usize,
 ) -> Vec<Result<leon_sim::Stats, SimError>> {
-    use std::sync::Condvar;
-
     let plan = leon_sim::ReplayBatch::new(trace, configs, max_cycles);
     let workers = effective_threads(threads);
     let mem_spans = class_spans(plan.mem_class_count(), workers);
     let fetch_spans = class_spans(plan.fetch_class_count(), workers);
-    let nspans = mem_spans.len() + fetch_spans.len();
-    // span g walks the memory stream when g < mem_spans.len()
-    let segments_of = |g: usize| {
-        if g < mem_spans.len() {
-            plan.mem_segment_count()
-        } else {
-            plan.fetch_segment_count()
-        }
-    };
-    let units: Vec<(usize, usize)> = (0..(0..nspans).map(segments_of).max().unwrap_or(0))
-        .flat_map(|s| (0..nspans).filter(move |&g| s < segments_of(g)).map(move |g| (g, s)))
-        .collect();
-    if units.is_empty() {
-        // no classes to walk, or empty streams (every span reduces over
-        // zero partials — `walk_*_span` handles both for free)
-        let mem: Vec<_> =
-            mem_spans.iter().flat_map(|span| plan.walk_mem_span(span.clone())).collect();
-        let fetch: Vec<_> =
-            fetch_spans.iter().flat_map(|span| plan.walk_fetch_span(span.clone())).collect();
-        return plan.finish(&mem, &fetch);
-    }
-
-    enum Walker<'a> {
-        Mem(leon_sim::MemSpanWalker<'a>),
-        Fetch(leon_sim::FetchSpanWalker<'a>),
-    }
-    enum Partial {
-        Mem(leon_sim::MemSegmentPartial),
-        Fetch(leon_sim::FetchSegmentPartial),
-    }
-    struct ChainSlot<'a> {
-        walker: Option<Walker<'a>>,
-        next_seg: usize,
-    }
-    let chains: Vec<(Mutex<ChainSlot>, Condvar)> = (0..nspans)
-        .map(|_| (Mutex::new(ChainSlot { walker: None, next_seg: 0 }), Condvar::new()))
-        .collect();
-
-    let outs = run_indexed(units.len(), threads, |i| {
-        let (g, s) = units[i];
-        let (lock, ready) = &chains[g];
-        let mut slot = lock.lock().unwrap();
-        while slot.next_seg != s {
-            slot = ready.wait(slot).unwrap();
-        }
-        // the walker exists from segment 1 on; segment 0 creates it
-        let mut walker = slot.walker.take().unwrap_or_else(|| {
-            debug_assert_eq!(s, 0);
-            if g < mem_spans.len() {
-                Walker::Mem(plan.mem_span_walker(mem_spans[g].clone()))
-            } else {
-                Walker::Fetch(plan.fetch_span_walker(fetch_spans[g - mem_spans.len()].clone()))
-            }
-        });
-        drop(slot);
-
-        let partial = match &mut walker {
-            Walker::Mem(w) => Partial::Mem(w.walk_segment(s)),
-            Walker::Fetch(w) => Partial::Fetch(w.walk_segment(s)),
-        };
-
-        let mut slot = lock.lock().unwrap();
-        slot.walker = Some(walker);
-        slot.next_seg = s + 1;
-        ready.notify_all();
-        drop(slot);
-        partial
+    let jobs = mem_spans.len() + fetch_spans.len();
+    let walks = run_indexed(jobs, threads, |g| match mem_spans.get(g) {
+        Some(span) => (plan.walk_mem_span(span.clone()), Vec::new()),
+        None => (Vec::new(), plan.walk_fetch_span(fetch_spans[g - mem_spans.len()].clone())),
     });
-
-    // units are segment-major, so each span's partials arrive in segment
-    // order
-    let mut mem_partials: Vec<Vec<leon_sim::MemSegmentPartial>> = vec![Vec::new(); mem_spans.len()];
-    let mut fetch_partials: Vec<Vec<leon_sim::FetchSegmentPartial>> =
-        vec![Vec::new(); fetch_spans.len()];
-    for (&(g, _), partial) in units.iter().zip(outs) {
-        match partial {
-            Partial::Mem(p) => mem_partials[g].push(p),
-            Partial::Fetch(p) => fetch_partials[g - mem_spans.len()].push(p),
-        }
-    }
-    let mem: Vec<_> = mem_spans
-        .iter()
-        .zip(&mem_partials)
-        .flat_map(|(span, partials)| plan.reduce_mem_partials(span.clone(), partials))
-        .collect();
-    let fetch: Vec<_> = fetch_spans
-        .iter()
-        .zip(&fetch_partials)
-        .flat_map(|(span, partials)| plan.reduce_fetch_partials(span.clone(), partials))
-        .collect();
-    plan.finish(&mem, &fetch)
+    let (mem, fetch): (Vec<Vec<_>>, Vec<Vec<_>>) = walks.into_iter().unzip();
+    plan.finish(&mem.concat(), &fetch.concat())
 }
 
 /// One workload's captured trace plus its base-configuration run costs.

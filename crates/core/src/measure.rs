@@ -312,9 +312,8 @@ pub fn measure_variable(
 /// With a trace and replay enabled (the default), every replayable
 /// configuration of the table — perturbations and enabler references alike —
 /// is retimed through one batched walk per behavior class
-/// ([`crate::campaign::replay_batch_indexed`], which schedules class-span ×
-/// trace-segment units over the pool — segments of one span chain in order,
-/// while different spans interleave at segment granularity); otherwise each
+/// ([`crate::campaign::replay_batch_indexed`], which fans spans of classes
+/// out over the pool, one whole-stream walk per span); otherwise each
 /// variable is fully simulated on its own, fanned out per variable.
 fn measure_all(
     space: &ParameterSpace,

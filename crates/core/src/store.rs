@@ -618,17 +618,16 @@ pub struct DoctorReport {
     /// `.pin-*` markers still inside their TTL: a session in this or
     /// another process holds the entry pinned.  Informational, never dirt.
     pub active_pins: usize,
-    /// Trace entries whose header, segment indexes, streams and trailing
-    /// checksum all validate.
+    /// Trace entries whose header, streams and trailing checksum all
+    /// validate.
     pub trace_entries: usize,
     /// Trace entries whose envelope checksum passes but whose embedded
     /// trace fails validation — a foreign format version (such as version
-    /// 4 of earlier releases, with one record per eventful instruction), a
-    /// broken segment index (starts not strictly increasing), stream
-    /// lengths the payload does not hold, streams that disagree with the
-    /// event counts, or a trailing-checksum mismatch (deleted when
-    /// repairing).
-    pub segment_index_errors: usize,
+    /// 5 of earlier releases, with a segment index per stream, or version
+    /// 4, with one record per eventful instruction), stream lengths the
+    /// payload does not hold, streams that disagree with the event counts,
+    /// or a trailing-checksum mismatch (deleted when repairing).
+    pub trace_payload_errors: usize,
     /// `search` entries whose payload deserialises as a search outcome.
     pub search_entries: usize,
     /// `search` entries whose envelope checksum passes but whose payload is
@@ -649,7 +648,7 @@ impl DoctorReport {
             && self.stray_tmp_files == 0
             && self.expired_leases == 0
             && self.expired_pins == 0
-            && self.segment_index_errors == 0
+            && self.trace_payload_errors == 0
             && self.search_payload_errors == 0
     }
 
@@ -667,7 +666,7 @@ impl DoctorReport {
             (self.stray_tmp_files, "stray temporary file(s)"),
             (self.expired_leases, "expired compute lease(s) (holder crashed)"),
             (self.expired_pins, "expired pin marker(s) (pinning session crashed)"),
-            (self.segment_index_errors, "trace entry(ies) with a broken segment index"),
+            (self.trace_payload_errors, "trace entry(ies) that fail to decode"),
             (self.search_payload_errors, "search entry(ies) with a malformed outcome payload"),
         ];
         for (count, what) in issues {
@@ -862,6 +861,13 @@ fn write_pin_marker(dir: &Path, shared: &Shared, path: &Path) -> std::io::Result
         let _ = std::fs::remove_file(&tmp);
     }
     renamed
+}
+
+/// Whether `kind` can name store entries: non-empty ASCII alphanumerics and
+/// `_`, so `<kind>-<16 hex>` parses back to the same entry and stays inside
+/// the store directory.
+fn valid_kind(kind: &str) -> bool {
+    !kind.is_empty() && kind.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
 }
 
 /// Parse the `<kind>-<16 hex>` stem shared by `.art`, `.lease` and
@@ -1075,10 +1081,7 @@ impl ArtifactStore {
     }
 
     fn entry_path(&self, kind: &str, key: Fingerprint) -> PathBuf {
-        debug_assert!(
-            kind.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
-            "entry kinds are short alphanumeric tags"
-        );
+        debug_assert!(valid_kind(kind), "entry kinds are short alphanumeric tags");
         self.dir.join(format!("{kind}-{key}.art"))
     }
 
@@ -1658,11 +1661,11 @@ impl ArtifactStore {
     /// Whether the trace embedded in a stored `trace` payload validates
     /// (`store doctor`'s inner integrity pass): the 16-byte base-cost prefix
     /// must be present and the trace must pass every check a load makes
-    /// ([`leon_sim::Trace::validate_segments`]).
+    /// ([`leon_sim::Trace::validate`]).
     fn stored_trace_is_valid(payload: &[u8]) -> bool {
         payload
             .get(crate::campaign::STORED_TRACE_PREFIX_LEN..)
-            .is_some_and(|trace_bytes| leon_sim::Trace::validate_segments(trace_bytes).is_ok())
+            .is_some_and(|trace_bytes| leon_sim::Trace::validate(trace_bytes).is_ok())
     }
 
     /// Store a serde-serialisable value as a JSON payload under `(kind, key)`.
@@ -1866,9 +1869,9 @@ impl ArtifactStore {
     /// temporary files.  An entry in an older envelope version (such as
     /// version 1's FNV-1a checksums) counts as corrupt.  Trace entries get
     /// a deeper pass — the embedded trace is validated exactly as a load
-    /// decodes it (format version, segment indexes, streams against the
+    /// decodes it (format version, stream lengths, streams against the
     /// event counts, trailing checksum), so a trace in a retired format
-    /// counts as a broken segment index.  With `repair`, corrupt entries and
+    /// counts as a trace payload error.  With `repair`, corrupt entries and
     /// stray files are deleted and the manifest is rebuilt to match the
     /// surviving entries (preserving access stamps where known); one
     /// `store doctor --repair` after an upgrade clears every retired entry.
@@ -1887,7 +1890,7 @@ impl ArtifactStore {
             match (id, ok) {
                 (Some((kind, key)), Some((payload, checksum))) => {
                     // trace entries carry their own inner structure (format
-                    // version, segment index, trailing checksum) that the
+                    // version, streams, trailing checksum) that the
                     // envelope checksum cannot vouch for — validate it
                     // here, where the payload is already in hand
                     let trace_ok = if kind == "trace" {
@@ -1895,7 +1898,7 @@ impl ArtifactStore {
                             report.trace_entries += 1;
                             true
                         } else {
-                            report.segment_index_errors += 1;
+                            report.trace_payload_errors += 1;
                             false
                         }
                     } else if kind == "search" {
@@ -2140,7 +2143,9 @@ impl ArtifactStore {
     /// into this store (overwriting same-key entries; each import is a
     /// normal atomic [`ArtifactStore::save`], so the manifest stays in
     /// sync).  Fails without importing anything when the pack's magic,
-    /// version or checksum is wrong.
+    /// version or checksum is wrong, and with `InvalidData` at the first
+    /// entry whose kind no store entry can have: nothing is written for it
+    /// or for any entry after it.
     ///
     /// Streams in two passes, mirroring [`ArtifactStore::pack_to`]: a
     /// chunked checksum pass over the whole file, then an entry-at-a-time
@@ -2199,13 +2204,18 @@ impl ArtifactStore {
         let count = u64::from_le_bytes(header[8..16].try_into().unwrap());
 
         let mut stats = PackStats::default();
-        for _ in 0..count {
+        for entry in 0..count {
             let kind_len =
                 u16::from_le_bytes(take(&mut file, 2)?.try_into().unwrap()) as u64;
             let kind = String::from_utf8(take(&mut file, kind_len)?)
                 .map_err(|_| invalid("pack entry kind is not UTF-8"))?;
             let key =
                 Fingerprint(u64::from_le_bytes(take(&mut file, 8)?.try_into().unwrap()));
+            if !valid_kind(&kind) {
+                return Err(invalid(&format!(
+                    "pack entry {entry} ({kind:?}, {key}) has a kind no store entry can have"
+                )));
+            }
             let payload_len = u64::from_le_bytes(take(&mut file, 8)?.try_into().unwrap());
             let payload = take(&mut file, payload_len)?;
             self.save(&kind, key, &payload)?;
@@ -2796,7 +2806,7 @@ mod tests {
     }
 
     #[test]
-    fn doctor_validates_stored_trace_segments() {
+    fn doctor_validates_stored_traces() {
         use leon_isa::{Asm, Reg};
         let store = scratch_store("doctor-trace");
         let mut a = Asm::new("doctor-trace");
@@ -2832,10 +2842,10 @@ mod tests {
         store.save("trace", k_bad, &stored_trace_payload(&bad)).unwrap();
         // entries in a retired format version (the monolithic version 1,
         // version 2, which stored derived data, version 3, with its
-        // per-segment FNV-1a checksums, and version 4, one record per
-        // eventful instruction, of earlier releases) are no longer
-        // decodable, so they are damage too
-        let retired: Vec<Fingerprint> = [1u32, 2, 3, 4]
+        // per-segment FNV-1a checksums, version 4, one record per eventful
+        // instruction, and version 5, with a segment index per stream, of
+        // earlier releases) are no longer decodable, so they are damage too
+        let retired: Vec<Fingerprint> = [1u32, 2, 3, 4, 5]
             .into_iter()
             .map(|version| {
                 let mut retired = good.clone();
@@ -2848,9 +2858,9 @@ mod tests {
             .collect();
         let report = store.doctor(false).unwrap();
         assert!(!report.is_clean());
-        assert_eq!(report.segment_index_errors, 5);
+        assert_eq!(report.trace_payload_errors, 6);
         assert_eq!(report.corrupt_entries, 0, "the envelopes themselves are fine");
-        assert!(report.render().contains("broken segment index"));
+        assert!(report.render().contains("6 trace entry(ies) that fail to decode"));
 
         // repair deletes the damaged entries; the healthy one survives
         assert!(store.doctor(true).unwrap().repaired);
@@ -2911,6 +2921,47 @@ mod tests {
         for s in [&store, &dest, &empty] {
             let _ = std::fs::remove_dir_all(s.dir());
         }
+    }
+
+    /// A pack file as [`ArtifactStore::pack_to`] writes it, of the given
+    /// `(kind, key, payload)` entries, whatever their kinds.
+    fn pack_of(entries: &[(&str, u64, &[u8])]) -> Vec<u8> {
+        let mut bytes = PACK_MAGIC.to_vec();
+        bytes.extend_from_slice(&PACK_FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        for (kind, key, payload) in entries {
+            bytes.extend_from_slice(&(kind.len() as u16).to_le_bytes());
+            bytes.extend_from_slice(kind.as_bytes());
+            bytes.extend_from_slice(&key.to_le_bytes());
+            bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(payload);
+        }
+        let checksum = leon_sim::fnv1a64(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn unpack_rejects_entry_kinds_the_store_cannot_name() {
+        let store = scratch_store("pack-kinds");
+        let pack = store.dir().with_extension("pack");
+        for kind in ["a.b", "x-y", "", "../up"] {
+            std::fs::write(&pack, pack_of(&[(kind, 7, b"hostile"), ("table", 8, b"fine")]))
+                .unwrap();
+            let err = store.unpack_from(&pack).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{kind:?}: {err}");
+            assert!(err.to_string().contains("pack entry 0"), "{kind:?}: {err}");
+            assert_eq!(store.entries(None).len(), 0, "{kind:?}: nothing is imported");
+            let escaped = store.dir().join(format!("../up-{}.art", Fingerprint(7)));
+            assert!(!escaped.exists(), "{kind:?}: nothing is written outside the store");
+            assert!(store.doctor(false).unwrap().is_clean(), "{kind:?}");
+        }
+        // the same pack with a nameable kind imports both entries
+        std::fs::write(&pack, pack_of(&[("sweep", 7, b"hostile"), ("table", 8, b"fine")])).unwrap();
+        assert_eq!(store.unpack_from(&pack).unwrap().entries, 2);
+        assert_eq!(store.load("table", Fingerprint(8)).as_deref(), Some(&b"fine"[..]));
+        let _ = std::fs::remove_file(&pack);
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]

@@ -310,10 +310,8 @@ impl TagCache {
     /// Reconstruct the full statistics from the class's total access
     /// counts: the walker charged every read/write through this model, so
     /// `reads`/`writes` minus the recorded misses are exactly the hits the
-    /// eagerly-counting [`Cache`] would report.  Production code derives
-    /// stats in the segment reduction instead; the parity tests below still
-    /// compare through this helper.
-    #[cfg(test)]
+    /// eagerly-counting [`Cache`] would report.  A walk calls this once, at
+    /// its end.
     pub(crate) fn stats(&self, reads: u64, writes: u64) -> CacheStats {
         debug_assert!(self.read_misses <= reads && self.write_misses <= writes);
         CacheStats {
@@ -322,14 +320,6 @@ impl TagCache {
             write_hits: writes - self.write_misses,
             write_misses: self.write_misses,
         }
-    }
-
-    /// Raw `(read_misses, write_misses)` accumulated so far.  The segmented
-    /// walkers snapshot these around each segment to derive per-segment
-    /// counter deltas, which are what the deterministic segment reduction
-    /// sums back together (see `trace::MemSegmentPartial`).
-    pub(crate) fn miss_counts(&self) -> (u64, u64) {
-        (self.read_misses, self.write_misses)
     }
 
     /// Victim slot for a miss in `set` (slot base `set * ways`) — mirrors

@@ -50,9 +50,8 @@ pub use profiler::{RunResult, Stats};
 pub use regwin::{RegisterWindows, WindowEvent};
 pub use trace::{
     capture, fnv1a64, fnv1a64_extend, replay, replay_batch, trace_segments_walked,
-    trace_walks_performed, xxh64, FetchRun, FetchSegmentPartial, FetchSpanWalker, LineFootprint,
-    MemClassDelta, MemFacts, MemItem, MemSegmentPartial, MemSpanWalker, Recorder, ReplayBatch,
-    StreamFootprint, Trace, TraceCodecError, TraceHeader, FNV1A64_OFFSET, SEGMENT_ITEMS,
+    trace_walks_performed, xxh64, FetchRun, LineFootprint, MemFacts, MemItem, Recorder,
+    ReplayBatch, StreamFootprint, Trace, TraceCodecError, TraceHeader, FNV1A64_OFFSET,
     TRACE_FORMAT_VERSION,
 };
 

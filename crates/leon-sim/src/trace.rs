@@ -27,11 +27,10 @@
 //! [`Recorder`] builds all of it while the run retires instructions: it
 //! appends a fetch run only where the pc stops being sequential, a memory
 //! item only on a load, store, `save` or `restore` (folding the stream once,
-//! at capture), and counts event words.  Each stream is cut into segments
-//! of its own, every [`SEGMENT_ITEMS`] entries, so each segment walks on
-//! its own.
+//! at capture), and counts event words.  A walk reads a stream whole, from
+//! its first entry to its last.
 //!
-//! [`Trace::to_bytes`] (format version 5) stores exactly these, 8 bytes per
+//! [`Trace::to_bytes`] (format version 6) stores exactly these, 8 bytes per
 //! run and per memory item, under one trailing [`xxh64`] checksum;
 //! [`Trace::from_bytes`] derives nothing, and rejects counts that disagree
 //! with the streams and any entry replay could not walk.
@@ -120,25 +119,12 @@ fn record_trace_walk() {
     TRACE_WALKS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Process-wide count of trace *segments* walked: one tick per segment
-/// processed by a segmented span walker ([`MemSpanWalker`] /
-/// [`FetchSpanWalker`]), whichever engine drives it.  A full span walk over
-/// a stream with S segments ticks this S times (and [`TRACE_WALKS`] once),
-/// so the segment-level budget of a batched measurement is the sum of its
-/// walked streams' segments, and a fused Figure 2 memory pass is exactly
-/// the memory stream's segments — `tests/batch_walk_budget.rs` asserts
-/// both against deltas of this counter.
-static TRACE_SEGMENTS: AtomicU64 = AtomicU64::new(0);
-
-/// Total trace segments walked so far by this process.  Monotonic; compare
-/// deltas, as with [`trace_walks_performed`].
+/// Total trace segments walked so far by this process: every stream is one
+/// segment, so this is [`trace_walks_performed`].  Kept because the
+/// end-to-end benchmark reports it as `walk.segments`; it can go with that
+/// metric.
 pub fn trace_segments_walked() -> u64 {
-    TRACE_SEGMENTS.load(Ordering::Relaxed)
-}
-
-/// Record one segment processed by a span walker.
-fn record_segment_walk() {
-    TRACE_SEGMENTS.fetch_add(1, Ordering::Relaxed);
+    trace_walks_performed()
 }
 
 /// Event bits of one retired instruction, as [`crate::Cpu`] hands them to
@@ -230,12 +216,6 @@ impl TraceSummary {
         ]
     }
 }
-
-/// Entries per trace segment, in each stream: the fetch runs and the folded
-/// memory items are each cut every `SEGMENT_ITEMS` entries.  Large enough
-/// that per-segment scheduling and index overhead is noise, small enough
-/// that a large trace yields several independently walkable units.
-pub const SEGMENT_ITEMS: usize = 1 << 16;
 
 /// Marker flag of a folded-stream item (bit 63): the item is a
 /// `save`/`restore` window rotation, not a load/store run leader.
@@ -332,10 +312,6 @@ pub struct Trace {
     /// memory walkers consume it directly, so the guaranteed-hit elision is
     /// done once, at capture, not per walk.
     folded: Vec<u64>,
-    /// First run of each fetch segment; empty only for an empty stream.
-    fetch_segments: Vec<usize>,
-    /// First item of each memory segment; empty only for an empty stream.
-    memory_segments: Vec<usize>,
     /// Configuration-independent event counts; they agree with the streams
     /// (see [`check_streams`]).
     summary: TraceSummary,
@@ -370,12 +346,6 @@ impl PartialEq for LazyFacts {
     }
 }
 
-/// The entries of segment `seg` of a stream of `len` entries cut at
-/// `starts`.
-fn segment_range(starts: &[usize], len: usize, seg: usize) -> Range<usize> {
-    starts[seg]..starts.get(seg + 1).copied().unwrap_or(len)
-}
-
 impl Trace {
     /// The fetch stream: one entry per maximal run of sequential fetches,
     /// in execution order.
@@ -401,60 +371,9 @@ impl Trace {
         &self.summary
     }
 
-    /// In-memory footprint of the streams and segment tables, in bytes.
+    /// In-memory footprint of the two streams, in bytes.
     pub fn memory_bytes(&self) -> usize {
         (self.fetch.len() + self.folded.len()) * std::mem::size_of::<u64>()
-            + (self.fetch_segments.len() + self.memory_segments.len())
-                * std::mem::size_of::<usize>()
-    }
-
-    /// Segments of the fetch stream (0 only for an empty stream).
-    pub fn fetch_segment_count(&self) -> usize {
-        self.fetch_segments.len()
-    }
-
-    /// Segments of the memory stream (0 only for an empty stream).
-    pub fn memory_segment_count(&self) -> usize {
-        self.memory_segments.len()
-    }
-
-    /// `true` when `boundaries` is a valid segmentation of a stream of
-    /// `len` entries: empty for an empty stream, otherwise starting at 0,
-    /// strictly increasing, and within the stream.
-    fn valid_boundaries(len: usize, boundaries: &[usize]) -> bool {
-        if len == 0 {
-            return boundaries.is_empty();
-        }
-        boundaries.first() == Some(&0)
-            && boundaries.windows(2).all(|w| w[0] < w[1])
-            && boundaries.iter().all(|&b| b < len)
-    }
-
-    /// The default segmentation: a cut every [`SEGMENT_ITEMS`] entries.
-    fn default_boundaries(len: usize) -> Vec<usize> {
-        (0..len).step_by(SEGMENT_ITEMS).collect()
-    }
-
-    /// Re-cut each stream at its own boundaries — the first fetch run of
-    /// each fetch segment, the first item of each memory segment (each list
-    /// starting at 0, strictly increasing and in range; empty only for an
-    /// empty stream) — dropping any derived closed-form facts.  Any cut is
-    /// valid, because a fold never spans items, and replay results are
-    /// independent of the segmentation: the segmented-replay proptest
-    /// exercises exactly this API.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either list is not a valid segmentation of its stream.
-    pub fn resegment_at(&mut self, fetch: &[usize], memory: &[usize]) {
-        assert!(
-            Trace::valid_boundaries(self.fetch.len(), fetch)
-                && Trace::valid_boundaries(self.folded.len(), memory),
-            "segment boundaries must start at 0, increase strictly and stay in-range"
-        );
-        self.fetch_segments = fetch.to_vec();
-        self.memory_segments = memory.to_vec();
-        self.facts = LazyFacts::default();
     }
 
     /// The memory stream's closed-form facts: the maximum window nesting
@@ -604,8 +523,6 @@ impl Recorder {
     pub fn finish(mut self, captured: &LeonConfig, stats: &Stats) -> Trace {
         self.close_run();
         Trace {
-            fetch_segments: Trace::default_boundaries(self.fetch.len()),
-            memory_segments: Trace::default_boundaries(self.folded.len()),
             fetch: self.fetch,
             folded: self.folded,
             summary: summarize(&self.events),
@@ -653,13 +570,14 @@ fn summarize(events: &[u64; EVENT_WORDS]) -> TraceSummary {
 /// or the semantics of any serialised field change: persisted traces carry
 /// the version they were written with, and [`Trace::from_bytes`] refuses to
 /// decode any other version, so stale artifacts fall back to recapture
-/// instead of silently mis-replaying.  Version 5 stores the fetch runs, the
-/// folded memory stream, the event counts, a segment index per stream and
-/// one trailing [`xxh64`] checksum.  Earlier releases' versions are stale:
-/// all four stored one record per eventful instruction — the monolithic
-/// version 1, version 2 (which also stored derived data and per-segment
-/// checkpoints), version 3 (FNV-1a checksums) and version 4 (XXH64).
-pub const TRACE_FORMAT_VERSION: u32 = 5;
+/// instead of silently mis-replaying.  Version 6 stores the fetch runs, the
+/// folded memory stream, the event counts and one trailing [`xxh64`]
+/// checksum.  Earlier releases' versions are stale: version 5 also stored a
+/// segment index per stream, and versions 1–4 one record per eventful
+/// instruction — the monolithic version 1, version 2 (which also stored
+/// derived data and per-segment checkpoints), version 3 (FNV-1a checksums)
+/// and version 4 (XXH64).
+pub const TRACE_FORMAT_VERSION: u32 = 6;
 
 /// Magic bytes opening every serialised trace.
 const TRACE_MAGIC: [u8; 4] = *b"LTRC";
@@ -941,21 +859,17 @@ fn decode_cache_stats(r: &mut ByteReader) -> Result<CacheStats, TraceCodecError>
 /// Serialised size of one fetch run or folded memory item.
 const ENTRY_LEN: usize = 8;
 
-/// Serialised size of one segment-index entry: the segment's first entry.
-const SEGMENT_INFO_LEN: usize = 8;
-
-/// Serialised size of the fixed header: magic, version, capturing
-/// configuration (40 bytes), base cache statistics and window-trap counts
-/// (80), the 13 event counts (104), the run and item counts (16) and the
-/// two segment counts (8).
-const HEADER_LEN: usize = 256;
+/// Serialised size of the header: magic, version, capturing configuration
+/// (40 bytes), base cache statistics and window-trap counts (80), the 13
+/// event counts (104) and the run and item counts (16).
+const HEADER_LEN: usize = 248;
 
 /// Serialised size of the trailing checksum.
 const TRAILER_LEN: usize = 8;
 
 /// The header of a serialised trace, decodable without touching the
 /// streams (see [`Trace::peek_header`]): the capture results, the event
-/// counts, the stream lengths and the segment indexes.
+/// counts and the stream lengths.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceHeader {
     /// The configuration the trace was captured on.
@@ -974,16 +888,9 @@ pub struct TraceHeader {
     pub runs: u64,
     /// Items in the (unread) folded memory stream.
     pub items: u64,
-    /// The fetch stream's segment index: each segment's first run.
-    pub fetch_segments: Vec<u64>,
-    /// The memory stream's segment index: each segment's first item.
-    pub memory_segments: Vec<u64>,
 }
 
-/// Parse a serialised trace header (fixed fields, stream lengths and both
-/// segment indexes) from `r`, leaving `r` at the first run.  Structural
-/// validation of the indexes is the caller's job (via
-/// [`check_segment_index`]).
+/// Parse a serialised trace header from `r`, leaving `r` at the first run.
 fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
     if r.take(4)? != TRACE_MAGIC {
         return Err(TraceCodecError::new("bad magic (not a serialised trace)"));
@@ -1019,10 +926,6 @@ fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
     };
     let runs = r.u64()?;
     let items = r.u64()?;
-    let fetch_count = r.u32()?;
-    let memory_count = r.u32()?;
-    let fetch_segments = words(r.take(fetch_count as usize * SEGMENT_INFO_LEN)?).collect();
-    let memory_segments = words(r.take(memory_count as usize * SEGMENT_INFO_LEN)?).collect();
     Ok(TraceHeader {
         captured,
         base_icache,
@@ -1032,8 +935,6 @@ fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
         summary,
         runs,
         items,
-        fetch_segments,
-        memory_segments,
     })
 }
 
@@ -1042,37 +943,11 @@ fn words(bytes: &[u8]) -> impl ExactSizeIterator<Item = u64> + '_ {
     bytes.chunks_exact(8).map(|word| u64::from_le_bytes(word.try_into().expect("8-byte chunks")))
 }
 
-/// Structurally validate one stream's segment index against its entry
-/// count: empty for an empty stream, otherwise starting at entry 0 and
-/// strictly increasing within the stream.
-fn check_segment_index(stream: &str, starts: &[u64], entries: u64) -> Result<(), TraceCodecError> {
-    if entries == 0 {
-        if !starts.is_empty() {
-            return Err(TraceCodecError::new(format!(
-                "an empty {stream} stream must have an empty segment index"
-            )));
-        }
-        return Ok(());
-    }
-    if starts.first() != Some(&0) {
-        return Err(TraceCodecError::new(format!("{stream} segment index must start at entry 0")));
-    }
-    for (i, &start) in starts.iter().enumerate() {
-        let end = starts.get(i + 1).copied().unwrap_or(entries);
-        if end <= start || end > entries {
-            return Err(TraceCodecError::new(format!(
-                "{stream} segment {i}: offsets are not strictly increasing"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Parse the header of a serialised trace and check its segment indexes
-/// and stream lengths against the input length.  Returns the header, the
-/// run region and the item region; reads neither stream nor the trailing
-/// checksum.  The length arithmetic is checked: a hostile count is a typed
-/// error, not an overflow.
+/// Parse the header of a serialised trace and check its stream lengths
+/// against the input length.  Returns the header, the run region and the
+/// item region; reads neither stream nor the trailing checksum.  The length
+/// arithmetic is checked: a hostile count is a typed error, not an
+/// overflow.
 fn parse_layout(bytes: &[u8]) -> Result<(TraceHeader, &[u8], &[u8]), TraceCodecError> {
     if bytes.len() < TRACE_MAGIC.len() + 4 + TRAILER_LEN {
         return Err(TraceCodecError::new("input shorter than the fixed header"));
@@ -1080,8 +955,6 @@ fn parse_layout(bytes: &[u8]) -> Result<(TraceHeader, &[u8], &[u8]), TraceCodecE
     let body = &bytes[..bytes.len() - TRAILER_LEN];
     let mut r = ByteReader { bytes: body, pos: 0 };
     let header = parse_header(&mut r)?;
-    check_segment_index("fetch", &header.fetch_segments, header.runs)?;
-    check_segment_index("memory", &header.memory_segments, header.items)?;
     let payload = &body[r.pos..];
     let runs_len = header.runs.checked_mul(ENTRY_LEN as u64);
     let items_len = header.items.checked_mul(ENTRY_LEN as u64);
@@ -1189,7 +1062,7 @@ fn check_streams(
 
 /// Check a serialised trace's trailing [`xxh64`] against everything before
 /// it.  This one pass is the format's only integrity check: it covers the
-/// header, the segment indexes and both streams.
+/// header and both streams.
 fn verify_trailer(bytes: &[u8]) -> Result<(), TraceCodecError> {
     if bytes.len() < TRACE_MAGIC.len() + 4 + TRAILER_LEN {
         return Err(TraceCodecError::new("input shorter than the fixed header"));
@@ -1206,16 +1079,14 @@ fn verify_trailer(bytes: &[u8]) -> Result<(), TraceCodecError> {
 }
 
 impl Trace {
-    /// Serialise the trace into the versioned binary format (version 5).
+    /// Serialise the trace into the versioned binary format (version 6).
     ///
-    /// Layout (all integers little-endian): a 256-byte header — the magic
+    /// Layout (all integers little-endian): a 248-byte header — the magic
     /// `LTRC`, the [`TRACE_FORMAT_VERSION`], the capturing configuration,
     /// the capturing run's cache statistics and window-trap counts, the 13
-    /// event counts of the [`TraceSummary`], the run and item counts and the
-    /// two segment counts — then the fetch and memory segment indexes (each
-    /// segment's first entry, 8 bytes apiece), the fetch runs and the folded
-    /// memory items at 8 bytes apiece, and a trailing [`xxh64`] over
-    /// everything before it.
+    /// event counts of the [`TraceSummary`] and the run and item counts —
+    /// then the fetch runs and the folded memory items at 8 bytes apiece,
+    /// and a trailing [`xxh64`] over everything before it.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode_into(&mut out);
@@ -1228,9 +1099,8 @@ impl Trace {
     /// appended bytes.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let start = out.len();
-        let index_len = (self.fetch_segments.len() + self.memory_segments.len()) * SEGMENT_INFO_LEN;
         let streams_len = (self.fetch.len() + self.folded.len()) * ENTRY_LEN;
-        out.reserve(HEADER_LEN + index_len + streams_len + TRAILER_LEN);
+        out.reserve(HEADER_LEN + streams_len + TRAILER_LEN);
         let mut w = ByteWriter(out);
         w.0.extend_from_slice(&TRACE_MAGIC);
         w.u32(TRACE_FORMAT_VERSION);
@@ -1244,12 +1114,7 @@ impl Trace {
         }
         w.u64(self.fetch.len() as u64);
         w.u64(self.folded.len() as u64);
-        w.u32(self.fetch_segments.len() as u32);
-        w.u32(self.memory_segments.len() as u32);
-        for &first in self.fetch_segments.iter().chain(&self.memory_segments) {
-            w.u64(first as u64);
-        }
-        debug_assert_eq!(out.len() - start, HEADER_LEN + index_len);
+        debug_assert_eq!(out.len() - start, HEADER_LEN);
         for stream in [&self.fetch, &self.folded] {
             let at = out.len();
             out.resize(at + stream.len() * ENTRY_LEN, 0);
@@ -1261,9 +1126,9 @@ impl Trace {
         out.extend_from_slice(&checksum.to_le_bytes());
     }
 
-    /// Decode only the header of a serialised trace — O(header + indexes)
-    /// regardless of how long the streams are, because neither stream nor
-    /// the trailing checksum is read.
+    /// Decode only the header of a serialised trace — O(header) regardless
+    /// of how long the streams are, because neither stream nor the trailing
+    /// checksum is read.
     ///
     /// This is the *peek* half of the lazy-materialization contract: a store
     /// layer can check the format version, the capturing configuration and
@@ -1277,14 +1142,14 @@ impl Trace {
     }
 
     /// Validate a serialised trace without building it: the header fields,
-    /// both segment indexes, the stream lengths, every check
-    /// [`Trace::from_bytes`] makes of the streams against the counts, and
-    /// the trailing checksum over every byte.  Returns the parsed header.
+    /// the stream lengths, every check [`Trace::from_bytes`] makes of the
+    /// streams against the counts, and the trailing checksum over every
+    /// byte.  Returns the parsed header.
     ///
     /// Allocates nothing for the streams, which makes it the right
     /// integrity pass for `store doctor`: it accepts exactly the inputs
     /// `from_bytes` accepts.
-    pub fn validate_segments(bytes: &[u8]) -> Result<TraceHeader, TraceCodecError> {
+    pub fn validate(bytes: &[u8]) -> Result<TraceHeader, TraceCodecError> {
         let (header, runs, items) = parse_layout(bytes)?;
         check_streams(words(runs), words(items), &header.summary)?;
         verify_trailer(bytes)?;
@@ -1292,26 +1157,22 @@ impl Trace {
     }
 
     /// Decode a trace serialised by [`Trace::to_bytes`]: the trailing
-    /// checksum, the header and indexes, one bulk read per stream, and one
-    /// validation pass of the streams against the event counts.
+    /// checksum, the header, one bulk read per stream, and one validation
+    /// pass of the streams against the event counts.
     ///
     /// Fails — rather than ever producing a trace replay could mis-handle —
     /// on a checksum mismatch, a bad magic, a different format version, a
-    /// malformed segment index, a stream length the payload cannot hold,
-    /// truncated or trailing bytes, counts that disagree with the streams,
-    /// or any malformed field.  Nothing is derived: on success the decoded
-    /// trace is exactly the one serialised.
+    /// stream length the payload cannot hold, truncated or trailing bytes,
+    /// counts that disagree with the streams, or any malformed field.
+    /// Nothing is derived: on success the decoded trace is exactly the one
+    /// serialised.
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceCodecError> {
         verify_trailer(bytes)?;
         let (header, runs, items) = parse_layout(bytes)?;
         let fetch: Vec<u64> = words(runs).collect();
         let folded: Vec<u64> = words(items).collect();
         check_streams(fetch.iter().copied(), folded.iter().copied(), &header.summary)?;
-        // `check_segment_index` bounded every start by its stream's length
-        let starts = |index: &[u64]| index.iter().map(|&first| first as usize).collect();
         Ok(Trace {
-            fetch_segments: starts(&header.fetch_segments),
-            memory_segments: starts(&header.memory_segments),
             fetch,
             folded,
             summary: header.summary,
@@ -1805,155 +1666,55 @@ impl<'a> ReplayBatch<'a> {
         self.mem_classes.len() + self.fetch_classes.len()
     }
 
-    /// Segments of the trace's memory stream — the second axis of the
-    /// memory class × segment work partition.
-    pub fn mem_segment_count(&self) -> usize {
-        self.trace.memory_segment_count()
-    }
-
-    /// Segments of the trace's fetch stream — the second axis of the fetch
-    /// class × segment work partition.
-    pub fn fetch_segment_count(&self) -> usize {
-        self.trace.fetch_segment_count()
-    }
-
     /// Walk the memory stream **once**, re-simulating every memory class in
     /// `span` simultaneously: each class's lean d-cache model sees exactly
     /// the access sequence a full simulation would have produced, and one
     /// resident-window automaton per distinct window count re-derives the
     /// traps shared by every class with that count.  Returns each class's
-    /// `(dcache stats, overflows, underflows)` in span order.
-    ///
-    /// Implemented as the segmented walker driven over every segment in
-    /// order plus the deterministic partial reduction — the fused serial
-    /// walk and any segment-parallel schedule produce byte-identical
-    /// results by construction.
+    /// `(dcache stats, overflows, underflows)` in span order.  An empty span
+    /// walks nothing.
     pub fn walk_mem_span(&self, span: Range<usize>) -> Vec<(CacheStats, u64, u64)> {
         if span.is_empty() {
             return Vec::new();
         }
-        let mut walker = self.mem_span_walker(span.clone());
-        let partials: Vec<MemSegmentPartial> =
-            (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
-        self.reduce_mem_partials(span, &partials)
-    }
-
-    /// Build the stateful segmented walker for the memory classes in `span`:
-    /// call [`MemSpanWalker::walk_segment`] for every segment in order and
-    /// feed the partials to [`ReplayBatch::reduce_mem_partials`].  Counts as
-    /// one trace walk (the segment counter ticks per segment).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `span` is empty — empty spans have nothing to walk.
-    pub fn mem_span_walker(&self, span: Range<usize>) -> MemSpanWalker<'a> {
         let classes = &self.mem_classes[span];
-        assert!(!classes.is_empty(), "a span walker needs at least one class");
         record_trace_walk();
-        MemSpanWalker::new(self.trace, classes)
-    }
-
-    /// Deterministically merge per-segment memory partials (one per segment,
-    /// in segment order, each with one delta per class of `span`) into the
-    /// final span results — bit-identical to the monolithic walk: the walk
-    /// counters are associative sums over segments, and every derived
-    /// statistic is a closed form over those sums.
-    pub fn reduce_mem_partials(
-        &self,
-        span: Range<usize>,
-        partials: &[MemSegmentPartial],
-    ) -> Vec<(CacheStats, u64, u64)> {
-        let mut totals = vec![MemClassDelta::default(); span.len()];
-        for partial in partials {
-            assert_eq!(partial.classes.len(), span.len(), "one delta per class in every partial");
-            for (total, delta) in totals.iter_mut().zip(&partial.classes) {
-                total.read_misses += delta.read_misses;
-                total.write_misses += delta.write_misses;
-                total.overflows += delta.overflows;
-                total.underflows += delta.underflows;
-            }
+        let mut walker = MemSpanWalker::new(classes);
+        if walker.groups.len() == 1 {
+            walker.walk_folded_blocked(&self.trace.folded);
+        } else {
+            walker.walk_folded_interleaved(&self.trace.folded);
         }
         // hit counts are derived, not maintained: every class saw exactly
         // loads + 16·underflows reads and stores + 16·overflows writes
         let summary = &self.trace.summary;
-        let trap_regs = crate::cpu::WINDOW_TRAP_REGS as u64;
-        totals
-            .iter()
-            .map(|t| {
-                let reads = summary.loads + t.underflows * trap_regs;
-                let writes = summary.stores + t.overflows * trap_regs;
-                debug_assert!(t.read_misses <= reads && t.write_misses <= writes);
-                let stats = CacheStats {
-                    read_hits: reads - t.read_misses,
-                    read_misses: t.read_misses,
-                    write_hits: writes - t.write_misses,
-                    write_misses: t.write_misses,
-                };
-                (stats, t.overflows, t.underflows)
-            })
-            .collect()
+        let trap_regs = u64::from(crate::cpu::WINDOW_TRAP_REGS);
+        let mut results = vec![(CacheStats::default(), 0, 0); classes.len()];
+        for group in &walker.groups {
+            let reads = summary.loads + group.underflows * trap_regs;
+            let writes = summary.stores + group.overflows * trap_regs;
+            for &member in &group.members {
+                let stats = walker.caches[member].stats(reads, writes);
+                results[member] = (stats, group.overflows, group.underflows);
+            }
+        }
+        results
     }
 
     /// Walk the fetch stream **once**, re-simulating every fetch class in
     /// `span` simultaneously.  Returns each class's i-cache statistics in
-    /// span order.  Like [`ReplayBatch::walk_mem_span`], this drives the
-    /// segmented walker over every segment in order and reduces.
+    /// span order.  An empty span walks nothing.
     pub fn walk_fetch_span(&self, span: Range<usize>) -> Vec<CacheStats> {
         if span.is_empty() {
             return Vec::new();
         }
-        let mut walker = self.fetch_span_walker(span.clone());
-        let partials: Vec<FetchSegmentPartial> =
-            (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
-        self.reduce_fetch_partials(span, &partials)
-    }
-
-    /// Build the stateful segmented walker for the fetch classes in `span`
-    /// (see [`ReplayBatch::mem_span_walker`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `span` is empty.
-    pub fn fetch_span_walker(&self, span: Range<usize>) -> FetchSpanWalker<'a> {
         let classes = &self.fetch_classes[span];
-        assert!(!classes.is_empty(), "a span walker needs at least one class");
         record_trace_walk();
-        FetchSpanWalker {
-            trace: self.trace,
-            caches: classes.iter().map(|&config| TagCache::new(config)).collect(),
-            block: Vec::with_capacity(WALK_BLOCK),
-            next_segment: 0,
-        }
-    }
-
-    /// Deterministically merge per-segment fetch partials into the final
-    /// span results (see [`ReplayBatch::reduce_mem_partials`]).
-    pub fn reduce_fetch_partials(
-        &self,
-        span: Range<usize>,
-        partials: &[FetchSegmentPartial],
-    ) -> Vec<CacheStats> {
-        let mut totals = vec![0u64; span.len()];
-        for partial in partials {
-            assert_eq!(partial.classes.len(), span.len(), "one delta per class in every partial");
-            for (total, delta) in totals.iter_mut().zip(&partial.classes) {
-                *total += delta;
-            }
-        }
+        let mut caches: Vec<TagCache> = classes.iter().map(|&cache| TagCache::new(cache)).collect();
+        walk_runs(&mut caches, &self.trace.fetch);
         // every class fetched exactly one read per dynamic instruction
         let fetches = self.trace.summary.instructions;
-        totals
-            .iter()
-            .map(|&misses| {
-                debug_assert!(misses <= fetches);
-                CacheStats {
-                    read_hits: fetches - misses,
-                    read_misses: misses,
-                    write_hits: 0,
-                    write_misses: 0,
-                }
-            })
-            .collect()
+        caches.iter().map(|cache| cache.stats(fetches, 0)).collect()
     }
 
     /// Reconstruct every configuration's [`Stats`] closed-form from the walk
@@ -2001,156 +1762,47 @@ impl<'a> ReplayBatch<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Segmented span walkers: per-segment partials + deterministic reduction
-// ---------------------------------------------------------------------------
-
-/// Counter deltas one memory class accumulated over one segment.  The
-/// deltas — not the tag state — are what the segments contribute
-/// associatively: summing them in segment order reproduces the monolithic
-/// walk's final counters exactly, because the tag state itself chains
-/// sequentially through the walker.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemClassDelta {
-    /// Read misses charged to the class in this segment.
-    pub read_misses: u64,
-    /// Write misses charged to the class in this segment.
-    pub write_misses: u64,
-    /// Window overflow traps of the class's window group in this segment.
-    pub overflows: u64,
-    /// Window underflow traps of the class's window group in this segment.
-    pub underflows: u64,
-}
-
-/// Partial result of one memory segment: one delta per class, in span order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MemSegmentPartial {
-    /// Per-class counter deltas.
-    pub classes: Vec<MemClassDelta>,
-}
-
-/// Partial result of one fetch segment: per-class read-miss deltas, in span
-/// order (fetch walks never write, so one counter suffices).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FetchSegmentPartial {
-    /// Per-class read-miss deltas.
-    pub classes: Vec<u64>,
-}
-
-/// Stateful segmented walker over the memory classes of one span: walk the
-/// segments strictly in order, collect the per-segment partials, reduce.
-/// The walker owns the chained tag-cache and window-automaton state, so it
-/// can be parked (e.g. in a scheduler slot between class × segment work
-/// units) and resumed on the next segment by any thread.
-pub struct MemSpanWalker<'a> {
-    trace: &'a Trace,
+/// The memory walk of one class span: one lean d-cache model per class and
+/// one resident-window automaton per distinct window count.
+struct MemSpanWalker {
     caches: Vec<TagCache>,
     groups: Vec<WindowGroup>,
-    /// `group_of[class]` indexes `groups`.
-    group_of: Vec<usize>,
-    block: Vec<u64>,
-    next_segment: usize,
 }
 
-impl<'a> MemSpanWalker<'a> {
-    fn new(trace: &'a Trace, classes: &[MemClass]) -> MemSpanWalker<'a> {
-        let caches: Vec<TagCache> =
-            classes.iter().map(|class| TagCache::new(class.dcache)).collect();
+impl MemSpanWalker {
+    fn new(classes: &[MemClass]) -> MemSpanWalker {
+        let caches = classes.iter().map(|class| TagCache::new(class.dcache)).collect();
         // one automaton per distinct window count; members index `caches`
         let mut groups: Vec<WindowGroup> = Vec::new();
-        let mut group_of = vec![0usize; classes.len()];
         for (i, class) in classes.iter().enumerate() {
             let nwindows = class.reg_windows as u32;
-            match groups.iter_mut().position(|g| g.nwindows == nwindows) {
-                Some(index) => {
-                    groups[index].members.push(i);
-                    group_of[i] = index;
-                }
-                None => {
-                    groups.push(WindowGroup {
-                        nwindows,
-                        resident: 1,
-                        overflows: 0,
-                        underflows: 0,
-                        members: vec![i],
-                    });
-                    group_of[i] = groups.len() - 1;
-                }
+            match groups.iter_mut().find(|g| g.nwindows == nwindows) {
+                Some(group) => group.members.push(i),
+                None => groups.push(WindowGroup {
+                    nwindows,
+                    resident: 1,
+                    overflows: 0,
+                    underflows: 0,
+                    members: vec![i],
+                }),
             }
         }
-        MemSpanWalker {
-            trace,
-            caches,
-            groups,
-            group_of,
-            block: Vec::with_capacity(WALK_BLOCK + 2 * TRAP_ACCESSES),
-            next_segment: 0,
-        }
+        MemSpanWalker { caches, groups }
     }
 
-    /// Segments of the trace's memory stream (the number of `walk_segment`
-    /// calls a full span walk makes).
-    pub fn segment_count(&self) -> usize {
-        self.trace.memory_segment_count()
-    }
-
-    /// Walk segment `seg` (must be `0, 1, 2, …` in order) and return its
-    /// per-class counter deltas — the tag and automaton state chains across
-    /// calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics when segments are walked out of order.
-    pub fn walk_segment(&mut self, seg: usize) -> MemSegmentPartial {
-        assert_eq!(seg, self.next_segment, "segments must be walked in order");
-        self.next_segment += 1;
-        record_segment_walk();
-        let trace = self.trace;
-        let folded = &trace.folded[segment_range(&trace.memory_segments, trace.folded.len(), seg)];
-
-        let miss_before: Vec<(u64, u64)> =
-            self.caches.iter().map(|cache| cache.miss_counts()).collect();
-        let trap_before: Vec<(u64, u64)> =
-            self.groups.iter().map(|g| (g.overflows, g.underflows)).collect();
-
-        if self.groups.len() == 1 {
-            self.walk_folded_blocked(folded);
-        } else {
-            self.walk_folded_interleaved(folded);
-        }
-
-        let classes = self
-            .caches
-            .iter()
-            .enumerate()
-            .map(|(i, cache)| {
-                let (read_misses, write_misses) = cache.miss_counts();
-                let group = &self.groups[self.group_of[i]];
-                let (overflows_before, underflows_before) = trap_before[self.group_of[i]];
-                MemClassDelta {
-                    read_misses: read_misses - miss_before[i].0,
-                    write_misses: write_misses - miss_before[i].1,
-                    overflows: group.overflows - overflows_before,
-                    underflows: group.underflows - underflows_before,
-                }
-            })
-            .collect();
-        MemSegmentPartial { classes }
-    }
-
-    /// Single-window-count path: the segment's folded items stream into
+    /// Single-window-count path: the folded items stream into
     /// [`WALK_BLOCK`]-entry buffers that fan out class by class (cache
     /// blocking — the folded-item encoding *is* the block-entry encoding, so
     /// a leader whose line is not already established is pushed verbatim).
     /// Walk-time folding re-merges items across non-trapping markers and
     /// capture-time run caps, recovering the full elision: every re-merged
     /// access is a guaranteed hit whose only state effect (LRU clock/stamp)
-    /// is identical either way, and flush/boundary `run_line` resets and
-    /// [`MAX_RUN`] splits are stats-invisible for the same reason.
+    /// is identical either way, and flush `run_line` resets and [`MAX_RUN`]
+    /// splits are stats-invisible for the same reason.
     fn walk_folded_blocked(&mut self, folded: &[u64]) {
         let group = &mut self.groups[0];
         let caches = &mut self.caches;
-        let block = &mut self.block;
+        let block = &mut Vec::with_capacity(WALK_BLOCK + 2 * TRAP_ACCESSES);
         // 16-byte line established as present by the last entry's read run
         // (None after a write leader — a write never establishes presence)
         let mut run_line: Option<u32> = None;
@@ -2264,96 +1916,54 @@ impl<'a> MemSpanWalker<'a> {
     }
 }
 
-/// Stateful segmented walker over the fetch classes of one span (see
-/// [`MemSpanWalker`]).
-pub struct FetchSpanWalker<'a> {
-    trace: &'a Trace,
-    caches: Vec<TagCache>,
-    block: Vec<u64>,
-    next_segment: usize,
-}
-
-impl FetchSpanWalker<'_> {
-    /// Segments of the trace's fetch stream.
-    pub fn segment_count(&self) -> usize {
-        self.trace.fetch_segment_count()
-    }
-
-    /// Walk segment `seg` (must be `0, 1, 2, …` in order) and return its
-    /// per-class read-miss deltas.
-    ///
-    /// # Panics
-    ///
-    /// Panics when segments are walked out of order.
-    pub fn walk_segment(&mut self, seg: usize) -> FetchSegmentPartial {
-        assert_eq!(seg, self.next_segment, "segments must be walked in order");
-        self.next_segment += 1;
-        record_segment_walk();
-        let trace = self.trace;
-        self.walk_runs(&trace.fetch[segment_range(&trace.fetch_segments, trace.fetch.len(), seg)])
-    }
-
-    /// Walk one segment's fetch runs through every class, returning
-    /// per-class read-miss deltas (the fetch counterpart of
-    /// [`MemSpanWalker::walk_folded_blocked`]).
-    fn walk_runs(&mut self, runs: &[u64]) -> FetchSegmentPartial {
-        let before: Vec<u64> = self.caches.iter().map(|cache| cache.miss_counts().0).collect();
-
-        // Each run is split at 16-byte blocks, and a piece in the block of
-        // the previous entry merges into that entry's run: after the
-        // leading fetch the line is present in every class, so the
-        // followers are guaranteed hits (probed by nobody, clock-accounted
-        // under LRU).  The entries are the maximal stretches of consecutive
-        // fetches within one block.
-        let caches = &mut self.caches;
-        let block = &mut self.block;
-        let mut run_line: Option<u32> = None;
-        let flush = |block: &mut Vec<u64>, run_line: &mut Option<u32>, caches: &mut [TagCache]| {
-            for cache in caches.iter_mut() {
-                cache.run_mem_block(block);
-            }
-            block.clear();
-            *run_line = None;
-        };
-        for &entry in runs {
-            let (mut pc, count) = run_parts(entry);
-            let mut left = u64::from(count);
-            loop {
-                // the fetches at pc, pc + 4, … that stay in pc's block
-                let fetches = (u64::from(19 - (pc & 15)) / 4).min(left);
-                let merged = run_line == Some(pc >> 4)
-                    && block.last().is_some_and(|&last| {
-                        (last >> TagCache::MEM_RUN_SHIFT) + fetches <= MAX_RUN
-                    });
-                if merged {
-                    *block.last_mut().expect("a run leader precedes every extension") +=
-                        fetches * RUN_ONE;
-                } else {
-                    block.push(u64::from(pc) | ((fetches - 1) * RUN_ONE));
-                    run_line = Some(pc >> 4);
-                    if block.len() >= WALK_BLOCK {
-                        flush(block, &mut run_line, caches);
-                    }
-                }
-                left -= fetches;
-                if left == 0 {
-                    break;
-                }
-                // a checked run ends at or below u32::MAX, so another block
-                // follows
-                pc = (pc | 15) + 1;
-            }
+/// Walk the fetch runs through every class's i-cache model (the fetch
+/// counterpart of [`MemSpanWalker::walk_folded_blocked`]).
+///
+/// Each run is split at 16-byte blocks, and a piece in the block of the
+/// previous entry merges into that entry's run: after the leading fetch the
+/// line is present in every class, so the followers are guaranteed hits
+/// (probed by nobody, clock-accounted under LRU).  The entries are the
+/// maximal stretches of consecutive fetches within one block.
+fn walk_runs(caches: &mut [TagCache], runs: &[u64]) {
+    let block = &mut Vec::with_capacity(WALK_BLOCK);
+    let mut run_line: Option<u32> = None;
+    let flush = |block: &mut Vec<u64>, run_line: &mut Option<u32>, caches: &mut [TagCache]| {
+        for cache in caches.iter_mut() {
+            cache.run_mem_block(block);
         }
-        flush(block, &mut run_line, caches);
-
-        let classes = self
-            .caches
-            .iter()
-            .zip(&before)
-            .map(|(cache, &misses_before)| cache.miss_counts().0 - misses_before)
-            .collect();
-        FetchSegmentPartial { classes }
+        block.clear();
+        *run_line = None;
+    };
+    for &entry in runs {
+        let (mut pc, count) = run_parts(entry);
+        let mut left = u64::from(count);
+        loop {
+            // the fetches at pc, pc + 4, … that stay in pc's block
+            let fetches = (u64::from(19 - (pc & 15)) / 4).min(left);
+            let merged = run_line == Some(pc >> 4)
+                && block
+                    .last()
+                    .is_some_and(|&last| (last >> TagCache::MEM_RUN_SHIFT) + fetches <= MAX_RUN);
+            if merged {
+                *block.last_mut().expect("a run leader precedes every extension") +=
+                    fetches * RUN_ONE;
+            } else {
+                block.push(u64::from(pc) | ((fetches - 1) * RUN_ONE));
+                run_line = Some(pc >> 4);
+                if block.len() >= WALK_BLOCK {
+                    flush(block, &mut run_line, caches);
+                }
+            }
+            left -= fetches;
+            if left == 0 {
+                break;
+            }
+            // a checked run ends at or below u32::MAX, so another block
+            // follows
+            pc = (pc | 15) + 1;
+        }
     }
+    flush(block, &mut run_line, caches);
 }
 
 /// Retime every configuration of a batch against one captured trace in a
@@ -2609,7 +2219,6 @@ mod tests {
         trace.folded = vec![leader, leader, leader, 0x2_4000 | TagCache::WRITE_BIT];
         trace.summary =
             TraceSummary { instructions: 1 << 32, loads, stores: 1, ..TraceSummary::default() };
-        trace.resegment_at(&[0], &[0]);
         let trace = Trace::from_bytes(&trace.to_bytes()).expect("a well-formed trace");
         assert_eq!(trace.mem_facts().data.line16, None, "the data is walked");
         let mut config = LeonConfig::base();
@@ -2891,12 +2500,13 @@ mod tests {
         assert!(Trace::from_bytes(&good[..10]).is_err());
         assert!(Trace::from_bytes(&[]).is_err());
 
-        // a different format version — newer, or a retired one that stored
-        // one record per eventful instruction (version 4, version 3 with
-        // FNV-1a per segment, version 2 with derived data, monolithic
-        // version 1) — must be rejected even with a valid checksum over the
-        // altered body, by every decoder
-        for version in [TRACE_FORMAT_VERSION + 1, 4, 3, 2, 1] {
+        // a different format version — newer, or a retired one: version 5
+        // with its segment indexes, or one that stored one record per
+        // eventful instruction (version 4, version 3 with FNV-1a per
+        // segment, version 2 with derived data, monolithic version 1) — must
+        // be rejected even with a valid checksum over the altered body, by
+        // every decoder
+        for version in [TRACE_FORMAT_VERSION + 1, 5, 4, 3, 2, 1] {
             let mut versioned = good.clone();
             versioned[4..8].copy_from_slice(&version.to_le_bytes());
             let versioned = rechecksummed(versioned);
@@ -2904,7 +2514,7 @@ mod tests {
             assert!(err.to_string().contains("version"), "got: {err}");
             let err = Trace::peek_header(&versioned).unwrap_err();
             assert!(err.to_string().contains("version"), "got: {err}");
-            let err = Trace::validate_segments(&versioned).unwrap_err();
+            let err = Trace::validate(&versioned).unwrap_err();
             assert!(err.to_string().contains("version"), "got: {err}");
         }
 
@@ -2923,7 +2533,7 @@ mod tests {
             damage(&mut bad);
             let bytes = bad.to_bytes();
             assert!(Trace::peek_header(&bytes).is_ok(), "{keyword}: the layout is intact");
-            for err in [Trace::from_bytes(&bytes), Trace::validate_segments(&bytes).map(|_| bad)]
+            for err in [Trace::from_bytes(&bytes), Trace::validate(&bytes).map(|_| bad)]
                 .map(|decoded| decoded.unwrap_err())
             {
                 assert!(err.to_string().contains(keyword), "expected {keyword:?}, got: {err}");
@@ -2985,15 +2595,8 @@ mod tests {
         assert_eq!(Trace::from_bytes(&top.to_bytes()).unwrap(), top);
 
         // run and item counts the payload cannot hold, up to 2^60 and
-        // beyond, and a hostile segment index — starts near u64::MAX — are
-        // typed errors from every decoder, never an overflow panic
-        let mut segmented = trace.clone();
-        let thirds = |n: usize| vec![0, 1, n / 2];
-        segmented.resegment_at(&thirds(trace.fetch.len()), &thirds(trace.folded.len()));
-        let good = segmented.to_bytes();
-        assert_eq!(Trace::from_bytes(&good).unwrap(), segmented);
-        let fetch_index_at = HEADER_LEN;
-        let memory_index_at = HEADER_LEN + 3 * SEGMENT_INFO_LEN;
+        // beyond, are typed errors from every decoder, never an overflow
+        // panic
         for (at, value) in [
             (RUNS_AT, 1 << 60),
             (RUNS_AT, u64::MAX),
@@ -3001,18 +2604,13 @@ mod tests {
             (ITEMS_AT, u64::MAX),
             (RUNS_AT, 1 << 61),
             (ITEMS_AT, (trace.fetch.len() + trace.folded.len()) as u64),
-            (fetch_index_at + SEGMENT_INFO_LEN, u64::MAX - 1),
-            (fetch_index_at + 2 * SEGMENT_INFO_LEN, u64::MAX),
-            (fetch_index_at, u64::MAX / 2),
-            (memory_index_at + SEGMENT_INFO_LEN, u64::MAX - 1),
-            (memory_index_at + 2 * SEGMENT_INFO_LEN, u64::MAX),
         ] {
             let mut hostile = good.clone();
             hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
             let hostile = rechecksummed(hostile);
             assert!(Trace::from_bytes(&hostile).is_err(), "{value:#x} at byte {at}");
             assert!(Trace::peek_header(&hostile).is_err(), "{value:#x} at byte {at}");
-            assert!(Trace::validate_segments(&hostile).is_err(), "{value:#x} at byte {at}");
+            assert!(Trace::validate(&hostile).is_err(), "{value:#x} at byte {at}");
         }
         // both counts inflated so that only their sum overflows
         let mut hostile = good.clone();
@@ -3051,15 +2649,15 @@ mod tests {
     #[test]
     fn every_bit_flip_of_an_encoded_trace_is_rejected() {
         // the trailer is the only integrity layer, so it alone must catch a
-        // flip anywhere: header, segment index, records or the trailer
+        // flip anywhere: header, streams or the trailer
         let (_, trace) = capture(&LeonConfig::base(), &recursing_program(), 1_000_000).unwrap();
         let good = trace.to_bytes();
-        assert!(Trace::validate_segments(&good).is_ok());
+        assert!(Trace::validate(&good).is_ok());
         let mut bad = good.clone();
         for bit in 0..good.len() * 8 {
             bad[bit / 8] ^= 1 << (bit % 8);
             assert!(Trace::from_bytes(&bad).is_err(), "from_bytes missed bit {bit}");
-            assert!(Trace::validate_segments(&bad).is_err(), "validate_segments missed bit {bit}");
+            assert!(Trace::validate(&bad).is_err(), "validate missed bit {bit}");
             bad[bit / 8] ^= 1 << (bit % 8);
         }
     }
@@ -3136,92 +2734,31 @@ mod tests {
     }
 
     #[test]
-    fn resegmented_traces_replay_and_round_trip_identically() {
-        let _walks = walk_lock();
-        let base = LeonConfig::base();
-        let configs = mixed_batch(&base);
-        for program in [demo_program(), recursing_program()] {
-            let (_, trace) = capture(&base, &program, 1_000_000).unwrap();
-            let expected = replay_batch(&trace, &configs, 1_000_000);
-
-            // deliberately odd boundaries: 1-entry segments up front, cuts
-            // mid-stream, each stream cut on its own — results and the
-            // codec round-trip must not care
-            let cuts = |n: usize| {
-                let mut boundaries: Vec<usize> = [0, 1, 2, n / 3, n / 2, n.saturating_sub(1)]
-                    .into_iter()
-                    .filter(|&b| b < n)
-                    .collect();
-                boundaries.sort_unstable();
-                boundaries.dedup();
-                boundaries
-            };
-            let (fetch, memory) = (cuts(trace.fetch.len()), cuts(trace.folded.len()));
-            let mut resegmented = trace.clone();
-            resegmented.resegment_at(&fetch, &memory);
-            assert!(resegmented.fetch_segment_count() >= 4);
-            assert!(resegmented.memory_segment_count() >= 4);
-
-            assert_eq!(replay_batch(&resegmented, &configs, 1_000_000), expected);
-            let decoded = Trace::from_bytes(&resegmented.to_bytes()).unwrap();
-            assert_eq!(decoded, resegmented, "the codec must preserve the segmentation");
-        }
-    }
-
-    #[test]
-    fn segment_walkers_tick_the_segment_counter() {
+    fn span_walks_tick_the_walk_counter_once_per_stream() {
         let _walks = walk_lock();
         let base = LeonConfig::base();
         let configs = mixed_batch(&base);
         // the recursing program's i-cache variant is closed form (no fetch
         // walk); the wide program walks both streams
         for (program, streams) in [(recursing_program(), 1u64), (wide_program(), 2)] {
-            let (_, mut trace) = capture(&base, &program, 1_000_000).unwrap();
-            let quarters = |n: usize| (0..n).step_by((n / 4).max(1)).collect::<Vec<usize>>();
-            let (fetch, memory) = (quarters(trace.fetch.len()), quarters(trace.folded.len()));
-            trace.resegment_at(&fetch, &memory);
-            let mem_segments = trace.memory_segment_count() as u64;
-            let fetch_segments = trace.fetch_segment_count() as u64;
-            assert!(mem_segments >= 3 && fetch_segments >= 3);
-            // each walked stream ticks once per segment of its own
-            let segments = mem_segments + if streams == 2 { fetch_segments } else { 0 };
-
+            let (_, trace) = capture(&base, &program, 1_000_000).unwrap();
             let plan = ReplayBatch::new(&trace, &configs, 1_000_000);
             assert_eq!(plan.mem_class_count(), 1, "{}", program.name);
             assert_eq!(plan.fetch_class_count() as u64, streams - 1, "{}", program.name);
             let walks_before = trace_walks_performed();
-            let segs_before = trace_segments_walked();
-            let mem = plan.walk_mem_span(0..plan.mem_class_count());
-            let fetch = plan.walk_fetch_span(0..plan.fetch_class_count());
+            plan.walk_mem_span(0..plan.mem_class_count());
+            plan.walk_fetch_span(0..plan.fetch_class_count());
             assert_eq!(trace_walks_performed() - walks_before, streams, "{}", program.name);
-            assert_eq!(trace_segments_walked() - segs_before, segments);
-
-            // per-segment partials reduce to exactly the fused span results
-            let mut walker = plan.mem_span_walker(0..plan.mem_class_count());
-            let partials: Vec<MemSegmentPartial> =
-                (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
-            assert_eq!(plan.reduce_mem_partials(0..plan.mem_class_count(), &partials), mem);
-            if streams == 2 {
-                let mut walker = plan.fetch_span_walker(0..plan.fetch_class_count());
-                let partials: Vec<FetchSegmentPartial> =
-                    (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
-                assert_eq!(
-                    plan.reduce_fetch_partials(0..plan.fetch_class_count(), &partials),
-                    fetch
-                );
-            }
 
             // a one-configuration `replay` is a batch too: a config changing
             // both caches walks each stream it cannot finish in closed form
-            // once, segment by segment
+            // once
             let mut both = base;
             both.dcache.way_kb = 1;
             both.icache.way_kb = 1;
             let walks_before = trace_walks_performed();
-            let segs_before = trace_segments_walked();
             replay(&trace, &both, 1_000_000).unwrap();
-            assert_eq!(trace_walks_performed() - walks_before, streams);
-            assert_eq!(trace_segments_walked() - segs_before, segments);
+            assert_eq!(trace_walks_performed() - walks_before, streams, "{}", program.name);
         }
     }
 
@@ -3349,15 +2886,12 @@ mod tests {
         ReplayBatch::new(&decoded, &[windows, icache_small], 1_000_000);
         assert!(std::ptr::eq(facts, decoded.mem_facts()));
 
-        // the facts are no part of equality, and re-cutting drops them
+        // the facts are no part of equality
         assert_eq!(decoded, trace);
         assert_eq!(decoded.mem_facts().max_depth, Some(12));
         assert_eq!(decoded.mem_facts().data.line16, None, "data 128 KB apart is wide");
         let text = decoded.fetch_footprint().line16.unwrap();
         assert!(text.span() > 64, "1.6 KB of text spans more than a 1 KB way");
-        let mut recut = decoded.clone();
-        recut.resegment_at(&[0], &[0]);
-        assert_eq!(unset(&recut), (true, true));
     }
 
     /// Re-encode `trace` after `damage` rewrote its memory stream and
@@ -3366,8 +2900,6 @@ mod tests {
     fn hostile(trace: &Trace, damage: impl FnOnce(&mut Trace)) -> Trace {
         let mut altered = trace.clone();
         damage(&mut altered);
-        let fetch = altered.fetch_segments.clone();
-        altered.resegment_at(&fetch, &Trace::default_boundaries(altered.folded.len()));
         Trace::from_bytes(&altered.to_bytes()).expect("the altered trace is well-formed")
     }
 

@@ -123,9 +123,9 @@ fn decoding_allocates_at_most_a_constant_multiple_of_the_input() {
         assert_eq!(result.unwrap(), trace);
         assert!(bytes <= 2 * good.len() as u64, "decoding {} bytes allocated {bytes}", good.len());
 
-        // every 8-byte word of the header and the segment indexes claiming
-        // 2^32 up to 2^60 and beyond, re-sealed with a valid checksum: a
-        // typed error, never an allocation sized by the claim
+        // every 8-byte word of the header and of the first stream entries
+        // claiming 2^32 up to 2^60 and beyond, re-sealed with a valid
+        // checksum: a typed error, never an allocation sized by the claim
         let body = good.len() - 8;
         for word in (0..body.min(512)).step_by(8) {
             for claim in [1u64 << 32, 1 << 40, 1 << 60, u64::MAX] {

@@ -15,10 +15,6 @@
 //! * the Figure 2 exhaustive d-cache sweep collapses to a single
 //!   memory-stream pass, where one `leon_sim::replay` per configuration
 //!   pays one walk per feasible geometry it cannot finish in closed form;
-//! * the segmented engine's finer-grained `trace_segments_walked` counter
-//!   ticks once per segment of the walked stream — each stream is cut on
-//!   its own — for every walk of the parallel table, and exactly once per
-//!   memory segment for the fused Figure 2 pass;
 //! * batching changes no result: the tables are byte-identical across
 //!   thread counts, and every batched cycle count equals its per-config
 //!   `replay`, so the walk budget is a pure cost change.
@@ -38,8 +34,8 @@ use std::sync::Mutex;
 use liquid_autoreconf::apps::{benchmark_suite, capture_verified, Blastn, Scale};
 use liquid_autoreconf::fpga::SynthesisModel;
 use liquid_autoreconf::sim::{
-    self, replay, trace_segments_walked, trace_walks_performed, CacheConfig, LeonConfig, MemItem,
-    ReplacementPolicy, ReplayBatch, Trace,
+    self, replay, trace_walks_performed, CacheConfig, LeonConfig, MemItem, ReplacementPolicy,
+    ReplayBatch, Trace,
 };
 use liquid_autoreconf::tuner::{
     dcache_exhaustive_traced, measure_cost_table_traced, replay_batch_indexed, DcacheRow,
@@ -207,22 +203,15 @@ fn cost_table_walks_at_most_once_per_behavior_class() {
     let serial_walks = trace_walks_performed() - before;
     assert_eq!(serial_walks, 1, "one memory pass, no fetch pass");
 
-    // threads = 4: classes are partitioned, never duplicated — and the
-    // segmented engine ticks one segment walk per class span × memory
-    // segment unit (each class-span walker visits every segment of its
-    // stream exactly once)
-    let segments = trace.memory_segment_count() as u64;
+    // threads = 4: classes are partitioned, never duplicated
     let before = trace_walks_performed();
-    let seg_before = trace_segments_walked();
     let parallel =
         measure_cost_table_traced(&space, &workload, &base, &model, &options(4), &trace).unwrap();
     let parallel_walks = trace_walks_performed() - before;
-    let parallel_segment_walks = trace_segments_walked() - seg_before;
     assert!(
         (1..=classes as u64).contains(&parallel_walks),
         "batched table must walk at most once per class ({classes}), walked {parallel_walks}"
     );
-    assert_eq!(parallel_segment_walks, parallel_walks * segments);
 
     // one `replay` per timed configuration pays a walk per stream it cannot
     // finish in closed form — the cost the batched engine amortises away
@@ -288,18 +277,11 @@ fn fig2_sweep_collapses_to_one_memory_stream_pass() {
     // geometry, so each of its feasible non-base rows walks
     for (name, trace) in [("BLASTN", blastn), ("PROBE", probe_trace(&base))] {
         let before = trace_walks_performed();
-        let seg_before = trace_segments_walked();
         let batched = dcache_exhaustive_traced(&trace, &base, &model, MAX_CYCLES, 1).unwrap();
         let batched_walks = trace_walks_performed() - before;
-        let batched_segment_walks = trace_segments_walked() - seg_before;
         assert_eq!(
             batched_walks, 1,
             "{name}: the sweep changes only the d-cache: one fused memory-stream pass"
-        );
-        assert_eq!(
-            batched_segment_walks,
-            trace.memory_segment_count() as u64,
-            "{name}: that one pass visits each of the memory stream's segments exactly once"
         );
 
         // one `replay` per feasible row, on the geometry the sweep times

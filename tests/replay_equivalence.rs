@@ -339,15 +339,7 @@ fn trace_is_compact() {
             "{}: folding must not expand the memory stream",
             workload.name()
         );
-        // 8 bytes per run and per item, plus one start per segment
-        let segments = trace.fetch_segment_count() + trace.memory_segment_count();
-        let index_bytes = segments * std::mem::size_of::<usize>();
-        assert_eq!(trace.memory_bytes(), (runs + items) * 8 + index_bytes, "{}", workload.name());
-        // the segment index stays negligible next to the streams
-        assert!(
-            index_bytes <= trace.memory_bytes() / 100,
-            "{}: segment metadata should stay under 1% of the trace",
-            workload.name()
-        );
+        // 8 bytes per run and per item, and nothing else
+        assert_eq!(trace.memory_bytes(), (runs + items) * 8, "{}", workload.name());
     }
 }

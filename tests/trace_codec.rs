@@ -115,7 +115,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Seeded mutations of an encoded trace: truncation, bit flips and an
-    /// inflated 8-byte word (header counts and segment indexes included),
+    /// inflated 8-byte word (the header's counts included),
     /// each decoded as it is and re-sealed with a valid checksum.
     #[test]
     fn hostile_trace_decodes_return_the_trace_or_a_typed_error(
@@ -161,7 +161,7 @@ proptest! {
         // replays like any other
         let sealed = resealed(mutant);
         let decoded = Trace::from_bytes(&sealed);
-        prop_assert_eq!(decoded.is_ok(), Trace::validate_segments(&sealed).is_ok());
+        prop_assert_eq!(decoded.is_ok(), Trace::validate(&sealed).is_ok());
         if let Ok(trace) = decoded {
             prop_assert_eq!(trace.to_bytes(), sealed, "an accepted input re-encodes exactly");
             let configs = replay_batch_configs();
