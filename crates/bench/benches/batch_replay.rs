@@ -12,10 +12,13 @@
 //!   (`measure_cost_table_traced`).
 //!
 //! Both run at `threads = 1`: this artifact isolates the one-pass walk;
-//! thread-level scaling is tracked in `BENCH_campaign.json`.  Before
-//! anything is timed, `prepare` pins the `leon_sim::trace_walks_performed`
-//! budget the numbers rely on (one fused memory pass for the sweep, at most
-//! one pass per stream for the table).
+//! thread-level scaling is tracked in `BENCH_campaign.json`.  A trace
+//! remembers the classes it has walked, so every iteration walks a fresh
+//! clone of the captured trace (a cold copy) and the clone is timed with
+//! it.  Before anything is timed, `prepare` pins the
+//! `leon_sim::trace_walks_performed` budget the numbers rely on (one fused
+//! memory pass for the sweep, at most one pass per stream for the table),
+//! each on a cold copy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use std::time::Duration;
@@ -49,13 +52,14 @@ fn prepare(scale: Scale) -> Prepared {
 
     // Figure 2 sweep: a single memory-stream pass
     let before = trace_walks_performed();
-    dcache_exhaustive_traced(&trace, &base, &model, MAX_CYCLES, 1).unwrap();
+    dcache_exhaustive_traced(&trace.clone(), &base, &model, MAX_CYCLES, 1).unwrap();
     let sweep_walks = trace_walks_performed() - before;
     assert_eq!(sweep_walks, 1, "batched sweep must fuse into one memory-stream pass");
 
     // 52-variable cost table: at most one pass per trace stream
     let before = trace_walks_performed();
-    measure_cost_table_traced(&space, &workload, &base, &model, &options(), &trace).unwrap();
+    measure_cost_table_traced(&space, &workload, &base, &model, &options(), &trace.clone())
+        .unwrap();
     let table_walks = trace_walks_performed() - before;
     assert!(table_walks <= 2, "batched table must walk each stream at most once");
     eprintln!(
@@ -73,12 +77,16 @@ fn register(group: &mut BenchmarkGroup, prepared: &Prepared) {
     let trace = &prepared.trace;
     let workload = &prepared.workload;
 
+    // each iteration walks (and times) a cold copy: the original remembers
+    // every class its first walk visited
     group.bench_function(format!("fig2_sweep_batched/{scale}"), |b| {
-        b.iter(|| dcache_exhaustive_traced(trace, &base, &model, MAX_CYCLES, 1).unwrap().len())
+        b.iter(|| {
+            dcache_exhaustive_traced(&trace.clone(), &base, &model, MAX_CYCLES, 1).unwrap().len()
+        })
     });
     group.bench_function(format!("cost_table_batched/{scale}"), |b| {
         b.iter(|| {
-            measure_cost_table_traced(&space, workload, &base, &model, &options(), trace)
+            measure_cost_table_traced(&space, workload, &base, &model, &options(), &trace.clone())
                 .unwrap()
                 .len()
         })

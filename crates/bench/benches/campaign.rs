@@ -5,7 +5,8 @@
 //! worker-pool speedup of
 //!
 //! * the Figure 2 exhaustive d-cache sweep (28 replay retimings of one
-//!   shared trace), and
+//!   shared trace; each iteration walks, and times, a fresh clone of it,
+//!   since a trace remembers the classes it has walked), and
 //! * the full multi-workload campaign (trace-set capture, four cost tables,
 //!   four sweeps, four per-application pipelines, one co-optimization).
 //!
@@ -41,7 +42,7 @@ fn campaign_parallel_speedup(c: &mut Criterion) {
     for threads in THREAD_SETTINGS {
         group.bench_function(format!("fig2_sweep_threads_{threads}"), |b| {
             b.iter(|| {
-                dcache_exhaustive_traced(&trace, &base, &model, MAX_CYCLES, threads)
+                dcache_exhaustive_traced(&trace.clone(), &base, &model, MAX_CYCLES, threads)
                     .unwrap()
                     .len()
             })

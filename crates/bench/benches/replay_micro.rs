@@ -7,7 +7,9 @@
 //! * `cost_table` — the full 52-variable measurement phase with the replay
 //!   engine on vs. off (the paper's Section 3 bottleneck; target ≥5×);
 //! * `fig2` — the exhaustive d-cache sweep with replay vs. full simulation
-//!   (the paper's Figure 2 full factorial; target ≥10×).
+//!   (the paper's Figure 2 full factorial; target ≥10×).  The given-trace
+//!   row walks a fresh clone of the trace per iteration, clone timed: a
+//!   trace remembers the classes it has walked.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -81,7 +83,9 @@ fn fig2_sweep_speedup(c: &mut Criterion) {
         b.iter(|| dcache_exhaustive(&workload, &base, &model, MAX_CYCLES, 1).unwrap().len())
     });
     group.bench_function("replay_sweep_28_configs_given_trace", |b| {
-        b.iter(|| dcache_exhaustive_traced(&trace, &base, &model, MAX_CYCLES, 1).unwrap().len())
+        b.iter(|| {
+            dcache_exhaustive_traced(&trace.clone(), &base, &model, MAX_CYCLES, 1).unwrap().len()
+        })
     });
     group.bench_function("full_sim_sweep_28_configs", |b| {
         b.iter(|| dcache_exhaustive_full(&workload, &base, &model, MAX_CYCLES).unwrap().len())

@@ -10,6 +10,11 @@
 //! * `pruned/<space>/<wl>` — the three-stage funnel (closed-form bounds →
 //!   Pareto frontier → batched branch-and-bound), same trace and cost table
 //!   already resident, so the timing difference *is* the skipped walks;
+//!
+//! Both cold-funnel rows search on a new session whose trace was loaded
+//! from the store before timing: a trace remembers the classes it has
+//! walked, so the warm-up session's would answer the funnel's walks from
+//! memory.
 //! * `pruned_warm/<space>/<wl>` — the identical question re-asked against
 //!   the store: one JSON load, counter-asserted **zero guest instructions
 //!   and zero trace walks**.
@@ -30,7 +35,7 @@ use autoreconf::{
 };
 use bench::{campaign_scale, measurement};
 use leon_sim::trace_walks_performed;
-use workloads::{benchmark_suite, guest_instructions_executed, Scale};
+use workloads::{benchmark_suite, guest_instructions_executed, Scale, Workload};
 
 fn scratch_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("autoreconf-bench-search-{}", std::process::id()));
@@ -53,6 +58,18 @@ fn purge_search_entries(store: &ArtifactStore) {
     for file in store.entries(Some("search")) {
         let _ = std::fs::remove_file(file);
     }
+}
+
+/// A new session with workload `index`'s trace already loaded from the
+/// store: a cold copy, which remembers no walk.
+fn resident<'s>(
+    engine: &Campaign,
+    suite: &'s [Box<dyn Workload + Send + Sync>],
+    index: usize,
+) -> CampaignSession<'s> {
+    let session = engine.session(suite).expect("open session");
+    session.trace(index).expect("load trace");
+    session
 }
 
 struct Row {
@@ -123,7 +140,8 @@ fn main() {
     purge_search_entries(&store);
     let mut parity: Vec<String> = Vec::new();
     for &(index, sspace) in &targets {
-        let (best, _) = timed_search(&session, index, sspace, SearchMode::Exhaustive, &mut rows);
+        let cold = resident(&engine, &suite, index);
+        let (best, _) = timed_search(&cold, index, sspace, SearchMode::Exhaustive, &mut rows);
         parity.push(best);
     }
 
@@ -131,8 +149,8 @@ fn main() {
     purge_search_entries(&store);
     let mut fractions: Vec<f64> = Vec::new();
     for (&(index, sspace), exhaustive_best) in targets.iter().zip(&parity) {
-        let (best, fraction) =
-            timed_search(&session, index, sspace, SearchMode::Pruned, &mut rows);
+        let cold = resident(&engine, &suite, index);
+        let (best, fraction) = timed_search(&cold, index, sspace, SearchMode::Pruned, &mut rows);
         assert_eq!(
             &best, exhaustive_best,
             "pruned must crown the byte-identical optimum (workload {index}, {})",

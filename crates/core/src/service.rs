@@ -75,6 +75,16 @@ pub const DEFAULT_MAX_IN_FLIGHT: usize = 256;
 /// cannot balloon into a multi-gigabyte allocation.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
+/// Most bytes a frame body is given before any of it arrives; it grows as
+/// bytes arrive, so a length prefix alone never costs the peer's announced
+/// size (at most [`MAX_FRAME_BYTES`] per connection).
+const FRAME_INITIAL_CAPACITY: usize = 64 << 10;
+
+/// The error of a connection that closes inside a frame.
+fn closed_mid_frame() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-frame")
+}
+
 // -- framing ----------------------------------------------------------------
 
 /// Write one length-prefixed frame and flush it.
@@ -95,7 +105,8 @@ pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> io::Result<()> {
 }
 
 /// Read one length-prefixed frame.  `Ok(None)` on a clean EOF *between*
-/// frames (the peer hung up); an EOF mid-frame is an error.
+/// frames (the peer hung up); an EOF mid-frame is an error.  The body
+/// buffer grows with the bytes received, not with the announced length.
 pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
@@ -119,8 +130,11 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("peer announced a {len}-byte frame (limit {MAX_FRAME_BYTES})"),
         ));
     }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(len.min(FRAME_INITIAL_CAPACITY));
+    Read::take(reader, len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(closed_mid_frame());
+    }
     Ok(Some(body))
 }
 
@@ -147,27 +161,23 @@ fn read_frame_deadline(
     let mut prefix_filled = 0usize;
     let mut body: Vec<u8> = Vec::new();
     let mut body_len: Option<usize> = None;
-    let mut body_filled = 0usize;
     loop {
         let mid_frame = prefix_filled > 0 || body_len.is_some();
+        // the body appends what has arrived, also when the poll times out
         let read = match body_len {
-            Some(len) => stream.read(&mut body[body_filled..len]),
+            Some(len) => Read::take(&mut *stream, (len - body.len()) as u64).read_to_end(&mut body),
             None => stream.read(&mut len_buf[prefix_filled..]),
         };
         match read {
             Ok(0) => {
                 if mid_frame {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-frame",
-                    ));
+                    return Err(closed_mid_frame());
                 }
                 return Ok(None); // clean EOF between frames
             }
             Ok(n) => match body_len {
                 Some(len) => {
-                    body_filled += n;
-                    if body_filled == len {
+                    if body.len() == len {
                         return Ok(Some(body));
                     }
                 }
@@ -184,7 +194,7 @@ fn read_frame_deadline(
                         if len == 0 {
                             return Ok(Some(Vec::new()));
                         }
-                        body = vec![0u8; len];
+                        body = Vec::with_capacity(len.min(FRAME_INITIAL_CAPACITY));
                         body_len = Some(len);
                     }
                 }

@@ -69,7 +69,9 @@
 //! the full simulator once and then at most one walk per stream (one per
 //! class span when the classes are spread over a worker pool), and none for
 //! a stream whose every class is finished in closed form; the 14 IU-only
-//! variables are O(1).
+//! variables are O(1).  A trace remembers each class it has walked, so a
+//! later batch or `replay` on the same `Trace` value finishes that class
+//! from the remembered statistics instead of walking it again.
 //!
 //! Replay is bit-identical to full simulation — same final `cycles` and
 //! cache statistics — which `tests/replay_equivalence.rs` asserts across the
@@ -85,7 +87,7 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::cache::{CacheStats, TagCache};
 use crate::config::{CacheConfig, LeonConfig};
@@ -96,7 +98,8 @@ use crate::profiler::Stats;
 /// per pass over a trace's fetch or folded memory stream that re-simulates
 /// a span of behavior classes at once ([`ReplayBatch`], which [`replay`]
 /// runs as a one-configuration batch).  Closed-form retimes never walk and
-/// never tick.
+/// never tick, and neither does a class whose walk the same [`Trace`] value
+/// remembers.
 ///
 /// This is the replay engine's headline counter, next to
 /// `workloads::guest_instructions_executed` and
@@ -109,7 +112,10 @@ static TRACE_WALKS: AtomicU64 = AtomicU64::new(0);
 
 /// Total trace-stream walks performed so far by this process.  Monotonic;
 /// compare deltas rather than resetting, so concurrent measurements cannot
-/// clobber each other.
+/// clobber each other.  A delta counts stream passes, not replays: a replay
+/// of a class already walked on the same [`Trace`] value adds nothing, so
+/// measure a walk count on a fresh trace or a clone (which remembers no
+/// walk).
 pub fn trace_walks_performed() -> u64 {
     TRACE_WALKS.load(Ordering::Relaxed)
 }
@@ -331,13 +337,36 @@ pub struct Trace {
 }
 
 /// The closed-form facts of a [`Trace`], each derived at most once, by the
-/// first replay plan that needs it — never by capture or decode.  They are
-/// pure functions of the streams, so they take no part in equality and are
-/// never serialised.
-#[derive(Clone, Debug, Default)]
+/// first replay plan that needs it — never by capture or decode — and the
+/// walk results remembered so far ([`Walked`]).  All are pure functions of
+/// the streams, so they take no part in equality and are never serialised.
+#[derive(Debug, Default)]
 struct LazyFacts {
     mem: OnceLock<MemFacts>,
     fetch: OnceLock<StreamFootprint>,
+    walked: Mutex<Walked>,
+}
+
+/// A clone keeps the derived facts but remembers no walk: it is a cold copy,
+/// whose plans walk every class again.
+impl Clone for LazyFacts {
+    fn clone(&self) -> LazyFacts {
+        LazyFacts { mem: self.mem.clone(), fetch: self.fetch.clone(), walked: Mutex::default() }
+    }
+}
+
+/// The statistics each behavior class's walk produced on one trace, keyed
+/// exactly as [`ReplayBatch::new`] interns the class (so every trap-free
+/// window count of a d-cache geometry shares one entry).
+/// [`ReplayBatch::finish`] records them and [`ReplayBatch::new`] finishes a
+/// class it finds here without a walk.  Configurations are validated before
+/// interning, so this holds at most one entry per valid class: 112 cache
+/// geometries × 31 window counts memory entries and 112 fetch entries,
+/// about 0.3 MB.
+#[derive(Debug, Default)]
+struct Walked {
+    mem: HashMap<MemClass, (CacheStats, u64, u64)>,
+    fetch: HashMap<CacheConfig, CacheStats>,
 }
 
 impl PartialEq for LazyFacts {
@@ -1261,10 +1290,12 @@ fn reconstruct_stats(
 /// caches) are re-simulated while every other cost is closed-form.
 ///
 /// A one-configuration [`replay_batch`]: at most one walk per trace stream,
-/// and none for a stream whose statistics the capturing run or a closed
-/// form already gives (see [`ReplayBatch`]); the same errors —
-/// `InvalidConfig` for a structurally invalid configuration,
-/// `CycleLimitExceeded` past the budget.
+/// and none for a stream whose statistics the capturing run, a closed form
+/// or an earlier walk of the same class on this `Trace` value already gives
+/// (see [`ReplayBatch`]); the same errors — `InvalidConfig` for a
+/// structurally invalid configuration, `CycleLimitExceeded` past the
+/// budget.  Repeated validation replays of one recommendation therefore
+/// walk once per trace.
 pub fn replay(trace: &Trace, config: &LeonConfig, max_cycles: u64) -> Result<Stats, SimError> {
     replay_batch(trace, std::slice::from_ref(config), max_cycles)
         .pop()
@@ -1503,6 +1534,10 @@ enum Source {
     /// Known in closed form: the stream cannot conflict in the cache (and,
     /// for the memory stream, the window count cannot trap).
     Closed(CacheStats),
+    /// Remembered from an earlier walk of the same class on this trace:
+    /// the cache statistics, window overflows and underflows (no traps for
+    /// the fetch stream).
+    Remembered(CacheStats, u64, u64),
     /// The result of this walk class of the stream.
     Walked(usize),
 }
@@ -1531,6 +1566,24 @@ fn intern<K: Copy + Eq + Hash>(
     })
 }
 
+/// Each interned class's source: its remembered result where `remembered`
+/// has one, else a walk.  Only the classes left to walk stay in `classes`,
+/// renumbered in order.
+fn recall<K: Copy>(classes: &mut Vec<K>, remembered: impl Fn(&K) -> Option<Source>) -> Vec<Source> {
+    let mut left = Vec::new();
+    let sources = classes
+        .iter()
+        .map(|class| {
+            remembered(class).unwrap_or_else(|| {
+                left.push(*class);
+                Source::Walked(left.len() - 1)
+            })
+        })
+        .collect();
+    *classes = left;
+    sources
+}
+
 /// A planned batch replay: every configuration of a sweep partitioned into
 /// *behavior classes*, so that one pass over each trace stream retimes the
 /// whole batch.
@@ -1538,15 +1591,22 @@ fn intern<K: Copy + Eq + Hash>(
 /// The paper's central experiments — the 52-variable cost table and the
 /// exhaustive d-cache sweep — evaluate many configurations against one fixed
 /// program behaviour.  Each configuration's cache statistics come from one
-/// of three sources per stream: the capturing run (same geometry), a closed
+/// of four sources per stream: the capturing run (same geometry), a closed
 /// form (a cache the stream cannot conflict in, see [`LineFootprint`], and
 /// for the d-cache a window count of at least the maximum nesting depth +
-/// 2, which cannot trap), or a walk class.  The plan walks each stream
-/// **once** for all its classes, updating one lean cache model per class
-/// simultaneously ([`crate::cache`]'s `TagCache`), and reconstructs every
-/// configuration's [`Stats`] from its sources — bit-identical to full
+/// 2, which cannot trap), a walk of the same class remembered on this
+/// [`Trace`] value, or a walk class.  The plan walks each stream **once**
+/// for all its classes left to walk, updating one lean cache model per
+/// class simultaneously ([`crate::cache`]'s `TagCache`), and reconstructs
+/// every configuration's [`Stats`] from its sources — bit-identical to full
 /// simulation and to any other partition of the same configurations into
 /// batches (pinned by `tests/replay_equivalence.rs`).
+///
+/// A walk's result is a pure function of the trace's streams and the
+/// class, so [`ReplayBatch::finish`] remembers each walked class's result
+/// on the trace, and every later plan over the same `Trace` value finishes
+/// that class without a walk.  A clone or a freshly decoded trace
+/// remembers nothing.
 ///
 /// The classes of each stream are exposed as an indexable axis
 /// ([`ReplayBatch::walk_mem_span`] / [`ReplayBatch::walk_fetch_span`]) so a
@@ -1565,12 +1625,14 @@ pub struct ReplayBatch<'a> {
 
 impl<'a> ReplayBatch<'a> {
     /// Plan a batch: validate every configuration, finish what the captured
-    /// run or a closed form answers, and partition the rest into distinct
-    /// behavior classes (first-appearance order, so the plan is
-    /// deterministic for a given configuration sequence).  Performs no
-    /// walks; derives the trace's closed-form facts for a stream on the
-    /// first plan that needs them ([`Trace::mem_facts`],
-    /// [`Trace::fetch_footprint`]).
+    /// run, a closed form or a remembered walk of the same class answers,
+    /// and partition the rest into distinct behavior classes
+    /// (first-appearance order, so the plan is deterministic for a given
+    /// configuration sequence).  Performs no walks; derives the trace's
+    /// closed-form facts for a stream on the first plan that needs them
+    /// ([`Trace::mem_facts`], [`Trace::fetch_footprint`]).  Takes the
+    /// trace's lock on remembered walks at most once, for the lookups
+    /// alone.
     pub fn new(trace: &'a Trace, configs: &[LeonConfig], max_cycles: u64) -> ReplayBatch<'a> {
         let captured = &trace.captured;
         let summary = &trace.summary;
@@ -1578,7 +1640,7 @@ impl<'a> ReplayBatch<'a> {
         let mut fetch_classes = Vec::new();
         let mut mem_index: HashMap<MemClass, usize> = HashMap::new();
         let mut fetch_index: HashMap<CacheConfig, usize> = HashMap::new();
-        let dispositions = configs
+        let mut dispositions: Vec<Disposition> = configs
             .iter()
             .map(|config| {
                 if let Err(e) = config.validate() {
@@ -1628,6 +1690,29 @@ impl<'a> ReplayBatch<'a> {
                 Disposition::Valid { mem, fetch }
             })
             .collect();
+        if !mem_classes.is_empty() || !fetch_classes.is_empty() {
+            let walked = trace.facts.walked.lock().unwrap_or_else(PoisonError::into_inner);
+            let mem_sources = recall(&mut mem_classes, |class| {
+                walked
+                    .mem
+                    .get(class)
+                    .map(|&(stats, over, under)| Source::Remembered(stats, over, under))
+            });
+            let fetch_sources = recall(&mut fetch_classes, |class| {
+                walked.fetch.get(class).map(|&stats| Source::Remembered(stats, 0, 0))
+            });
+            drop(walked);
+            for disposition in &mut dispositions {
+                if let Disposition::Valid { mem, fetch } = disposition {
+                    if let Source::Walked(class) = *mem {
+                        *mem = mem_sources[class];
+                    }
+                    if let Source::Walked(class) = *fetch {
+                        *fetch = fetch_sources[class];
+                    }
+                }
+            }
+        }
         ReplayBatch {
             trace,
             max_cycles,
@@ -1648,20 +1733,24 @@ impl<'a> ReplayBatch<'a> {
         self.configs.is_empty()
     }
 
-    /// Number of distinct memory-walk behavior classes (configurations
-    /// answered by the capturing run or in closed form have none).
+    /// Number of distinct memory-walk behavior classes this plan still has
+    /// to walk (configurations answered by the capturing run, in closed
+    /// form or by a remembered walk have none).
     pub fn mem_class_count(&self) -> usize {
         self.mem_classes.len()
     }
 
-    /// Number of distinct fetch-walk behavior classes (configurations
-    /// answered by the capturing run or in closed form have none).
+    /// Number of distinct fetch-walk behavior classes this plan still has
+    /// to walk (configurations answered by the capturing run, in closed
+    /// form or by a remembered walk have none).
     pub fn fetch_class_count(&self) -> usize {
         self.fetch_classes.len()
     }
 
-    /// Total distinct behavior classes (the batch's walk budget: no caller
-    /// partitioning can make the engine perform more walks than this).
+    /// Total distinct behavior classes this plan still has to walk (the
+    /// batch's walk budget: no caller partitioning can make the engine
+    /// perform more walks than this).  0 when every configuration is
+    /// answered without a walk.
     pub fn class_count(&self) -> usize {
         self.mem_classes.len() + self.fetch_classes.len()
     }
@@ -1718,9 +1807,13 @@ impl<'a> ReplayBatch<'a> {
     }
 
     /// Reconstruct every configuration's [`Stats`] closed-form from the walk
-    /// results (`mem` and `fetch` are the per-class results, concatenated in
-    /// class order).  Element `i` equals `replay(trace, &configs[i],
-    /// max_cycles)` exactly, including errors.
+    /// results (`mem` and `fetch` are the per-class results of this plan's
+    /// span walks, concatenated in class order).  Element `i` equals
+    /// `replay(trace, &configs[i], max_cycles)` exactly, including errors.
+    ///
+    /// Remembers each walked class's result on the trace, so later plans
+    /// over the same `Trace` value finish those classes without a walk.
+    /// Two plans that walked the same class record the same result.
     pub fn finish(
         &self,
         mem: &[(CacheStats, u64, u64)],
@@ -1729,6 +1822,12 @@ impl<'a> ReplayBatch<'a> {
         assert_eq!(mem.len(), self.mem_classes.len(), "one walk result per memory class");
         assert_eq!(fetch.len(), self.fetch_classes.len(), "one walk result per fetch class");
         let trace = self.trace;
+        if !mem.is_empty() || !fetch.is_empty() {
+            // each insert is a whole value, so a poisoned map is still valid
+            let mut walked = trace.facts.walked.lock().unwrap_or_else(PoisonError::into_inner);
+            walked.mem.extend(self.mem_classes.iter().copied().zip(mem.iter().copied()));
+            walked.fetch.extend(self.fetch_classes.iter().copied().zip(fetch.iter().copied()));
+        }
         self.dispositions
             .iter()
             .zip(&self.configs)
@@ -1737,7 +1836,7 @@ impl<'a> ReplayBatch<'a> {
                 Disposition::Valid { mem: mem_source, fetch: fetch_source } => {
                     let icache = match *fetch_source {
                         Source::Captured => trace.base_icache,
-                        Source::Closed(stats) => stats,
+                        Source::Closed(stats) | Source::Remembered(stats, ..) => stats,
                         Source::Walked(class) => fetch[class],
                     };
                     let (dcache, overflows, underflows) = match *mem_source {
@@ -1745,6 +1844,9 @@ impl<'a> ReplayBatch<'a> {
                             (trace.base_dcache, trace.base_overflows, trace.base_underflows)
                         }
                         Source::Closed(stats) => (stats, 0, 0),
+                        Source::Remembered(stats, overflows, underflows) => {
+                            (stats, overflows, underflows)
+                        }
                         Source::Walked(class) => mem[class],
                     };
                     reconstruct_stats(
@@ -2760,6 +2862,105 @@ mod tests {
             replay(&trace, &both, 1_000_000).unwrap();
             assert_eq!(trace_walks_performed() - walks_before, streams, "{}", program.name);
         }
+    }
+
+    /// `replay_batch` of `configs` on `trace` and the walks it performed.
+    fn counted(trace: &Trace, configs: &[LeonConfig]) -> (Vec<Result<Stats, SimError>>, u64) {
+        let before = trace_walks_performed();
+        let replayed = replay_batch(trace, configs, 1_000_000);
+        (replayed, trace_walks_performed() - before)
+    }
+
+    #[test]
+    fn remembered_walks_serve_every_trap_free_window_count() {
+        let _walks = walk_lock();
+        // recursion 12 deep: 14 and more windows never trap and share one
+        // class, 13 traps; the data conflicts in a 1 KB way
+        let base = LeonConfig::base();
+        let program = wide_program();
+        let (_, trace) = capture(&base, &program, 1_000_000).unwrap();
+        let windows = |count: u8| {
+            let mut c = base;
+            c.dcache.way_kb = 1;
+            c.iu.reg_windows = count;
+            c
+        };
+        let (first, walked) = counted(&trace, &[windows(14)]);
+        assert_eq!(walked, 1, "the first trap-free count walks");
+        let others = [windows(32), windows(20)];
+        assert_eq!(ReplayBatch::new(&trace, &others, 1_000_000).class_count(), 0);
+        let (second, walked) = counted(&trace, &others);
+        assert_eq!(walked, 0, "every trap-free count shares the remembered walk");
+        let (third, walked) = counted(&trace, &[windows(13)]);
+        assert_eq!(walked, 1, "a trapping count is a class of its own");
+
+        let configs = [windows(14), windows(32), windows(20), windows(13)];
+        let replayed = first.iter().chain(&second).chain(&third);
+        for (config, result) in configs.iter().zip(replayed) {
+            assert_eq!(result, &walked_replay(&trace, config, 1_000_000), "{config:?}");
+            let full = crate::simulate(config, &program, 1_000_000).unwrap();
+            assert_eq!(result.as_ref().unwrap(), &full.stats, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn remembered_walks_are_shared_by_concurrent_plans() {
+        let _walks = walk_lock();
+        let base = LeonConfig::base();
+        let (_, trace) = capture(&base, &wide_program(), 1_000_000).unwrap();
+        let configs = geometry_batch(&[2, 8, 14]);
+        // two batches overlapping in their middle third
+        let third = configs.len() / 3;
+        let (left, right) = (&configs[..2 * third], &configs[third..]);
+        let barrier = std::sync::Barrier::new(2);
+        // both plan before either finishes, so both miss every shared class,
+        // walk it and record the same result
+        let run = |batch: &[LeonConfig]| {
+            let plan = ReplayBatch::new(&trace, batch, 1_000_000);
+            barrier.wait();
+            let mem = plan.walk_mem_span(0..plan.mem_class_count());
+            let fetch = plan.walk_fetch_span(0..plan.fetch_class_count());
+            let streams = u64::from(!mem.is_empty()) + u64::from(!fetch.is_empty());
+            (plan.finish(&mem, &fetch), streams)
+        };
+        let before = trace_walks_performed();
+        let (a, b, streams) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| run(left));
+            let b = scope.spawn(|| run(right));
+            let ((a, sa), (b, sb)) = (a.join().unwrap(), b.join().unwrap());
+            (a, b, sa + sb)
+        });
+        assert_eq!(streams, 4, "each batch walks both streams");
+        assert_eq!(trace_walks_performed() - before, streams);
+        assert_eq!(a, replay_batch(&trace.clone(), left, 1_000_000));
+        assert_eq!(b, replay_batch(&trace.clone(), right, 1_000_000));
+
+        // every class of the union was walked by one thread or both
+        let (union, walked) = counted(&trace, &configs);
+        assert_eq!(walked, 0, "the union is remembered whole");
+        assert_eq!(union, replay_batch(&trace.clone(), &configs, 1_000_000));
+        assert_eq!(union[..2 * third], a[..]);
+        assert_eq!(union[third..], b[..]);
+    }
+
+    #[test]
+    fn remembered_walks_start_empty_on_clones_and_decodes() {
+        let _walks = walk_lock();
+        let base = LeonConfig::base();
+        let (_, trace) = capture(&base, &wide_program(), 1_000_000).unwrap();
+        let configs = mixed_batch(&base);
+        let (replayed, walked) = counted(&trace, &configs);
+        assert_eq!(walked, 2, "the d-cache and the i-cache variant walk");
+        assert_eq!(counted(&trace, &configs), (replayed.clone(), 0), "both are remembered");
+
+        // a clone keeps the derived facts but no walk; a decode has neither
+        let clone = trace.clone();
+        assert!(clone.facts.mem.get().is_some() && clone.facts.fetch.get().is_some());
+        assert_eq!(counted(&clone, &configs), (replayed.clone(), 2));
+        let decoded = Trace::from_bytes(&trace.to_bytes()).unwrap();
+        assert_eq!(counted(&decoded, &configs), (replayed, 2));
+        // remembered walks take no part in equality
+        assert_eq!(decoded, trace);
     }
 
     /// Replay `config` with every stream that differs from capture walked:

@@ -17,7 +17,10 @@
 //!   pays one walk per feasible geometry it cannot finish in closed form;
 //! * batching changes no result: the tables are byte-identical across
 //!   thread counts, and every batched cycle count equals its per-config
-//!   `replay`, so the walk budget is a pure cost change.
+//!   `replay`, so the walk budget is a pure cost change;
+//! * a trace remembers the classes it has walked, so re-running a batched
+//!   leg on the same `Trace` value walks zero times.  Every other leg runs
+//!   on a clone (a cold copy), so its count is the one it would pay alone.
 //!
 //! Each contract runs on BLASTN, whose tables are mostly closed form, and
 //! on the probe guest (`probe_guest`), whose configurations still walk.
@@ -206,15 +209,17 @@ fn cost_table_walks_at_most_once_per_behavior_class() {
     // threads = 4: classes are partitioned, never duplicated
     let before = trace_walks_performed();
     let parallel =
-        measure_cost_table_traced(&space, &workload, &base, &model, &options(4), &trace).unwrap();
+        measure_cost_table_traced(&space, &workload, &base, &model, &options(4), &trace.clone())
+            .unwrap();
     let parallel_walks = trace_walks_performed() - before;
     assert!(
         (1..=classes as u64).contains(&parallel_walks),
         "batched table must walk at most once per class ({classes}), walked {parallel_walks}"
     );
 
-    // one `replay` per timed configuration pays a walk per stream it cannot
-    // finish in closed form — the cost the batched engine amortises away
+    // one `replay` per timed configuration, each on a cold copy, pays a
+    // walk per stream it cannot finish in closed form — the cost the
+    // batched engine amortises away
     let before = trace_walks_performed();
     let per_config: Vec<Vec<u64>> = space
         .variables()
@@ -222,7 +227,7 @@ fn cost_table_walks_at_most_once_per_behavior_class() {
         .map(|var| {
             timed_configs(var, &base)
                 .iter()
-                .map(|config| replay(&trace, config, MAX_CYCLES).unwrap().cycles)
+                .map(|config| replay(&trace.clone(), config, MAX_CYCLES).unwrap().cycles)
                 .collect()
         })
         .collect();
@@ -244,6 +249,13 @@ fn cost_table_walks_at_most_once_per_behavior_class() {
         assert_eq!(serial.by_index(var.index).unwrap().cycles, cycles[0], "{}", var.name);
     }
 
+    // the trace the serial leg walked remembers its classes
+    let before = trace_walks_performed();
+    let again =
+        measure_cost_table_traced(&space, &workload, &base, &model, &options(1), &trace).unwrap();
+    assert_eq!(trace_walks_performed() - before, 0, "a re-run is remembered whole");
+    assert_eq!(serde_json::to_string(&again).unwrap(), serial_json);
+
     // the probe guest still walks: every d-cache variable, every window
     // count below 14 (one class for the trap-free ones) and the 1 KB-way
     // i-cache variables, each fused into one pass per stream
@@ -257,11 +269,14 @@ fn cost_table_walks_at_most_once_per_behavior_class() {
     let batched = replay_batch_indexed(&trace, &batch, MAX_CYCLES, 1);
     assert_eq!(trace_walks_performed() - before, 2, "one pass per stream");
     let before = trace_walks_performed();
-    let elementwise: Vec<_> = batch.iter().map(|c| replay(&trace, c, MAX_CYCLES)).collect();
+    let elementwise: Vec<_> = batch.iter().map(|c| replay(&trace.clone(), c, MAX_CYCLES)).collect();
     let expected: u64 = batch.iter().map(|config| reach.walks(config, &base)).sum();
     assert_eq!(trace_walks_performed() - before, expected);
     assert!(expected as usize > mem_classes + fetch_classes, "per-config replays walk more");
     assert_eq!(batched, elementwise);
+    let before = trace_walks_performed();
+    assert_eq!(replay_batch_indexed(&trace, &batch, MAX_CYCLES, 4), batched);
+    assert_eq!(trace_walks_performed() - before, 0, "a re-run is remembered whole");
 }
 
 #[test]
@@ -284,7 +299,8 @@ fn fig2_sweep_collapses_to_one_memory_stream_pass() {
             "{name}: the sweep changes only the d-cache: one fused memory-stream pass"
         );
 
-        // one `replay` per feasible row, on the geometry the sweep times
+        // one `replay` per feasible row, on the geometry the sweep times,
+        // each on a cold copy
         let sweep_config = |row: &DcacheRow| {
             let mut config = base;
             config.dcache.ways = row.ways;
@@ -302,7 +318,7 @@ fn fig2_sweep_collapses_to_one_memory_stream_pass() {
                     return *row;
                 }
                 let config = sweep_config(row);
-                let cycles = replay(&trace, &config, MAX_CYCLES).unwrap().cycles;
+                let cycles = replay(&trace.clone(), &config, MAX_CYCLES).unwrap().cycles;
                 DcacheRow { cycles, seconds: config.cycles_to_seconds(cycles), ..*row }
             })
             .collect();
@@ -329,6 +345,12 @@ fn fig2_sweep_collapses_to_one_memory_stream_pass() {
             serde_json::to_string(&per_config).unwrap(),
             "{name}: both paths must produce identical Figure 2 rows"
         );
+
+        // the trace the batched sweep walked remembers every row's class
+        let before = trace_walks_performed();
+        let again = dcache_exhaustive_traced(&trace, &base, &model, MAX_CYCLES, 1).unwrap();
+        assert_eq!(trace_walks_performed() - before, 0, "{name}: a re-run is remembered whole");
+        assert_eq!(again, batched, "{name}");
     }
 }
 

@@ -8,10 +8,16 @@
 //! configurations in closed form, so the property tests also run the probe
 //! guest (`probe_guest`), which keeps the fetch walk, the window-trap
 //! expansion and the mixed-window-count memory walk under the same check.
+//!
+//! A trace remembers the classes it has walked, and the suite's traces are
+//! shared by every test, so a test that counts walks or compares walked
+//! legs runs them on a clone: a cold copy.  The walk counter is
+//! process-wide, so every test that walks takes one shared lock (the
+//! `tests/batch_walk_budget.rs` pattern).
 
 mod probe_guest;
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use liquid_autoreconf::apps::{benchmark_suite, Scale};
 use liquid_autoreconf::isa::Program;
@@ -21,6 +27,13 @@ use liquid_autoreconf::sim::{
 use proptest::prelude::*;
 
 const MAX_CYCLES: u64 = 400_000_000;
+
+/// Serialises this binary's walks, so walk-counter deltas are exact.
+static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> MutexGuard<'static, ()> {
+    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A grid of trace-invariant configurations: cache geometries × replacement
 /// policies × latency/decode options, all derived from the base config.
@@ -96,6 +109,7 @@ fn trace_invariant_grid() -> Vec<LeonConfig> {
 
 #[test]
 fn replay_matches_full_simulation_for_every_workload_and_perturbation() {
+    let _guard = lock();
     let base = LeonConfig::base();
     for workload in benchmark_suite(Scale::Tiny) {
         let program = workload.build();
@@ -161,7 +175,9 @@ fn captured_suite() -> &'static Vec<(String, Program, Trace)> {
 
 #[test]
 fn probe_guest_walks_what_the_suite_finishes_in_closed_form() {
-    let (_, program, trace) = captured_suite().last().unwrap();
+    let _guard = lock();
+    let (_, program, shared) = captured_suite().last().unwrap();
+    let trace = &shared.clone();
     let base = LeonConfig::base();
     let mut small_icache = base;
     small_icache.icache.way_kb = 1;
@@ -197,7 +213,7 @@ fn probe_guest_walks_what_the_suite_finishes_in_closed_form() {
     );
     let walks = sim::trace_walks_performed();
     let replayed = sim::replay_batch(trace, &configs, MAX_CYCLES);
-    assert!(sim::trace_walks_performed() - walks >= 2, "both streams are walked");
+    assert_eq!(sim::trace_walks_performed() - walks, 2, "both streams are walked");
     for (config, replayed) in configs.iter().zip(replayed) {
         let full = sim::simulate(config, program, MAX_CYCLES).unwrap();
         assert_eq!(replayed.unwrap(), full.stats, "PROBE: {config:?}");
@@ -258,6 +274,7 @@ proptest! {
     /// full cycle-accurate simulation — for every workload of the suite.
     #[test]
     fn replay_matches_full_simulation_on_random_geometries(seed in any::<u64>()) {
+        let _guard = lock();
         let config = config_from_seed(seed);
         prop_assert!(config.validate().is_ok(), "decoder must only produce valid configs");
         for (name, program, trace) in captured_suite() {
@@ -283,11 +300,15 @@ proptest! {
     /// `replay_batch` must equal element-wise `replay` bit-for-bit
     /// (successes *and* errors), on every workload, both through the serial
     /// fused walk and through the class-partitioned worker pool at
-    /// `threads = 1` and `threads = 4`.
+    /// `threads = 1` and `threads = 4` — each leg walking its own cold copy
+    /// of the trace.  Replayed again on the trace the serial batch walked,
+    /// the batch is answered from the remembered walks: the same results,
+    /// with zero walks.
     #[test]
     fn replay_batch_matches_elementwise_replay(
         seeds in proptest::collection::vec(any::<u64>(), 1..8)
     ) {
+        let _guard = lock();
         let mut configs: Vec<LeonConfig> =
             seeds.iter().map(|&seed| config_from_seed(seed)).collect();
         configs.push(configs[0]); // duplicate: same behavior class twice
@@ -296,14 +317,16 @@ proptest! {
         invalid.dcache.way_kb = 3; // structurally invalid
         configs.push(invalid);
 
-        for (name, _program, trace) in captured_suite() {
+        for (name, _program, shared) in captured_suite() {
+            let cold = shared.clone();
             let elementwise: Vec<_> =
-                configs.iter().map(|c| sim::replay(trace, c, MAX_CYCLES)).collect();
+                configs.iter().map(|c| sim::replay(&cold, c, MAX_CYCLES)).collect();
+            let trace = &shared.clone();
             let batched = sim::replay_batch(trace, &configs, MAX_CYCLES);
             prop_assert_eq!(&batched, &elementwise, "{}: serial batch diverged", name);
             for threads in [1usize, 4] {
                 let pooled = liquid_autoreconf::tuner::replay_batch_indexed(
-                    trace, &configs, MAX_CYCLES, threads,
+                    &shared.clone(), &configs, MAX_CYCLES, threads,
                 );
                 prop_assert_eq!(
                     &pooled,
@@ -313,6 +336,13 @@ proptest! {
                     threads
                 );
             }
+
+            let walks = sim::trace_walks_performed();
+            let again = sim::replay_batch(trace, &configs, MAX_CYCLES);
+            prop_assert_eq!(
+                sim::trace_walks_performed() - walks, 0, "{}: the batch is remembered", name
+            );
+            prop_assert_eq!(&again, &elementwise, "{}: remembered batch diverged", name);
         }
     }
 }
