@@ -30,7 +30,7 @@ fn constraint_form_ablation(c: &mut Criterion) {
         let tool = AutoReconfigurator::new()
             .with_weights(Weights::runtime_optimized())
             .with_formulation(FormulationOptions { lut_constraint: lut, bram_constraint: bram })
-            .with_measurement(MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0, use_replay: true });
+            .with_measurement(MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0 });
         group.bench_function(name, |b| {
             b.iter(|| tool.optimize(&workload).unwrap().validation.cycles)
         });
@@ -46,7 +46,7 @@ fn constraint_form_ablation(c: &mut Criterion) {
         let tool = AutoReconfigurator::new()
             .with_weights(Weights::runtime_optimized())
             .with_formulation(FormulationOptions { lut_constraint: lut, bram_constraint: bram })
-            .with_measurement(MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0, use_replay: true });
+            .with_measurement(MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0 });
         let o = tool.optimize(&workload).unwrap();
         println!(
             "[ablation] {:<36} gain {:>6.2}%  BRAM {:>2}%  fits {}",
@@ -65,7 +65,7 @@ fn independence_error_ablation(c: &mut Criterion) {
     let workload = Drr::scaled(bench_scale());
     let tool = AutoReconfigurator::new()
         .with_weights(Weights::runtime_optimized())
-        .with_measurement(MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0, use_replay: true });
+        .with_measurement(MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0 });
 
     let mut group = c.benchmark_group("ablations/independence_error");
     group.sample_size(10).measurement_time(Duration::from_secs(15));
@@ -96,7 +96,7 @@ fn measurement_parallelism_ablation(c: &mut Criterion) {
         let tool = AutoReconfigurator::new()
             .with_space(space.clone())
             .with_weights(Weights::runtime_only())
-            .with_measurement(MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay: true });
+            .with_measurement(MeasurementOptions { max_cycles: MAX_CYCLES, threads });
         group.bench_function(label, |b| b.iter(|| tool.optimize(&workload).unwrap().selected.len()));
     }
     group.finish();

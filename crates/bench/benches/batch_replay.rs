@@ -32,7 +32,7 @@ use leon_sim::{trace_walks_performed, LeonConfig, Trace};
 use workloads::{Blastn, Scale};
 
 fn options() -> MeasurementOptions {
-    MeasurementOptions { max_cycles: MAX_CYCLES, threads: 1, use_replay: true }
+    MeasurementOptions { max_cycles: MAX_CYCLES, threads: 1 }
 }
 
 struct Prepared {

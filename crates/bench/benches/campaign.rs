@@ -52,7 +52,7 @@ fn campaign_parallel_speedup(c: &mut Criterion) {
     // The whole multi-workload campaign over the paper's 52-variable space.
     for threads in THREAD_SETTINGS {
         let engine = Campaign::new().with_weights(Weights::runtime_optimized()).with_measurement(
-            MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay: true },
+            MeasurementOptions { max_cycles: MAX_CYCLES, threads },
         );
         group.bench_function(format!("multi_workload_campaign_threads_{threads}"), |b| {
             b.iter(|| {

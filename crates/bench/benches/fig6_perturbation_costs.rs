@@ -25,18 +25,18 @@ fn fig6_perturbation_costs(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6_perturbation_costs");
     group.sample_size(10).measurement_time(Duration::from_secs(15));
     group.bench_function("measure_52_perturbations_parallel", |b| {
-        let options = MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0, use_replay: true };
+        let options = MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0 };
         b.iter(|| measure_cost_table(&space, &workload, &base, &model, &options).unwrap().len())
     });
     group.bench_function("measure_52_perturbations_single_thread", |b| {
-        let options = MeasurementOptions { max_cycles: MAX_CYCLES, threads: 1, use_replay: true };
+        let options = MeasurementOptions { max_cycles: MAX_CYCLES, threads: 1 };
         b.iter(|| measure_cost_table(&space, &workload, &base, &model, &options).unwrap().len())
     });
     group.finish();
 
     // print the per-perturbation cost table once (the rows of Figure 6 are
     // the subset selected by the Figure 5 optimisation)
-    let options = MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0, use_replay: true };
+    let options = MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0 };
     let table = measure_cost_table(&space, &workload, &base, &model, &options).unwrap();
     println!("[fig6] BLASTN base: {} cycles, {:.1}% LUT, {:.1}% BRAM", table.base.cycles, table.base.lut_pct, table.base.bram_pct);
     for cost in table.costs.iter().filter(|c| c.rho.abs() > 0.01 || c.lambda.abs() > 0.4 || c.beta.abs() > 0.4) {

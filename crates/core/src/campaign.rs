@@ -39,7 +39,7 @@ use crate::params::ParameterSpace;
 use crate::search::{SearchInputs, SearchMode, SearchOutcome, SearchSpace};
 use crate::store::{
     ArtifactStore, ClaimOutcome, Fingerprint, FingerprintBuilder, LazyArtifact,
-    RESULTS_VERSION,
+    DEFAULT_LEASE_WAIT, RESULTS_VERSION,
 };
 
 /// Parse an `AUTORECONF_THREADS` value: a non-negative integer worker
@@ -583,10 +583,10 @@ impl Campaign {
 
     /// Solve each workload's per-application problem from its measured cost
     /// table, fanned out over the pool (solving and validation are
-    /// independent across workloads).  With replay enabled (the default),
-    /// each recommendation is validated by retiming the shared trace —
-    /// bit-identical to full simulation — so the whole per-application
-    /// stage executes no guest code at all.
+    /// independent across workloads).  Each recommendation is validated by
+    /// replaying the workload's shared trace — bit-identical to full
+    /// simulation — so the whole per-application stage executes no guest
+    /// code at all.  `suite` only has to align with `traces` and `tables`.
     pub fn optimize_each(
         &self,
         suite: &[Box<dyn Workload + Send + Sync>],
@@ -597,15 +597,8 @@ impl Campaign {
         assert_eq!(suite.len(), traces.len(), "suite and trace set must align");
         let tool = self.per_app_tool();
         let results = run_indexed(suite.len(), self.measurement.threads, |i| {
-            if self.measurement.use_replay {
-                tool.optimize_with_table_traced(
-                    &traces.entries[i].name,
-                    tables[i].clone(),
-                    &traces.entries[i].trace,
-                )
-            } else {
-                tool.optimize_with_table(suite[i].as_ref(), tables[i].clone())
-            }
+            let entry = &traces.entries[i];
+            tool.optimize_with_table_traced(&entry.name, tables[i].clone(), &entry.trace)
         });
         collect_indexed(results)
     }
@@ -851,7 +844,7 @@ impl Campaign {
                 }
                 Ok(ClaimOutcome::Busy(_)) => {
                     let published = store
-                        .await_entry_or_lease_deadline(kind, key, crate::store::lease_wait())
+                        .await_entry_or_lease_deadline(kind, key, DEFAULT_LEASE_WAIT)
                         .map_err(E::from)?;
                     if published {
                         last_seen = store.entry_file_stamp(kind, key);
@@ -1038,16 +1031,11 @@ impl Campaign {
     fn solve_and_persist_optimum(
         &self,
         tool: &AutoReconfigurator,
-        workload: &(dyn Workload + Send + Sync),
         workload_fp: u64,
         entry: &TracedWorkload,
         table: &CostTable,
     ) -> Result<Outcome, OptimizeError> {
-        let outcome = if self.measurement.use_replay {
-            tool.optimize_with_table_traced(&entry.name, table.clone(), &entry.trace)?
-        } else {
-            tool.optimize_with_table(workload, table.clone())?
-        };
+        let outcome = tool.optimize_with_table_traced(&entry.name, table.clone(), &entry.trace)?;
         self.persist_json(
             "optimum",
             self.optimum_key(workload_fp),
@@ -1062,7 +1050,6 @@ impl Campaign {
     fn load_or_optimize(
         &self,
         tool: &AutoReconfigurator,
-        workload: &(dyn Workload + Send + Sync),
         workload_fp: u64,
         entry: &TracedWorkload,
         table: &CostTable,
@@ -1071,7 +1058,7 @@ impl Campaign {
             "optimum",
             self.optimum_key(workload_fp),
             || self.try_load_json::<Outcome>("optimum", self.optimum_key(workload_fp)),
-            || self.solve_and_persist_optimum(tool, workload, workload_fp, entry, table),
+            || self.solve_and_persist_optimum(tool, workload_fp, entry, table),
         )
     }
 }
@@ -1375,13 +1362,7 @@ impl<'a> CampaignSession<'a> {
                     let table = self.table(index)?;
                     let entry = self.trace(index)?;
                     let tool = self.engine.per_app_tool();
-                    self.engine.solve_and_persist_optimum(
-                        &tool,
-                        self.suite[index].as_ref(),
-                        fp,
-                        entry,
-                        table,
-                    )
+                    self.engine.solve_and_persist_optimum(&tool, fp, entry, table)
                 },
             )?;
             self.bump(solved, |c| (&mut c.optimizations_solved, &mut c.optimum_store_hits));
@@ -1680,8 +1661,7 @@ impl<'a> CampaignSession<'a> {
         self.bump(computed, |c| (&mut c.sweeps_computed, &mut c.sweep_store_hits));
 
         let tool = self.engine.per_app_tool();
-        let (outcome, solved) =
-            self.engine.load_or_optimize(&tool, workload, fp, &entry, &table)?;
+        let (outcome, solved) = self.engine.load_or_optimize(&tool, fp, &entry, &table)?;
         self.bump(solved, |c| (&mut c.optimizations_solved, &mut c.optimum_store_hits));
 
         self.names[index] = workload.name().to_string();
@@ -1703,11 +1683,7 @@ mod tests {
         Campaign::new()
             .with_space(ParameterSpace::dcache_geometry())
             .with_weights(Weights::runtime_only())
-            .with_measurement(MeasurementOptions {
-                max_cycles: 400_000_000,
-                threads,
-                use_replay: true,
-            })
+            .with_measurement(MeasurementOptions { max_cycles: 400_000_000, threads })
     }
 
     #[test]

@@ -95,8 +95,8 @@ pub fn dcache_exhaustive(
 /// of classes instead of once per configuration, and `threads` partitions
 /// the *classes* over the worker pool.  Row order is the combination order,
 /// the first error propagated is the lowest-indexed one, and the rows are
-/// bit-identical at any thread count — and to full simulation
-/// ([`dcache_exhaustive_full`]).
+/// bit-identical at any thread count — and to a full simulation of each
+/// geometry, which the tests check row by row.
 pub fn dcache_exhaustive_traced(
     trace: &leon_sim::Trace,
     base: &LeonConfig,
@@ -140,45 +140,6 @@ pub fn dcache_exhaustive_traced(
             way_kb,
             cycles: stats.cycles,
             seconds: config.cycles_to_seconds(stats.cycles),
-            lut_pct: report.lut_percent,
-            bram_pct: report.bram_percent,
-            fits: true,
-        });
-    }
-    Ok(rows)
-}
-
-/// The pre-trace-engine sweep: one full cycle-accurate simulation per
-/// feasible geometry.  Kept as the baseline the `replay_micro` benchmark
-/// measures the trace-driven speedup against.
-pub fn dcache_exhaustive_full(
-    workload: &dyn Workload,
-    base: &LeonConfig,
-    model: &SynthesisModel,
-    max_cycles: u64,
-) -> Result<Vec<DcacheRow>, SimError> {
-    let mut rows = Vec::new();
-    for (ways, way_kb) in dcache_combinations() {
-        let config = sweep_config(base, ways, way_kb);
-        let report = model.synthesize(&config);
-        if !report.fits {
-            rows.push(DcacheRow {
-                ways,
-                way_kb,
-                cycles: 0,
-                seconds: 0.0,
-                lut_pct: report.lut_percent,
-                bram_pct: report.bram_percent,
-                fits: false,
-            });
-            continue;
-        }
-        let run = workloads::run_verified(workload, &config, max_cycles)?;
-        rows.push(DcacheRow {
-            ways,
-            way_kb,
-            cycles: run.stats.cycles,
-            seconds: run.seconds,
             lut_pct: report.lut_percent,
             bram_pct: report.bram_percent,
             fits: true,
@@ -242,18 +203,23 @@ mod tests {
 
     #[test]
     fn replay_sweep_is_bit_identical_to_full_simulation() {
+        // the simulator is the oracle: each fitting row must time exactly as
+        // a full verified run of its geometry
         let w = Blastn::scaled(Scale::Tiny);
-        let fast =
-            dcache_exhaustive(&w, &LeonConfig::base(), &SynthesisModel::default(), 200_000_000, 2)
-                .unwrap();
-        let slow = dcache_exhaustive_full(
-            &w,
-            &LeonConfig::base(),
-            &SynthesisModel::default(),
-            200_000_000,
-        )
-        .unwrap();
-        assert_eq!(fast, slow, "trace replay must reproduce Figure 2 exactly");
+        let base = LeonConfig::base();
+        let rows = dcache_exhaustive(&w, &base, &SynthesisModel::default(), 200_000_000, 2).unwrap();
+        assert_eq!(rows.len(), dcache_combinations().len());
+        for row in rows.iter().filter(|r| r.fits) {
+            let config = sweep_config(&base, row.ways, row.way_kb);
+            let run = workloads::run_verified(&w, &config, 200_000_000).unwrap();
+            assert_eq!(
+                (row.cycles, row.seconds),
+                (run.stats.cycles, run.seconds),
+                "{}x{} KB: trace replay must reproduce Figure 2 exactly",
+                row.ways,
+                row.way_kb
+            );
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl ExperimentOptions {
     /// and the campaign service, which must share store keys with them —
     /// derives from these options.
     pub fn measurement(&self) -> MeasurementOptions {
-        MeasurementOptions { max_cycles: self.max_cycles, threads: self.threads, use_replay: true }
+        MeasurementOptions { max_cycles: self.max_cycles, threads: self.threads }
     }
 }
 

@@ -10,14 +10,16 @@
 //!
 //! 1. perturbs **one parameter value at a time** from the base LEON
 //!    configuration (the paper's Figure 1 space, 52 decision variables),
-//! 2. **measures** each perturbation's application runtime (cycle-accurate
-//!    simulation) and chip cost (%LUT / %BRAM via the analytical synthesis
-//!    model),
+//! 2. **measures** each perturbation's application runtime (one
+//!    cycle-accurate simulation captures an execution trace, and replaying
+//!    it retimes every perturbation bit-identically) and chip cost (%LUT /
+//!    %BRAM via the analytical synthesis model),
 //! 3. formulates a **constrained Binary Integer Nonlinear Program** over the
 //!    perturbation variables (Section 4 of the paper),
 //! 4. **solves** it exactly with branch-and-bound,
-//! 5. decodes and **validates** the recommended configuration by building and
-//!    running it.
+//! 5. decodes and **validates** the recommended configuration by
+//!    synthesising it and replaying the trace on it — bit-identical to
+//!    building and running it.
 //!
 //! ```no_run
 //! use autoreconf::{AutoReconfigurator, Weights};
@@ -61,17 +63,14 @@ pub use store::{
     GcReport, KindUsage, LazyArtifact, Lease, LeaseInfo, LeaseWaitTimeout, Manifest,
     ManifestEntry, PackStats, StoreStats, DEFAULT_LEASE_TTL, DEFAULT_LEASE_WAIT,
 };
-pub use dcache_study::{
-    best_runtime_row, dcache_exhaustive, dcache_exhaustive_full, dcache_exhaustive_traced,
-    DcacheRow,
-};
+pub use dcache_study::{best_runtime_row, dcache_exhaustive, dcache_exhaustive_traced, DcacheRow};
 pub use formulation::{
     blend_cost_tables, formulate, formulate_mixed, predict, ConstraintForm, FormulationOptions,
     Prediction, Weights,
 };
 pub use measure::{
-    measure_base, measure_cost_table, measure_cost_table_traced, BaseCosts, CostTable,
-    MeasurementOptions, VariableCost,
+    measure_cost_table, measure_cost_table_traced, BaseCosts, CostTable, MeasurementOptions,
+    VariableCost,
 };
 pub use optimizer::{AutoReconfigurator, OptimizeError, Outcome, Validation};
 pub use params::{ParamChange, ParameterSpace, Variable};

@@ -2,14 +2,16 @@
 //!
 //! [`AutoReconfigurator`] glues the stages of the paper's approach together:
 //!
-//! 1. measure the one-at-a-time cost table (simulated runs + analytical
-//!    synthesis, in parallel);
+//! 1. measure the one-at-a-time cost table (one simulated run captures the
+//!    application's trace, replay retimes every perturbation, and synthesis
+//!    is analytical);
 //! 2. formulate the constrained BINLP (Section 4);
 //! 3. solve it with branch-and-bound (standing in for Tomlab /MINLP);
 //! 4. decode the solution into a recommended [`LeonConfig`];
-//! 5. validate the recommendation by building and running it, reporting both
-//!    the optimiser's cost approximations and the actual measurements (the
-//!    two halves of the paper's Figures 5 and 7).
+//! 5. validate the recommendation by synthesising it and replaying the
+//!    captured trace on it — bit-identical to building and running it —
+//!    reporting both the optimiser's cost approximations and the actual
+//!    measurements (the two halves of the paper's Figures 5 and 7).
 
 use binlp::SolveStats;
 use fpga_model::SynthesisModel;
@@ -18,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use workloads::Workload;
 
 use crate::formulation::{formulate, predict, FormulationOptions, Prediction, Weights};
-use crate::measure::{measure_cost_table, CostTable, MeasurementOptions};
+use crate::measure::{measure_cost_table_traced, CostTable, MeasurementOptions};
 use crate::params::ParameterSpace;
 
 /// Actual (validation) measurements of the recommended configuration.
@@ -57,7 +59,9 @@ pub struct Outcome {
     pub recommended: LeonConfig,
     /// The optimiser's cost approximations for the recommendation.
     pub prediction: Prediction,
-    /// Actual build + run of the recommendation.
+    /// Actual measurements of the recommendation: its synthesis and a replay
+    /// of the captured trace on it (bit-identical to building and running
+    /// it).
     pub validation: Validation,
     /// Solver statistics.
     pub solver: SolveStats,
@@ -188,52 +192,34 @@ impl AutoReconfigurator {
     }
 
     /// Run the full measure → formulate → solve → validate pipeline for an
-    /// application.
+    /// application.  The application executes once, capturing its trace on
+    /// the base configuration; measurement and validation both replay it.
     pub fn optimize(&self, workload: &(dyn Workload + Sync)) -> Result<Outcome, OptimizeError> {
-        let table = measure_cost_table(&self.space, workload, &self.base, &self.model, &self.measurement)?;
-        self.optimize_with_table(workload, table)
+        let (_, trace) =
+            workloads::capture_verified(workload, &self.base, self.measurement.max_cycles)?;
+        let table = measure_cost_table_traced(
+            &self.space,
+            workload,
+            &self.base,
+            &self.model,
+            &self.measurement,
+            &trace,
+        )?;
+        self.optimize_with_table_traced(workload.name(), table, &trace)
     }
 
-    /// Run formulate → solve → validate on a previously measured cost table
-    /// (used by the experiment drivers to reuse measurements across weight
-    /// settings, as the paper does).  Validation builds and fully runs the
-    /// recommendation.
-    pub fn optimize_with_table(
-        &self,
-        workload: &(dyn Workload + Sync),
-        table: CostTable,
-    ) -> Result<Outcome, OptimizeError> {
-        self.solve_and_validate(workload.name(), table, &|recommended| {
-            let run = workloads::run_verified(workload, recommended, self.measurement.max_cycles)?;
-            Ok(run.stats.cycles)
-        })
-    }
-
-    /// Like [`AutoReconfigurator::optimize_with_table`], but validate the
-    /// recommendation by replaying an already-captured trace of the base
-    /// configuration instead of re-executing the workload — bit-identical
-    /// for the (entirely trace-invariant) Figure 1 space, and the campaign
-    /// engine's fast path: with a shared
-    /// [`crate::campaign::TraceSet`], a whole per-application pipeline runs
-    /// without executing a single guest instruction.
+    /// Run formulate → solve → validate on a previously measured cost table,
+    /// validating the recommendation by replaying `trace`, an
+    /// already-captured trace of the base configuration — bit-identical to
+    /// building and running it.  This is the campaign engine's
+    /// per-application path: with a shared [`crate::campaign::TraceSet`], a
+    /// whole per-application pipeline runs without executing a single guest
+    /// instruction.
     pub fn optimize_with_table_traced(
         &self,
         workload_name: &str,
         table: CostTable,
         trace: &Trace,
-    ) -> Result<Outcome, OptimizeError> {
-        self.solve_and_validate(workload_name, table, &|recommended| {
-            Ok(leon_sim::replay(trace, recommended, self.measurement.max_cycles)?.cycles)
-        })
-    }
-
-    /// The shared formulate → solve → decode → validate tail; `timed_run`
-    /// supplies the validation cycles (full simulation or trace replay).
-    fn solve_and_validate(
-        &self,
-        workload_name: &str,
-        table: CostTable,
-        timed_run: &dyn Fn(&LeonConfig) -> Result<u64, SimError>,
     ) -> Result<Outcome, OptimizeError> {
         let formulation = formulate(&self.space, &table, self.weights, self.formulation);
         let solution = binlp::solve(&formulation.problem).map_err(|_| OptimizeError::Infeasible)?;
@@ -243,9 +229,9 @@ impl AutoReconfigurator {
         let recommended = self.space.apply(&self.base, &selected);
         let prediction = predict(&self.space, &table, &selected);
 
-        // validation: build the recommendation and time it
+        // validation: synthesise the recommendation and time it
         let report = self.model.synthesize(&recommended);
-        let cycles = timed_run(&recommended)?;
+        let cycles = leon_sim::replay(trace, &recommended, self.measurement.max_cycles)?.cycles;
         let validation = Validation {
             cycles,
             seconds: recommended.cycles_to_seconds(cycles),
@@ -281,7 +267,7 @@ mod tests {
     use workloads::{Arith, Blastn, Scale};
 
     fn fast_measurement() -> MeasurementOptions {
-        MeasurementOptions { max_cycles: 200_000_000, threads: 0, use_replay: true }
+        MeasurementOptions { max_cycles: 200_000_000, threads: 0 }
     }
 
     #[test]
@@ -335,23 +321,16 @@ mod tests {
             .with_weights(Weights::runtime_only())
             .with_measurement(fast_measurement());
         let w = Blastn::scaled(Scale::Tiny);
-        let (_, trace) =
-            workloads::capture_verified(&w, tool.base(), fast_measurement().max_cycles).unwrap();
-        let table = crate::measure::measure_cost_table_traced(
-            tool.space(),
-            &w,
-            tool.base(),
-            &SynthesisModel::default(),
-            &fast_measurement(),
-            &trace,
-        )
-        .unwrap();
-        let traced =
-            tool.optimize_with_table_traced(w.name(), table.clone(), &trace).unwrap();
-        let full = tool.optimize_with_table(&w, table).unwrap();
-        assert_eq!(traced.selected, full.selected);
-        assert_eq!(traced.recommended, full.recommended);
-        assert_eq!(traced.validation, full.validation, "replay validation must be bit-identical");
+        let outcome = tool.optimize(&w).unwrap();
+        // the simulator is the oracle: build and run the recommendation
+        let run =
+            workloads::run_verified(&w, &outcome.recommended, fast_measurement().max_cycles)
+                .unwrap();
+        assert_eq!(
+            (outcome.validation.cycles, outcome.validation.seconds),
+            (run.stats.cycles, run.seconds),
+            "replay validation must be bit-identical to running the recommendation"
+        );
     }
 
     #[test]

@@ -75,44 +75,6 @@ impl ParamChange {
         }
     }
 
-    /// True when this change cannot alter the instruction or memory-address
-    /// stream of a run — it only re-prices events — so a perturbed
-    /// configuration can be retimed by [`leon_sim::replay`] over a trace
-    /// captured on the base configuration.
-    ///
-    /// Every Figure 1 parameter qualifies today.  Cache geometry, replacement
-    /// policy, fast read/write, load delay, multiplier/divider latency and
-    /// the decode/jump/interlock options are invariant outright; the
-    /// register-window count — which moves window spill/fill traps — is
-    /// covered because the trace records every `save`/`restore` rotation with
-    /// its (configuration-independent) stack pointer and replay re-derives
-    /// the traps for the window count under evaluation.  The classification
-    /// stays explicit so that a future genuinely stream-changing parameter
-    /// (e.g. a victim buffer that skips accesses) falls back to full
-    /// simulation instead of silently mis-measuring.
-    pub fn is_trace_invariant(&self) -> bool {
-        match self {
-            ParamChange::IcacheWays(_)
-            | ParamChange::IcacheWayKb(_)
-            | ParamChange::IcacheLineWords(_)
-            | ParamChange::IcacheReplacement(_)
-            | ParamChange::DcacheWays(_)
-            | ParamChange::DcacheWayKb(_)
-            | ParamChange::DcacheLineWords(_)
-            | ParamChange::DcacheReplacement(_)
-            | ParamChange::FastJumpOff
-            | ParamChange::IccHoldOff
-            | ParamChange::FastDecodeOff
-            | ParamChange::LoadDelay2
-            | ParamChange::DcacheFastRead
-            | ParamChange::DividerNone
-            | ParamChange::NoInferMultDiv
-            | ParamChange::RegWindows(_)
-            | ParamChange::SetMultiplier(_)
-            | ParamChange::DcacheFastWrite => true,
-        }
-    }
-
     /// Short human-readable description used in reports.
     pub fn describe(&self) -> String {
         match *self {
@@ -152,16 +114,6 @@ pub struct Variable {
     pub enabler: Option<ParamChange>,
     /// Human-readable name.
     pub name: String,
-}
-
-impl Variable {
-    /// True when both the change and its enabler (if any) are trace-invariant
-    /// — i.e. this variable's cost can be measured by trace replay instead of
-    /// full simulation (see [`ParamChange::is_trace_invariant`]).
-    pub fn is_trace_invariant(&self) -> bool {
-        self.change.is_trace_invariant()
-            && self.enabler.as_ref().map_or(true, ParamChange::is_trace_invariant)
-    }
 }
 
 /// The full 52-variable parameter space of the paper.
@@ -489,16 +441,6 @@ mod tests {
         let s = ParameterSpace::dcache_geometry();
         assert_eq!(s.len(), 8);
         assert!(s.variables().iter().all(|v| (12..=19).contains(&v.index)));
-    }
-
-    #[test]
-    fn every_paper_variable_is_trace_invariant() {
-        // With parametric save/restore events in the trace, all 52 variables
-        // — register windows included — measure by replay.
-        let s = ParameterSpace::paper();
-        for v in s.variables() {
-            assert!(v.is_trace_invariant(), "x{} ({}) should replay", v.index, v.name);
-        }
     }
 
     #[test]

@@ -753,11 +753,7 @@ mod tests {
             &w,
             &LeonConfig::base(),
             &SynthesisModel::default(),
-            &MeasurementOptions {
-                max_cycles: 100_000_000,
-                threads: 2,
-                use_replay: true,
-            },
+            &MeasurementOptions { max_cycles: 100_000_000, threads: 2 },
         )
         .unwrap();
         let rho: BTreeMap<usize, f64> = table.costs.iter().map(|c| (c.index, c.rho)).collect();

@@ -32,7 +32,8 @@
 //!   key race to [`ArtifactStore::try_claim`] a *lease* file beside the
 //!   entry; exactly one acquires it and computes, the rest block on the
 //!   winner's atomically published result
-//!   ([`ArtifactStore::await_entry_or_lease`]) instead of recomputing.
+//!   ([`ArtifactStore::await_entry_or_lease_deadline`]) instead of
+//!   recomputing.
 //!   Leases are renewed by a heartbeat while the winner computes and expire
 //!   (and are taken over) when the holder crashes, so the protocol adds
 //!   liveness without ever risking wrongness: even a duplicated compute in
@@ -122,18 +123,19 @@ pub const DEFAULT_LEASE_TTL: Duration = Duration::from_secs(10);
 /// interrupted writer and are safe to remove.
 pub const DEFAULT_TMP_GRACE: Duration = Duration::from_secs(60);
 
-/// Initial poll interval of [`ArtifactStore::await_entry_or_lease`]; the
-/// wait backs off exponentially from here up to [`LEASE_POLL_MAX`].
+/// Initial poll interval of [`ArtifactStore::await_entry_or_lease_deadline`];
+/// the wait backs off exponentially from here up to [`LEASE_POLL_MAX`].
 const LEASE_POLL: Duration = Duration::from_millis(5);
 
-/// Backoff cap of [`ArtifactStore::await_entry_or_lease`]: waiters never
-/// sleep longer than this between looks, so a published entry is noticed
-/// within ~100 ms even after a long wait.
+/// Backoff cap of [`ArtifactStore::await_entry_or_lease_deadline`]: waiters
+/// never sleep longer than this between looks, so a published entry is
+/// noticed within ~100 ms even after a long wait.
 const LEASE_POLL_MAX: Duration = Duration::from_millis(100);
 
-/// Default overall deadline of [`ArtifactStore::await_entry_or_lease`]: how
-/// long a waiter tolerates a *live, renewing* lease whose holder never
-/// publishes (a wedged winner) before surfacing [`LeaseWaitTimeout`].
+/// Default overall deadline of [`ArtifactStore::await_entry_or_lease_deadline`]
+/// — the one every claim waiter uses: how long a waiter tolerates a *live,
+/// renewing* lease whose holder never publishes (a wedged winner) before
+/// surfacing [`LeaseWaitTimeout`].
 /// Generous — the longest legitimate cold compute (a `Scale::Large`
 /// capture) finishes well inside it — because expiry takeover already
 /// covers the *crashed*-holder case within one TTL.
@@ -165,23 +167,6 @@ pub fn lease_ttl_env() -> Result<Option<Duration>, String> {
             "invalid AUTORECONF_LEASE_TTL_MS `{raw}` (expected a positive integer of milliseconds)"
         )),
     }
-}
-
-/// The overall [`ArtifactStore::await_entry_or_lease`] deadline in effect:
-/// [`DEFAULT_LEASE_WAIT`] unless overridden by `AUTORECONF_LEASE_WAIT_MS`
-/// (cached on first use; invalid values fall back to the default — the
-/// variable only tunes how fast a *wedged-winner* bug is reported, so a
-/// typo cannot change any result).
-pub fn lease_wait() -> Duration {
-    static WAIT: OnceLock<Duration> = OnceLock::new();
-    *WAIT.get_or_init(|| {
-        std::env::var("AUTORECONF_LEASE_WAIT_MS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<u64>().ok())
-            .filter(|ms| *ms > 0)
-            .map(Duration::from_millis)
-            .unwrap_or(DEFAULT_LEASE_WAIT)
-    })
 }
 
 /// Typed failure of [`ArtifactStore::await_entry_or_lease_deadline`]: the
@@ -770,8 +755,9 @@ pub enum ClaimOutcome {
     /// [`Lease::release`]) the lease.
     Acquired(Lease),
     /// Another process holds a live claim: it is computing the entry right
-    /// now.  Wait for its result ([`ArtifactStore::await_entry_or_lease`])
-    /// instead of recomputing.
+    /// now.  Wait for its result
+    /// ([`ArtifactStore::await_entry_or_lease_deadline`]) instead of
+    /// recomputing.
     Busy(LeaseInfo),
 }
 
@@ -1085,11 +1071,13 @@ impl ArtifactStore {
         self.dir.join(format!("{kind}-{key}.art"))
     }
 
-    /// Parse `<kind>-<16 hex>.art` back into `(kind, fingerprint)`.
+    /// Parse `<kind>-<16 hex>.art` back into `(kind, fingerprint)`.  A name
+    /// whose kind no store entry can have (`a.b`, `x y`, `..`) is not an
+    /// entry: passes skip it, and `doctor` counts it as corrupt.
     fn parse_entry_name(path: &Path) -> Option<(String, Fingerprint)> {
         let name = path.file_name()?.to_str()?;
         let (kind, fp) = parse_guard_stem(name.strip_suffix(".art")?)?;
-        Some((kind, Fingerprint(fp)))
+        valid_kind(&kind).then_some((kind, Fingerprint(fp)))
     }
 
     // -- manifest -----------------------------------------------------------
@@ -1345,7 +1333,7 @@ impl ArtifactStore {
     ///
     /// Returns [`ClaimOutcome::Busy`] when another process holds a live
     /// claim; the caller should wait for its result
-    /// ([`ArtifactStore::await_entry_or_lease`]) instead of computing.
+    /// ([`ArtifactStore::await_entry_or_lease_deadline`]) instead of computing.
     pub fn try_claim(
         &self,
         kind: &str,
@@ -1418,21 +1406,13 @@ impl ArtifactStore {
     }
 
     /// Block until either a valid-looking entry for `(kind, key)` is present
-    /// (returns `true`) or no live lease guards it (returns `false`: the
-    /// holder released without saving, crashed, or there never was one —
-    /// the caller should retry [`ArtifactStore::try_claim`]).
+    /// (returns `Ok(true)`) or no live lease guards it (returns `Ok(false)`:
+    /// the holder released without saving, crashed, or there never was one
+    /// — the caller should retry [`ArtifactStore::try_claim`]).
     ///
     /// This is the loser's half of the dedup protocol: instead of
     /// recomputing a cold artifact a sibling process is already computing,
     /// wait for the winner's atomically published result.
-    pub fn await_entry_or_lease(&self, kind: &str, key: Fingerprint) -> bool {
-        // a wedged winner past the (generous) deadline degrades to "no
-        // entry, retry the claim" for callers of the legacy signature
-        self.await_entry_or_lease_deadline(kind, key, lease_wait()).unwrap_or(false)
-    }
-
-    /// [`ArtifactStore::await_entry_or_lease`] with an explicit overall
-    /// deadline and a typed timeout.
     ///
     /// Polling backs off exponentially from [`LEASE_POLL`] (5 ms) to
     /// [`LEASE_POLL_MAX`] (100 ms) — a short compute is picked up nearly as
@@ -2603,7 +2583,7 @@ mod tests {
         let key = FingerprintBuilder::new().str("awaited").finish();
 
         // no lease, no entry: nothing to wait for
-        assert!(!store.await_entry_or_lease("table", key));
+        assert!(!store.await_entry_or_lease_deadline("table", key, DEFAULT_LEASE_WAIT).unwrap());
 
         // winner computes and saves under a live claim; the waiter blocks
         // and then loads the winner's bytes
@@ -2617,7 +2597,7 @@ mod tests {
             winner_store.save("table", key, b"computed once").unwrap();
             lease.release();
         });
-        assert!(store.await_entry_or_lease("table", key));
+        assert!(store.await_entry_or_lease_deadline("table", key, DEFAULT_LEASE_WAIT).unwrap());
         assert_eq!(store.load("table", key).as_deref(), Some(&b"computed once"[..]));
         winner.join().unwrap();
 
@@ -2633,8 +2613,30 @@ mod tests {
             std::thread::sleep(Duration::from_millis(40));
             drop(lease);
         });
-        assert!(!loser_store.await_entry_or_lease("table", key2));
+        assert!(!loser_store
+            .await_entry_or_lease_deadline("table", key2, DEFAULT_LEASE_WAIT)
+            .unwrap());
         quitter.join().unwrap();
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn a_live_claim_that_outlasts_the_deadline_is_a_typed_timeout() {
+        let store = scratch_store("claim-timeout");
+        let key = FingerprintBuilder::new().str("wedged").finish();
+        // a holder that keeps heartbeating but never publishes
+        let mut held = match store.try_claim("table", key, Duration::from_secs(60)).unwrap() {
+            ClaimOutcome::Acquired(l) => l,
+            other => panic!("got {other:?}"),
+        };
+        held.start_heartbeat();
+        let deadline = Duration::from_millis(50);
+        let timeout = store.await_entry_or_lease_deadline("table", key, deadline).unwrap_err();
+        assert_eq!((timeout.kind.as_str(), timeout.key), ("table", key));
+        assert_eq!(timeout.holder_pid, std::process::id());
+        assert!(timeout.waited >= deadline, "waited only {:?}", timeout.waited);
+        drop(held);
+        assert!(!store.await_entry_or_lease_deadline("table", key, deadline).unwrap());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -2962,6 +2964,40 @@ mod tests {
         assert_eq!(store.load("table", Fingerprint(8)).as_deref(), Some(&b"fine"[..]));
         let _ = std::fs::remove_file(&pack);
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn foreign_entry_names_are_not_entries() {
+        // a `.art` file whose kind no store entry can have is skipped by
+        // every pass, counted corrupt by `doctor` and deleted by its repair
+        // — even when its envelope validates for that kind
+        let donor = scratch_store("foreign-donor");
+        donor.save("table", Fingerprint(0), b"foreign").unwrap();
+        let bytes = std::fs::read(donor.entry_path("table", Fingerprint(0))).unwrap();
+        for (i, kind) in ["a.b", "x y", ".."].into_iter().enumerate() {
+            let dir = std::env::temp_dir()
+                .join(format!("autoreconf-store-unit-{}-foreign-{i}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut forged = bytes.clone();
+            forged[8..16].copy_from_slice(&leon_sim::fnv1a64(kind.as_bytes()).to_le_bytes());
+            std::fs::write(dir.join(format!("{kind}-{}.art", Fingerprint(0))), &forged).unwrap();
+
+            let store = ArtifactStore::open(&dir).unwrap();
+            assert!(store.usage().is_empty(), "{kind:?}");
+            store.gc(0).unwrap();
+            let pack = dir.with_extension("pack");
+            assert_eq!(store.pack_to(&pack).unwrap().skipped_corrupt, 1, "{kind:?}");
+            assert_eq!(store.doctor(true).unwrap().corrupt_entries, 1, "{kind:?}");
+            drop(store);
+            let reopened = ArtifactStore::open(&dir).unwrap();
+            assert!(reopened.doctor(false).unwrap().is_clean(), "{kind:?}");
+            assert!(reopened.entries(None).is_empty(), "{kind:?}");
+            drop(reopened);
+            let _ = std::fs::remove_file(&pack);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(donor.dir());
     }
 
     #[test]

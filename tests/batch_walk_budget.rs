@@ -51,7 +51,7 @@ const MAX_CYCLES: u64 = 400_000_000;
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 fn options(threads: usize) -> MeasurementOptions {
-    MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay: true }
+    MeasurementOptions { max_cycles: MAX_CYCLES, threads }
 }
 
 /// The configurations a cost table times for `var`: its perturbation first,

@@ -28,7 +28,7 @@ use proptest::prelude::*;
 const MAX_CYCLES: u64 = 400_000_000;
 
 fn measurement(threads: usize) -> MeasurementOptions {
-    MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay: true }
+    MeasurementOptions { max_cycles: MAX_CYCLES, threads }
 }
 
 fn campaign(threads: usize, space: ParameterSpace) -> Campaign {
@@ -233,7 +233,9 @@ fn degenerate_mix_reproduces_each_per_application_optimum() {
         let mut mix = vec![0.0; suite.len()];
         mix[k] = 1.0;
         let co = engine.co_optimize(&traces, &tables, &mix).unwrap();
-        let per_app = tool.optimize_with_table(w.as_ref(), tables[k].clone()).unwrap();
+        let entry = &traces.entries[k];
+        let per_app =
+            tool.optimize_with_table_traced(&entry.name, tables[k].clone(), &entry.trace).unwrap();
 
         assert_eq!(
             co.selected, per_app.selected,
@@ -245,12 +247,15 @@ fn degenerate_mix_reproduces_each_per_application_optimum() {
             "{}: degenerate mix must decode to the same configuration",
             w.name()
         );
-        // replay-based co validation must agree bit-for-bit with the
-        // per-application pipeline's full-simulation validation
+        assert_eq!(co.per_workload[k].cycles, per_app.validation.cycles);
+        // the simulator is the oracle: the co validation replay must equal a
+        // full verified run of the recommendation
+        let run = liquid_autoreconf::apps::run_verified(w.as_ref(), &co.recommended, MAX_CYCLES)
+            .unwrap();
         assert_eq!(
             co.per_workload[k].cycles,
-            per_app.validation.cycles,
-            "{}: replay validation must equal full-simulation validation",
+            run.stats.cycles,
+            "{}: replay validation must equal full simulation",
             w.name()
         );
         assert_eq!(co.per_workload[k].weight, 1.0);

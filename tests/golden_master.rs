@@ -36,7 +36,7 @@ fn campaign(store: Option<ArtifactStore>) -> Campaign {
     // the paper's full 52-variable space with the runtime-optimisation
     // weights — the configuration behind Figures 2, 5 and 6
     let mut c = Campaign::new().with_weights(Weights::runtime_optimized()).with_measurement(
-        MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0, use_replay: true },
+        MeasurementOptions { max_cycles: MAX_CYCLES, threads: 0 },
     );
     if let Some(store) = store {
         c = c.with_store(store);

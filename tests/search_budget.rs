@@ -56,11 +56,7 @@ fn engine(threads: usize, store: Option<ArtifactStore>) -> Campaign {
     let mut c = Campaign::new()
         .with_space(ParameterSpace::dcache_geometry())
         .with_weights(Weights::runtime_optimized())
-        .with_measurement(MeasurementOptions {
-            max_cycles: MAX_CYCLES,
-            threads,
-            use_replay: true,
-        });
+        .with_measurement(MeasurementOptions { max_cycles: MAX_CYCLES, threads });
     if let Some(s) = store {
         c = c.with_store(s);
     }

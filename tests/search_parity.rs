@@ -61,11 +61,7 @@ fn engine(threads: usize, weights: Weights, store: Option<ArtifactStore>) -> Cam
     let mut c = Campaign::new()
         .with_space(ParameterSpace::dcache_geometry())
         .with_weights(weights)
-        .with_measurement(MeasurementOptions {
-            max_cycles: MAX_CYCLES,
-            threads,
-            use_replay: true,
-        });
+        .with_measurement(MeasurementOptions { max_cycles: MAX_CYCLES, threads });
     if let Some(s) = store {
         c = c.with_store(s);
     }

@@ -9,7 +9,7 @@ fn small_outcome() -> Outcome {
     AutoReconfigurator::new()
         .with_space(ParameterSpace::dcache_geometry())
         .with_weights(Weights::runtime_only())
-        .with_measurement(MeasurementOptions { max_cycles: 400_000_000, threads: 0, use_replay: true })
+        .with_measurement(MeasurementOptions { max_cycles: 400_000_000, threads: 0 })
         .optimize(&Blastn::scaled(Scale::Tiny))
         .unwrap()
 }
