@@ -29,7 +29,7 @@ use autoreconf::{
 use bench::MAX_CYCLES;
 use fpga_model::SynthesisModel;
 use leon_sim::{trace_walks_performed, LeonConfig, Trace};
-use workloads::{Blastn, Scale};
+use workloads::{Blastn, Scale, Workload};
 
 fn options() -> MeasurementOptions {
     MeasurementOptions { max_cycles: MAX_CYCLES, threads: 1 }
@@ -58,8 +58,8 @@ fn prepare(scale: Scale) -> Prepared {
 
     // 52-variable cost table: at most one pass per trace stream
     let before = trace_walks_performed();
-    measure_cost_table_traced(&space, &workload, &base, &model, &options(), &trace.clone())
-        .unwrap();
+    let name = workload.name();
+    measure_cost_table_traced(&space, name, &base, &model, &options(), &trace.clone()).unwrap();
     let table_walks = trace_walks_performed() - before;
     assert!(table_walks <= 2, "batched table must walk each stream at most once");
     eprintln!(
@@ -75,7 +75,7 @@ fn register(group: &mut BenchmarkGroup, prepared: &Prepared) {
     let space = ParameterSpace::paper();
     let scale = prepared.scale.name();
     let trace = &prepared.trace;
-    let workload = &prepared.workload;
+    let name = prepared.workload.name();
 
     // each iteration walks (and times) a cold copy: the original remembers
     // every class its first walk visited
@@ -86,7 +86,7 @@ fn register(group: &mut BenchmarkGroup, prepared: &Prepared) {
     });
     group.bench_function(format!("cost_table_batched/{scale}"), |b| {
         b.iter(|| {
-            measure_cost_table_traced(&space, workload, &base, &model, &options(), &trace.clone())
+            measure_cost_table_traced(&space, name, &base, &model, &options(), &trace.clone())
                 .unwrap()
                 .len()
         })

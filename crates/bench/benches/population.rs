@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use autoreconf::experiments::ExperimentOptions;
-use autoreconf::{random_mixes, ArtifactStore, Campaign, MixProfile, Weights};
+use autoreconf::{random_mixes, ArtifactStore, Campaign, MixProfile};
 use bench::campaign_scale;
 use leon_sim::trace_walks_performed;
 use workloads::{benchmark_suite, guest_instructions_executed, Scale, Workload};
@@ -46,10 +46,7 @@ fn scratch_dir() -> PathBuf {
 
 fn engine(scale: Scale, dir: &PathBuf) -> Campaign {
     let options = ExperimentOptions { scale, ..ExperimentOptions::default() };
-    Campaign::new()
-        .with_weights(Weights::runtime_optimized())
-        .with_measurement(options.measurement())
-        .with_store(ArtifactStore::open(dir).expect("open bench store"))
+    options.engine(Some(ArtifactStore::open(dir).expect("open bench store")))
 }
 
 fn solve(

@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use autoreconf::experiments::ExperimentOptions;
 use autoreconf::service::{Server, ServerConfig};
-use autoreconf::{ArtifactStore, Campaign, ParameterSpace, Weights};
+use autoreconf::{ArtifactStore, ParameterSpace};
 use autoreconf_service::Client;
 use workloads::{benchmark_suite, guest_instructions_executed, Scale};
 
@@ -64,11 +64,7 @@ struct Reference {
 }
 
 fn reference(scale: Scale) -> Reference {
-    let options = ExperimentOptions { scale, ..ExperimentOptions::default() };
-    let engine = Campaign::new()
-        .with_space(ParameterSpace::paper())
-        .with_weights(Weights::runtime_optimized())
-        .with_measurement(options.measurement());
+    let engine = ExperimentOptions { scale, ..ExperimentOptions::default() }.engine(None);
     let suite = benchmark_suite(scale);
     let session = engine.session(&suite).unwrap();
     Reference {

@@ -38,13 +38,18 @@
 //! exit, which the multi-process store tests sum to prove no duplicated
 //! compute across processes.
 //!
-//! `--store DIR` (or the `AUTORECONF_STORE` environment variable) roots the
-//! `campaign` target on the incremental artifact store: a second run over an
-//! unchanged suite serves every artifact from disk, and a warm run whose
-//! co-optimization entry hits reads zero trace payload bytes.  `--gc-budget`
-//! (or `AUTORECONF_STORE_BUDGET`; both accept `K`/`M`/`G` suffixes) shrinks
-//! the store to a byte budget after the campaign, evicting the least
-//! recently used entries first.
+//! Every figure target, the campaign, `population` and `search` are views
+//! over one campaign session per run, opened over the benchmark suite with
+//! [`ExperimentOptions::engine`] (the daemon's engine too): each workload is
+//! captured at most once, whichever targets read it.  With `campaign` (or
+//! `all`) requested, `--store DIR` (or the `AUTORECONF_STORE` environment
+//! variable) roots that session on the incremental artifact store, so it
+//! serves every figure as well: a second run over an unchanged suite serves
+//! every artifact from disk and executes no guest instruction, and a warm
+//! campaign whose co-optimization entry hits reads zero trace payload bytes.
+//! `--gc-budget` (or `AUTORECONF_STORE_BUDGET`; both accept `K`/`M`/`G`
+//! suffixes) shrinks the store to a byte budget after the run's session
+//! closes, evicting the least recently used entries first.
 //!
 //! Every malformed flag is a hard error with a precise message — never a
 //! silent fallback (see `parse_args` unit tests for the full error matrix).
@@ -52,7 +57,7 @@
 use std::io::Write;
 
 use autoreconf::experiments::{self, ExperimentOptions};
-use autoreconf::ArtifactStore;
+use autoreconf::{ArtifactStore, CampaignSession};
 use workloads::Scale;
 
 const FIGURES: [&str; 10] =
@@ -432,6 +437,33 @@ fn require_store(store_dir: &Option<String>) -> Result<ArtifactStore, String> {
     })
 }
 
+/// Open the run's one campaign session — the benchmark suite at
+/// `options.scale` on the engine every target and the daemon share, rooted
+/// on `store` — run `targets` on it, report on stderr what its store served
+/// and wrote, and close it (releasing its store pins).
+fn with_session<T>(
+    options: &ExperimentOptions,
+    store: Option<ArtifactStore>,
+    targets: impl FnOnce(&CampaignSession) -> Result<T, String>,
+) -> Result<T, String> {
+    let suite = workloads::benchmark_suite(options.scale);
+    let session = options.engine(store).session(&suite).map_err(|e| e.to_string())?;
+    let out = targets(&session)?;
+    if let Some(store) = session.engine().store() {
+        let s = store.stats();
+        eprintln!(
+            "artifact store {}: {} hits, {} misses ({} corrupt), {} writes, {} payload bytes read",
+            store.dir().display(),
+            s.hits,
+            s.misses,
+            s.corrupt,
+            s.writes,
+            s.payload_bytes_read
+        );
+    }
+    Ok(out)
+}
+
 fn write_json(dir: &Option<String>, name: &str, value: &impl serde::Serialize) {
     if let Some(dir) = dir {
         std::fs::create_dir_all(dir).expect("create json output directory");
@@ -476,9 +508,10 @@ fn run_population(
             experiments::PopulationSource::Random { count: *count, seed: *seed }
         }
     };
-    let store = open_store(store_dir)?;
-    let outcome = experiments::population_with_store(options, store, &resolved, tolerance_pct)
-        .map_err(|e| format!("population failed: {e}"))?;
+    let outcome = with_session(options, open_store(store_dir)?, |session| {
+        experiments::population(session, &resolved, tolerance_pct)
+            .map_err(|e| format!("population failed: {e}"))
+    })?;
     println!("{}", outcome.render());
     write_json(json_dir, "population", &outcome);
     Ok(())
@@ -497,10 +530,10 @@ fn run_search(
     json_dir: &Option<String>,
     store_dir: &Option<String>,
 ) -> Result<(), String> {
-    let store = open_store(store_dir)?;
-    let outcomes =
-        experiments::search_with_store(options, store, workload.as_deref(), space, mode)
-            .map_err(|e| format!("search failed: {e}"))?;
+    let outcomes = with_session(options, open_store(store_dir)?, |session| {
+        experiments::search(session, workload.as_deref(), space, mode)
+            .map_err(|e| format!("search failed: {e}"))
+    })?;
     for outcome in &outcomes {
         println!("{}", outcome.render());
         write_json(json_dir, &format!("search_{}", outcome.workload), outcome);
@@ -561,6 +594,8 @@ fn run_store_action(action: &StoreAction, store_dir: &Option<String>) -> Result<
     Ok(())
 }
 
+/// Run the requested figure targets as views over one campaign session:
+/// each workload is captured at most once, whichever targets read it.
 fn run_figures(
     figures: &[String],
     options: &ExperimentOptions,
@@ -570,13 +605,14 @@ fn run_figures(
 ) -> Result<(), String> {
     let wants = |name: &str| figures.iter().any(|f| f == name || f == "all");
 
-    // resolve the campaign's store and GC budget *before* running anything:
-    // a budget (flag or AUTORECONF_STORE_BUDGET) with nowhere to apply it —
-    // or a malformed env value — must fail fast, not after a potentially
-    // hour-long campaign, and never be silently ignored
-    let campaign_store = if wants("campaign") { open_store(store_dir)? } else { None };
+    // resolve the store and GC budget *before* running anything: a budget
+    // (flag or AUTORECONF_STORE_BUDGET) with nowhere to apply it — or a
+    // malformed env value — must fail fast, not after a potentially
+    // hour-long campaign, and never be silently ignored.  The store roots
+    // the session only when the campaign target runs.
+    let store = if wants("campaign") { open_store(store_dir)? } else { None };
     let budget = if wants("campaign") { resolve_gc_budget(gc_budget)? } else { None };
-    if budget.is_some() && campaign_store.is_none() {
+    if budget.is_some() && store.is_none() {
         return Err(
             "a GC budget (--gc-budget / AUTORECONF_STORE_BUDGET) requires a store \
              (--store or AUTORECONF_STORE)"
@@ -585,56 +621,55 @@ fn run_figures(
     }
 
     let started = std::time::Instant::now();
-
     if wants("fig1") {
         println!("{}", experiments::fig1_parameter_table());
     }
     if wants("space") {
         println!("{}", experiments::space_summary());
     }
-    if wants("fig2") {
-        let r = experiments::fig2(options).expect("figure 2");
-        println!("{}", r.render());
-        write_json(json_dir, "fig2", &r);
-    }
-    if wants("fig3") {
-        let r = experiments::fig3(options).expect("figure 3");
-        println!("{}", r.render());
-        write_json(json_dir, "fig3", &r);
-    }
-    if wants("fig4") {
-        let r = experiments::fig4(options).expect("figure 4");
-        println!("{}", r.render());
-        write_json(json_dir, "fig4", &r);
-    }
-    let mut fig5_result = None;
-    if wants("fig5") || wants("fig6") {
-        let r = experiments::fig5(options).expect("figure 5");
+    with_session(options, store.clone(), |session| {
+        if wants("fig2") {
+            let r = experiments::fig2(session).expect("figure 2");
+            println!("{}", r.render());
+            write_json(json_dir, "fig2", &r);
+        }
+        if wants("fig3") {
+            let r = experiments::fig3(session).expect("figure 3");
+            println!("{}", r.render());
+            write_json(json_dir, "fig3", &r);
+        }
+        if wants("fig4") {
+            let r = experiments::fig4(session).expect("figure 4");
+            println!("{}", r.render());
+            write_json(json_dir, "fig4", &r);
+        }
         if wants("fig5") {
+            let r = experiments::fig5(session).expect("figure 5");
             println!("{}", r.render("Figure 5: Application runtime optimization"));
             write_json(json_dir, "fig5", &r);
         }
-        fig5_result = Some(r);
-    }
-    if wants("fig6") {
-        let r = experiments::fig6_from(fig5_result.as_ref().expect("figure 5 result available"));
-        println!("{}", r.render());
-        write_json(json_dir, "fig6", &r);
-    }
-    if wants("fig7") {
-        let r = experiments::fig7(options).expect("figure 7");
-        println!("{}", r.render("Figure 7: Chip resource optimization"));
-        write_json(json_dir, "fig7", &r);
-    }
-    if wants("campaign") {
-        let r = experiments::campaign_with_store(options, campaign_store.clone())
-            .expect("campaign");
-        println!("{}", r.render());
-        write_json(json_dir, "campaign", &r);
-        if let (Some(store), Some(budget)) = (&campaign_store, budget) {
-            let report = store.gc(budget).map_err(|e| format!("gc failed: {e}"))?;
-            eprintln!("{}", report.render());
+        if wants("fig6") {
+            let r = experiments::fig6(session).expect("figure 6");
+            println!("{}", r.render());
+            write_json(json_dir, "fig6", &r);
         }
+        if wants("fig7") {
+            let r = experiments::fig7(session).expect("figure 7");
+            println!("{}", r.render("Figure 7: Chip resource optimization"));
+            write_json(json_dir, "fig7", &r);
+        }
+        if wants("campaign") {
+            let r = experiments::campaign(session).expect("campaign");
+            println!("{}", r.render());
+            write_json(json_dir, "campaign", &r);
+        }
+        Ok(())
+    })?;
+    // the session closed with its pins, so the GC pass below sees only the
+    // pins other processes hold
+    if let (Some(store), Some(budget)) = (&store, budget) {
+        let report = store.gc(budget).map_err(|e| format!("gc failed: {e}"))?;
+        eprintln!("{}", report.render());
     }
 
     eprintln!("total experiment time: {:.1}s", started.elapsed().as_secs_f64());

@@ -22,6 +22,7 @@
 //!    optimum exactly — the correctness anchor tying the engine back to the
 //!    paper's Figures 5 and 7.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -524,6 +525,16 @@ impl Campaign {
         &self.base
     }
 
+    /// The synthesis model / target device.
+    pub fn model(&self) -> &SynthesisModel {
+        &self.model
+    }
+
+    /// The objective weights every per-application optimum is solved with.
+    pub fn weights(&self) -> Weights {
+        self.weights
+    }
+
     /// An equal-share workload mix for `n` workloads.
     pub fn equal_mix(n: usize) -> Vec<f64> {
         vec![1.0; n]
@@ -553,7 +564,7 @@ impl Campaign {
             .map(|(w, t)| {
                 measure_cost_table_traced(
                     &self.space,
-                    w.as_ref(),
+                    w.name(),
                     &traces.base,
                     &self.model,
                     &self.measurement,
@@ -749,8 +760,11 @@ impl Campaign {
             .finish()
     }
 
-    fn table_key(&self, workload_fp: u64) -> Fingerprint {
-        self.key_base(workload_fp).str("table").debug(&self.space).debug(&self.model).finish()
+    /// Cost-table key over a variable space: the session's own space keys
+    /// its tables, a search space or a figure's sub-space keys its own, and
+    /// one space always keys one entry per workload.
+    fn table_key(&self, workload_fp: u64, space: &ParameterSpace) -> Fingerprint {
+        self.key_base(workload_fp).str("table").debug(space).debug(&self.model).finish()
     }
 
     fn sweep_key(&self, workload_fp: u64) -> Fingerprint {
@@ -775,13 +789,6 @@ impl Campaign {
             .u64(sspace.fingerprint())
             .str(mode.name())
             .finish()
-    }
-
-    /// Cost-table key for an arbitrary variable space — identical to
-    /// [`Campaign::table_key`] when `space` is the session's own space, so a
-    /// search over the session space shares the session's table entry.
-    fn search_table_key(&self, workload_fp: u64, space: &ParameterSpace) -> Fingerprint {
-        self.key_base(workload_fp).str("table").debug(space).debug(&self.model).finish()
     }
 
     // -- store-aware per-workload derivation --------------------------------
@@ -946,121 +953,6 @@ impl Campaign {
             }
         }
     }
-
-    /// Measure the workload's cost table by replaying the trace and persist
-    /// it.
-    fn measure_and_persist_table(
-        &self,
-        workload: &(dyn Workload + Send + Sync),
-        workload_fp: u64,
-        entry: &TracedWorkload,
-    ) -> Result<CostTable, SimError> {
-        let table = measure_cost_table_traced(
-            &self.space,
-            workload,
-            &self.base,
-            &self.model,
-            &self.measurement,
-            &entry.trace,
-        )?;
-        self.persist_json(
-            "table",
-            self.table_key(workload_fp),
-            &format!("cost table for {}", entry.name),
-            &table,
-        );
-        Ok(table)
-    }
-
-    /// Serve the workload's cost table from the store, or measure it.  The
-    /// boolean reports whether a measurement ran.
-    fn load_or_measure_table(
-        &self,
-        workload: &(dyn Workload + Send + Sync),
-        workload_fp: u64,
-        entry: &TracedWorkload,
-    ) -> Result<(CostTable, bool), SimError> {
-        self.lease_guarded(
-            "table",
-            self.table_key(workload_fp),
-            || self.try_load_json::<CostTable>("table", self.table_key(workload_fp)),
-            || self.measure_and_persist_table(workload, workload_fp, entry),
-        )
-    }
-
-    /// Recompute the workload's Figure 2 exhaustive sweep by replay and
-    /// persist it.
-    fn compute_and_persist_sweep(
-        &self,
-        workload_fp: u64,
-        entry: &TracedWorkload,
-    ) -> Result<Vec<DcacheRow>, SimError> {
-        let sweep = dcache_exhaustive_traced(
-            &entry.trace,
-            &self.base,
-            &self.model,
-            self.measurement.max_cycles,
-            self.measurement.threads,
-        )?;
-        self.persist_json(
-            "sweep",
-            self.sweep_key(workload_fp),
-            &format!("sweep for {}", entry.name),
-            &sweep,
-        );
-        Ok(sweep)
-    }
-
-    /// Serve the workload's sweep from the store, or recompute it.  The
-    /// boolean reports whether replays ran.
-    fn load_or_sweep(
-        &self,
-        workload_fp: u64,
-        entry: &TracedWorkload,
-    ) -> Result<(Vec<DcacheRow>, bool), SimError> {
-        self.lease_guarded(
-            "sweep",
-            self.sweep_key(workload_fp),
-            || self.try_load_json::<Vec<DcacheRow>>("sweep", self.sweep_key(workload_fp)),
-            || self.compute_and_persist_sweep(workload_fp, entry),
-        )
-    }
-
-    /// Formulate + solve + replay-validate the workload's per-application
-    /// problem and persist the outcome.
-    fn solve_and_persist_optimum(
-        &self,
-        tool: &AutoReconfigurator,
-        workload_fp: u64,
-        entry: &TracedWorkload,
-        table: &CostTable,
-    ) -> Result<Outcome, OptimizeError> {
-        let outcome = tool.optimize_with_table_traced(&entry.name, table.clone(), &entry.trace)?;
-        self.persist_json(
-            "optimum",
-            self.optimum_key(workload_fp),
-            &format!("optimum for {}", entry.name),
-            &outcome,
-        );
-        Ok(outcome)
-    }
-
-    /// Serve the workload's per-application optimum from the store, or
-    /// solve for it.  The boolean reports whether a solve ran.
-    fn load_or_optimize(
-        &self,
-        tool: &AutoReconfigurator,
-        workload_fp: u64,
-        entry: &TracedWorkload,
-        table: &CostTable,
-    ) -> Result<(Outcome, bool), OptimizeError> {
-        self.lease_guarded(
-            "optimum",
-            self.optimum_key(workload_fp),
-            || self.try_load_json::<Outcome>("optimum", self.optimum_key(workload_fp)),
-            || self.solve_and_persist_optimum(tool, workload_fp, entry, table),
-        )
-    }
 }
 
 /// Length of the base-cost prefix ([`encode_stored_trace`]) that precedes
@@ -1136,24 +1028,31 @@ pub struct SessionCounters {
     pub search_store_hits: usize,
 }
 
-/// RAII pin set: every key registered here is pinned in the store for the
-/// guard's lifetime ([`crate::store::ArtifactStore::gc`] never evicts
-/// pinned entries) and released on drop.  A no-op without a store.
+/// RAII pin set: every key registered here is pinned in the store once,
+/// for the guard's lifetime ([`crate::store::ArtifactStore::gc`] never
+/// evicts pinned entries), and released once on drop.  Registering a key
+/// the guard already holds is a set lookup, so a long-lived session (the
+/// daemon's) holds one pin per key it touched, however many requests it
+/// serves.  A no-op without a store.
 #[derive(Debug, Default)]
 struct PinGuard {
     store: Option<ArtifactStore>,
-    keys: Mutex<Vec<(&'static str, Fingerprint)>>,
+    keys: Mutex<HashSet<(&'static str, Fingerprint)>>,
 }
 
 impl PinGuard {
     fn new(store: Option<ArtifactStore>) -> PinGuard {
-        PinGuard { store, keys: Mutex::new(Vec::new()) }
+        PinGuard { store, keys: Mutex::new(HashSet::new()) }
     }
 
     fn pin(&self, kind: &'static str, key: Fingerprint) {
         if let Some(store) = &self.store {
-            store.pin(kind, key);
-            self.keys.lock().unwrap_or_else(|e| e.into_inner()).push((kind, key));
+            // the store pin is taken under the lock, so no caller proceeds
+            // on a key another caller registered but has not pinned yet
+            let mut keys = self.keys.lock().unwrap_or_else(|e| e.into_inner());
+            if keys.insert((kind, key)) {
+                store.pin(kind, key);
+            }
         }
     }
 }
@@ -1162,7 +1061,7 @@ impl Drop for PinGuard {
     fn drop(&mut self) {
         if let Some(store) = &self.store {
             let keys = self.keys.get_mut().unwrap_or_else(|e| e.into_inner());
-            for (kind, key) in keys.drain(..) {
+            for (kind, key) in keys.drain() {
                 store.unpin(kind, key);
             }
         }
@@ -1189,8 +1088,11 @@ impl Drop for PinGuard {
 ///
 /// [`CampaignSession::update_workload`] swaps one workload of the mix and
 /// re-derives *only* that workload's artifacts (a content-identical
-/// replacement is even served from the store); the other workloads' slots
-/// are untouched.
+/// replacement is even served from the store), all or nothing; the other
+/// workloads' slots are untouched.
+///
+/// Every store key the session may dereference stays pinned until the
+/// session drops, each key once however often it is requested.
 pub struct CampaignSession<'a> {
     engine: Campaign,
     suite: &'a [Box<dyn Workload + Send + Sync>],
@@ -1221,7 +1123,7 @@ impl Campaign {
         let pins = PinGuard::new(self.store.clone());
         for &fp in &fingerprints {
             pins.pin("trace", self.trace_key(fp));
-            pins.pin("table", self.table_key(fp));
+            pins.pin("table", self.table_key(fp, &self.space));
             pins.pin("sweep", self.sweep_key(fp));
             pins.pin("optimum", self.optimum_key(fp));
         }
@@ -1240,10 +1142,11 @@ impl Campaign {
     }
 
     /// The per-application pipeline configuration shared by
-    /// [`Campaign::session`] and [`Campaign::optimize_each`]: same space,
-    /// base, model, weights and options, with the inner stages kept serial
-    /// because the outer per-workload fan-out owns the pool.
-    fn per_app_tool(&self) -> AutoReconfigurator {
+    /// [`Campaign::session`], [`Campaign::optimize_each`] and the figure
+    /// drivers: same space, base, model, weights and options, with the inner
+    /// stages kept serial because the outer per-workload fan-out owns the
+    /// pool.
+    pub(crate) fn per_app_tool(&self) -> AutoReconfigurator {
         AutoReconfigurator::new()
             .with_space(self.space.clone())
             .with_base(self.base)
@@ -1310,24 +1213,50 @@ impl<'a> CampaignSession<'a> {
         })
     }
 
-    /// The workload's cost table; a store hit never touches the trace.
+    /// The workload's cost table over the session's space; a store hit
+    /// never touches the trace.
     pub fn table(&self, index: usize) -> Result<&CostTable, OptimizeError> {
-        self.tables[index].get_or_try_materialize(|| {
-            let fp = self.fingerprints[index];
-            let (table, measured) = self.engine.lease_guarded(
-                "table",
-                self.engine.table_key(fp),
-                || self.engine.try_load_json::<CostTable>("table", self.engine.table_key(fp)),
-                || -> Result<CostTable, OptimizeError> {
-                    let entry = self.trace(index)?;
-                    Ok(self
-                        .engine
-                        .measure_and_persist_table(self.suite[index].as_ref(), fp, entry)?)
-                },
-            )?;
-            self.bump(measured, |c| (&mut c.table_measurements, &mut c.table_store_hits));
-            Ok(table)
-        })
+        self.tables[index].get_or_try_materialize(|| self.table_in(index, &self.engine.space))
+    }
+
+    /// The workload's cost table over any variable space — the session's
+    /// own ([`CampaignSession::table`]), a search space's or a figure's
+    /// sub-space.  One `table` entry per (workload, space), named after the
+    /// session's current workload: a store hit never touches the trace, a
+    /// miss replays it and persists the table.
+    pub(crate) fn table_in(
+        &self,
+        index: usize,
+        space: &ParameterSpace,
+    ) -> Result<CostTable, OptimizeError> {
+        let fp = self.fingerprints[index];
+        let key = self.engine.table_key(fp, space);
+        self.pins.pin("table", key);
+        let (table, measured) = self.engine.lease_guarded(
+            "table",
+            key,
+            || self.engine.try_load_json::<CostTable>("table", key),
+            || -> Result<CostTable, OptimizeError> {
+                let entry = self.trace(index)?;
+                let table = measure_cost_table_traced(
+                    space,
+                    &self.names[index],
+                    &self.engine.base,
+                    &self.engine.model,
+                    &self.engine.measurement,
+                    &entry.trace,
+                )?;
+                self.engine.persist_json(
+                    "table",
+                    key,
+                    &format!("cost table for {}", self.names[index]),
+                    &table,
+                );
+                Ok(table)
+            },
+        )?;
+        self.bump(measured, |c| (&mut c.table_measurements, &mut c.table_store_hits));
+        Ok(table)
     }
 
     /// The workload's Figure 2 sweep; a store hit never touches the trace.
@@ -1335,13 +1264,23 @@ impl<'a> CampaignSession<'a> {
     /// and the trace stays resident for the session's later requests.
     pub fn sweep(&self, index: usize) -> Result<&Vec<DcacheRow>, OptimizeError> {
         self.sweeps[index].get_or_try_materialize(|| {
-            let fp = self.fingerprints[index];
+            let key = self.engine.sweep_key(self.fingerprints[index]);
             let (sweep, computed) = self.engine.lease_guarded(
                 "sweep",
-                self.engine.sweep_key(fp),
-                || self.engine.try_load_json::<Vec<DcacheRow>>("sweep", self.engine.sweep_key(fp)),
+                key,
+                || self.engine.try_load_json::<Vec<DcacheRow>>("sweep", key),
                 || -> Result<Vec<DcacheRow>, OptimizeError> {
-                    Ok(self.engine.compute_and_persist_sweep(fp, self.trace(index)?)?)
+                    let engine = &self.engine;
+                    let sweep = dcache_exhaustive_traced(
+                        &self.trace(index)?.trace,
+                        &engine.base,
+                        &engine.model,
+                        engine.measurement.max_cycles,
+                        engine.measurement.threads,
+                    )?;
+                    let what = format!("sweep for {}", self.names[index]);
+                    engine.persist_json("sweep", key, &what, &sweep);
+                    Ok(sweep)
                 },
             )?;
             self.bump(computed, |c| (&mut c.sweeps_computed, &mut c.sweep_store_hits));
@@ -1353,16 +1292,22 @@ impl<'a> CampaignSession<'a> {
     /// the cost table nor the trace.
     pub fn per_app_outcome(&self, index: usize) -> Result<&Outcome, OptimizeError> {
         self.per_app[index].get_or_try_materialize(|| {
-            let fp = self.fingerprints[index];
+            let key = self.engine.optimum_key(self.fingerprints[index]);
             let (outcome, solved) = self.engine.lease_guarded(
                 "optimum",
-                self.engine.optimum_key(fp),
-                || self.engine.try_load_json::<Outcome>("optimum", self.engine.optimum_key(fp)),
-                || {
-                    let table = self.table(index)?;
-                    let entry = self.trace(index)?;
-                    let tool = self.engine.per_app_tool();
-                    self.engine.solve_and_persist_optimum(&tool, fp, entry, table)
+                key,
+                || self.engine.try_load_json::<Outcome>("optimum", key),
+                || -> Result<Outcome, OptimizeError> {
+                    let name = &self.names[index];
+                    let table = self.table(index)?.clone();
+                    let outcome = self.engine.per_app_tool().optimize_with_table_traced(
+                        name,
+                        table,
+                        &self.trace(index)?.trace,
+                    )?;
+                    let what = format!("optimum for {name}");
+                    self.engine.persist_json("optimum", key, &what, &outcome);
+                    Ok(outcome)
                 },
             )?;
             self.bump(solved, |c| (&mut c.optimizations_solved, &mut c.optimum_store_hits));
@@ -1375,10 +1320,7 @@ impl<'a> CampaignSession<'a> {
     /// phase) and every cost table (serial; the per-variable fan-out inside
     /// each measurement already saturates the pool).
     fn materialize_measurements(&self) -> Result<(), OptimizeError> {
-        let results = run_indexed(self.len(), self.engine.measurement.threads, |i| {
-            self.trace(i).map(|_| ())
-        });
-        collect_indexed(results)?;
+        self.each(|i| self.trace(i).map(|_| ()))?;
         for i in 0..self.len() {
             self.table(i)?;
         }
@@ -1395,10 +1337,7 @@ impl<'a> CampaignSession<'a> {
         for i in 0..self.len() {
             self.sweep(i)?;
         }
-        let results = run_indexed(self.len(), self.engine.measurement.threads, |i| {
-            self.per_app_outcome(i).map(|_| ())
-        });
-        collect_indexed(results)?;
+        self.each(|i| self.per_app_outcome(i).map(|_| ()))?;
         Ok(())
     }
 
@@ -1406,11 +1345,19 @@ impl<'a> CampaignSession<'a> {
     /// eager (PR-3) semantics, used by tests that exercise the whole store
     /// surface and by the `warm_eager` benchmark baseline.
     pub fn materialize_all(&self) -> Result<(), OptimizeError> {
-        let results = run_indexed(self.len(), self.engine.measurement.threads, |i| {
-            self.trace(i).map(|_| ())
-        });
-        collect_indexed(results)?;
+        self.each(|i| self.trace(i).map(|_| ()))?;
         self.materialize_result_artifacts()
+    }
+
+    /// Run `job` for every workload of the session over the worker pool —
+    /// one job per workload slot, so jobs never share an artifact.  Results
+    /// come back in suite order, and the first error returned is the
+    /// lowest-indexed one, at any thread count.
+    pub(crate) fn each<T: Send>(
+        &self,
+        job: impl Fn(usize) -> Result<T, OptimizeError> + Sync,
+    ) -> Result<Vec<T>, OptimizeError> {
+        collect_indexed(run_indexed(self.len(), self.engine.measurement.threads, job))
     }
 
     /// Per-workload content fingerprints, in suite order — the identity the
@@ -1434,46 +1381,6 @@ impl<'a> CampaignSession<'a> {
     /// Tick the search computed/served counters.
     fn bump_search(&self, computed_fresh: bool) {
         self.bump(computed_fresh, |c| (&mut c.searches_solved, &mut c.search_store_hits));
-    }
-
-    /// The cost table for workload `index` measured over an arbitrary
-    /// variable space (a search space is allowed to differ from the
-    /// session's).  Served through the same `table` artifact kind under
-    /// [`Campaign::search_table_key`]; when the spaces coincide, this *is*
-    /// the session's table entry.
-    fn search_table(
-        &self,
-        index: usize,
-        space: &ParameterSpace,
-    ) -> Result<CostTable, OptimizeError> {
-        let fp = self.fingerprints[index];
-        let key = self.engine.search_table_key(fp, space);
-        self.pins.pin("table", key);
-        let (table, measured) = self.engine.lease_guarded(
-            "table",
-            key,
-            || self.engine.try_load_json::<CostTable>("table", key),
-            || -> Result<CostTable, OptimizeError> {
-                let entry = self.trace(index)?;
-                let table = measure_cost_table_traced(
-                    space,
-                    self.suite[index].as_ref(),
-                    &self.engine.base,
-                    &self.engine.model,
-                    &self.engine.measurement,
-                    &entry.trace,
-                )?;
-                self.engine.persist_json(
-                    "table",
-                    key,
-                    &format!("search cost table for {}", self.names[index]),
-                    &table,
-                );
-                Ok(table)
-            },
-        )?;
-        self.bump(measured, |c| (&mut c.table_measurements, &mut c.table_store_hits));
-        Ok(table)
     }
 
     /// Search a candidate space for workload `index`'s optimum through the
@@ -1518,7 +1425,7 @@ impl<'a> CampaignSession<'a> {
             key,
             || self.engine.try_load_json::<SearchOutcome>("search", key),
             || -> Result<SearchOutcome, OptimizeError> {
-                let table = self.search_table(index, &sspace.space)?;
+                let table = self.table_in(index, &sspace.space)?;
                 let entry = self.trace(index)?;
                 let inputs = SearchInputs {
                     workload: &self.names[index],
@@ -1629,16 +1536,23 @@ impl<'a> CampaignSession<'a> {
         Ok(result)
     }
 
-    /// Replace the workload at `index` and re-derive *only* its artifacts
-    /// (eagerly — the replacement reference does not outlive this call, so
-    /// its slots cannot stay pending).
+    /// Replace the workload at `index` and re-derive *only* its artifacts.
     ///
-    /// The other workloads' artifacts are left untouched (and unqueried),
-    /// so the cost of a mix update is one capture + one table + one sweep +
-    /// one solve in the worst case — and zero guest execution when the
-    /// replacement's artifacts are already in the store.  Call
-    /// [`CampaignSession::result`] afterwards to re-run the (cheap) blend +
-    /// BINLP co-optimization over the updated mix.
+    /// The slot takes the replacement's name, fingerprint and trace (loaded
+    /// or captured — the replacement reference does not outlive this call,
+    /// so its trace cannot stay pending), and its table, sweep and
+    /// per-application optimum are derived through
+    /// [`CampaignSession::table`], [`CampaignSession::sweep`] and
+    /// [`CampaignSession::per_app_outcome`], exactly as the session derives
+    /// any other slot.  The other workloads' artifacts are left untouched
+    /// (and unqueried), so the cost of a mix update is one capture + one
+    /// table + one sweep + one solve in the worst case — and zero guest
+    /// execution when the replacement's artifacts are already in the store.
+    ///
+    /// All or nothing: when any derivation fails, slot `index` is restored
+    /// to the previous workload and its artifacts, and the error returned.
+    /// Call [`CampaignSession::result`] afterwards to re-run the (cheap)
+    /// blend + BINLP co-optimization over the updated mix.
     pub fn update_workload(
         &mut self,
         index: usize,
@@ -1647,30 +1561,37 @@ impl<'a> CampaignSession<'a> {
         assert!(index < self.len(), "workload index {index} out of range");
         let fp = workload.fingerprint();
         self.pins.pin("trace", self.engine.trace_key(fp));
-        self.pins.pin("table", self.engine.table_key(fp));
+        self.pins.pin("table", self.engine.table_key(fp, &self.engine.space));
         self.pins.pin("sweep", self.engine.sweep_key(fp));
         self.pins.pin("optimum", self.engine.optimum_key(fp));
 
         let (entry, captured) = self.engine.load_or_capture(workload, fp)?;
         self.bump(captured, |c| (&mut c.trace_captures, &mut c.trace_store_hits));
 
-        let (table, measured) = self.engine.load_or_measure_table(workload, fp, &entry)?;
-        self.bump(measured, |c| (&mut c.table_measurements, &mut c.table_store_hits));
-
-        let (sweep, computed) = self.engine.load_or_sweep(fp, &entry)?;
-        self.bump(computed, |c| (&mut c.sweeps_computed, &mut c.sweep_store_hits));
-
-        let tool = self.engine.per_app_tool();
-        let (outcome, solved) = self.engine.load_or_optimize(&tool, fp, &entry, &table)?;
-        self.bump(solved, |c| (&mut c.optimizations_solved, &mut c.optimum_store_hits));
-
-        self.names[index] = workload.name().to_string();
-        self.fingerprints[index] = fp;
-        self.traces[index] = LazyArtifact::ready(entry);
-        self.tables[index] = LazyArtifact::ready(table);
-        self.sweeps[index] = LazyArtifact::ready(sweep);
-        self.per_app[index] = LazyArtifact::ready(outcome);
-        Ok(())
+        let previous = (
+            std::mem::replace(&mut self.names[index], workload.name().to_string()),
+            std::mem::replace(&mut self.fingerprints[index], fp),
+            std::mem::replace(&mut self.traces[index], LazyArtifact::ready(entry)),
+            std::mem::replace(&mut self.tables[index], LazyArtifact::pending()),
+            std::mem::replace(&mut self.sweeps[index], LazyArtifact::pending()),
+            std::mem::replace(&mut self.per_app[index], LazyArtifact::pending()),
+        );
+        let derived = self
+            .table(index)
+            .and_then(|_| self.sweep(index))
+            .and_then(|_| self.per_app_outcome(index))
+            .map(|_| ());
+        if derived.is_err() {
+            (
+                self.names[index],
+                self.fingerprints[index],
+                self.traces[index],
+                self.tables[index],
+                self.sweeps[index],
+                self.per_app[index],
+            ) = previous;
+        }
+        derived
     }
 }
 

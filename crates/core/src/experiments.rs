@@ -1,22 +1,34 @@
 //! Experiment drivers that regenerate every table and figure of the paper's
 //! evaluation (Figures 2–7) plus the Section 3 search-space accounting.
 //!
+//! Every driver is a view over one [`CampaignSession`] — the campaign
+//! engine's lazily materialised traces, cost tables, sweeps and optima, opened
+//! over the benchmark suite with the engine [`ExperimentOptions::engine`]
+//! builds.  The paper measures each application once and reuses the
+//! measurements across its evaluation; so do the drivers: each workload is
+//! captured at most once per session, whichever figures read it, and with a
+//! store attached every figure is served from it.
+//!
 //! Each driver returns a structured result (serialisable, consumed by the
 //! benchmark harness and the integration tests) and can render itself as a
 //! text table shaped like the corresponding figure in the paper.
 
-use fpga_model::SynthesisModel;
 use leon_sim::LeonConfig;
 use serde::{Deserialize, Serialize};
-use workloads::{Arith, Blastn, Drr, Frag, Scale, Workload};
+use workloads::Scale;
 
-use crate::campaign::{run_indexed, Campaign, CampaignResult};
-use crate::dcache_study::{best_runtime_row, dcache_exhaustive, DcacheRow};
-use crate::population::{random_mixes, MixProfile, PopulationOutcome};
+use crate::campaign::{Campaign, CampaignResult, CampaignSession};
+use crate::dcache_study::{best_runtime_row, DcacheRow};
 use crate::formulation::Weights;
 use crate::measure::MeasurementOptions;
-use crate::optimizer::{AutoReconfigurator, Outcome, OptimizeError};
+use crate::optimizer::{OptimizeError, Outcome};
 use crate::params::ParameterSpace;
+use crate::population::{random_mixes, MixProfile, PopulationOutcome};
+use crate::search::{SearchMode, SearchOutcome, SearchSpaceChoice};
+use crate::store::ArtifactStore;
+
+/// The workload of Figures 2, 3 and 6.
+const BLASTN: &str = "BLASTN";
 
 /// Options shared by all experiment drivers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,14 +59,40 @@ impl ExperimentOptions {
     pub fn measurement(&self) -> MeasurementOptions {
         MeasurementOptions { max_cycles: self.max_cycles, threads: self.threads }
     }
+
+    /// The campaign engine every experiment target and the campaign service
+    /// open their session with: the paper's space, runtime-optimised
+    /// weights ([`Weights::runtime_optimized`], which Figures 5 and 6 report)
+    /// and [`ExperimentOptions::measurement`], rooted on `store` when one is
+    /// given.  One engine configuration is what lets every target and the
+    /// daemon share store entries.
+    pub fn engine(&self, store: Option<ArtifactStore>) -> Campaign {
+        let engine = Campaign::new()
+            .with_weights(Weights::runtime_optimized())
+            .with_measurement(self.measurement());
+        match store {
+            Some(store) => engine.with_store(store),
+            None => engine,
+        }
+    }
 }
 
-fn suite(scale: Scale) -> Vec<Box<dyn Workload + Send + Sync>> {
-    workloads::benchmark_suite(scale)
+/// Index of the workload named `name` in the session's suite.
+fn workload_index(session: &CampaignSession, name: &str) -> Result<usize, OptimizeError> {
+    session.names().iter().position(|n| n == name).ok_or_else(|| {
+        OptimizeError::InvalidMix(format!(
+            "unknown workload `{name}` (expected one of: {})",
+            session.names().join(", ")
+        ))
+    })
 }
 
-fn blastn(scale: Scale) -> Blastn {
-    Blastn::scaled(scale)
+/// The sweep row of the base configuration's d-cache geometry.
+fn base_row(rows: &[DcacheRow], base: &LeonConfig) -> DcacheRow {
+    rows.iter()
+        .find(|r| r.ways == base.dcache.ways && r.way_kb == base.dcache.way_kb)
+        .copied()
+        .expect("the base geometry is part of the sweep")
 }
 
 // ---------------------------------------------------------------------------
@@ -140,20 +178,14 @@ impl Fig2Result {
     }
 }
 
-/// Run the Figure 2 experiment: exhaustive dcache (sets × set size) sweep for
-/// BLASTN.
-pub fn fig2(options: &ExperimentOptions) -> Result<Fig2Result, OptimizeError> {
-    let w = blastn(options.scale);
-    let base = LeonConfig::base();
-    let model = SynthesisModel::default();
-    let rows = dcache_exhaustive(&w, &base, &model, options.max_cycles, options.threads)?;
-    let base_row = rows
-        .iter()
-        .find(|r| r.ways == base.dcache.ways && r.way_kb == base.dcache.way_kb)
-        .copied()
-        .expect("the base geometry is part of the sweep");
+/// Run the Figure 2 experiment: the exhaustive dcache (sets × set size)
+/// sweep for BLASTN — the session's BLASTN sweep.
+pub fn fig2(session: &CampaignSession) -> Result<Fig2Result, OptimizeError> {
+    let index = workload_index(session, BLASTN)?;
+    let rows = session.sweep(index)?.clone();
+    let base_seconds = base_row(&rows, session.engine().base()).seconds;
     let optimal = *best_runtime_row(&rows).expect("at least one feasible row");
-    Ok(Fig2Result { workload: w.name().to_string(), base_seconds: base_row.seconds, rows, optimal })
+    Ok(Fig2Result { workload: session.names()[index].clone(), base_seconds, rows, optimal })
 }
 
 // ---------------------------------------------------------------------------
@@ -231,21 +263,31 @@ impl Fig3Result {
     }
 }
 
+/// The optimiser-vs-exhaustive comparison for workload `index`: the
+/// session's sweep against a runtime-only solve over the d-cache geometry
+/// sub-space, whose cost table the session measures (or loads) from the
+/// workload's trace and whose choice is validated by replaying it.
 fn dcache_comparison(
-    workload: &(dyn Workload + Sync),
-    options: &ExperimentOptions,
+    session: &CampaignSession,
+    index: usize,
 ) -> Result<DcacheComparison, OptimizeError> {
-    let base = LeonConfig::base();
-    let model = SynthesisModel::default();
-    let rows = dcache_exhaustive(workload, &base, &model, options.max_cycles, options.threads)?;
-    let exhaustive_best = *best_runtime_row(&rows).expect("feasible rows exist");
-    let base_row = rows.iter().find(|r| r.ways == 1 && r.way_kb == 4).copied().unwrap();
+    let base = *session.engine().base();
+    let model = session.engine().model();
+    let rows = session.sweep(index)?;
+    let exhaustive_best = *best_runtime_row(rows).expect("feasible rows exist");
+    let base_row = base_row(rows, &base);
 
-    let tool = AutoReconfigurator::new()
+    let tool = session
+        .engine()
+        .per_app_tool()
         .with_space(ParameterSpace::dcache_geometry())
-        .with_weights(Weights::runtime_only())
-        .with_measurement(options.measurement());
-    let outcome = tool.optimize(workload)?;
+        .with_weights(Weights::runtime_only());
+    let table = session.table_in(index, tool.space())?;
+    let outcome = tool.optimize_with_table_traced(
+        &session.names()[index],
+        table,
+        &session.trace(index)?.trace,
+    )?;
     let choice = (outcome.recommended.dcache.ways, outcome.recommended.dcache.way_kb);
     let report = model.synthesize(&outcome.recommended);
     let optimizer_row = DcacheRow {
@@ -280,7 +322,7 @@ fn dcache_comparison(
     let no_effect = feasible.iter().all(|r| r.cycles == feasible[0].cycles);
 
     Ok(DcacheComparison {
-        workload: workload.name().to_string(),
+        workload: session.names()[index].clone(),
         base_seconds: base_row.seconds,
         evaluated,
         exhaustive_best,
@@ -292,8 +334,8 @@ fn dcache_comparison(
 
 /// Run the Figure 3 experiment: dcache-only optimisation of BLASTN with
 /// runtime-only weights, compared against the exhaustive optimum.
-pub fn fig3(options: &ExperimentOptions) -> Result<Fig3Result, OptimizeError> {
-    Ok(Fig3Result { comparison: dcache_comparison(&blastn(options.scale), options)? })
+pub fn fig3(session: &CampaignSession) -> Result<Fig3Result, OptimizeError> {
+    Ok(Fig3Result { comparison: dcache_comparison(session, workload_index(session, BLASTN)?)? })
 }
 
 /// Result of the Figure 4 experiment: the dcache comparison for the other
@@ -336,26 +378,13 @@ impl Fig4Result {
     }
 }
 
-/// Run the Figure 4 experiment: dcache optimisation for DRR, FRAG and Arith,
-/// fanned out over the worker pool (one comparison pipeline per workload,
-/// with the thread budget split between the workload fan-out and each
-/// pipeline's inner stages).
-pub fn fig4(options: &ExperimentOptions) -> Result<Fig4Result, OptimizeError> {
-    let workloads: Vec<Box<dyn Workload + Send + Sync>> = vec![
-        Box::new(Drr::scaled(options.scale)),
-        Box::new(Frag::scaled(options.scale)),
-        Box::new(Arith::scaled(options.scale)),
-    ];
-    let inner =
-        ExperimentOptions { threads: inner_threads(options.threads, workloads.len()), ..*options };
-    let results = run_indexed(workloads.len(), options.threads, |i| {
-        dcache_comparison(workloads[i].as_ref(), &inner)
-    });
-    let mut comparisons = Vec::with_capacity(results.len());
-    for r in results {
-        comparisons.push(r?);
-    }
-    Ok(Fig4Result { comparisons })
+/// Run the Figure 4 experiment: dcache optimisation for every workload of
+/// the session but BLASTN — DRR, FRAG and Arith, in suite order.
+pub fn fig4(session: &CampaignSession) -> Result<Fig4Result, OptimizeError> {
+    let blastn = workload_index(session, BLASTN)?;
+    let comparisons =
+        session.each(|i| (i != blastn).then(|| dcache_comparison(session, i)).transpose())?;
+    Ok(Fig4Result { comparisons: comparisons.into_iter().flatten().collect() })
 }
 
 // ---------------------------------------------------------------------------
@@ -454,43 +483,26 @@ impl FullSpaceResult {
     }
 }
 
-fn full_space(options: &ExperimentOptions, weights: Weights) -> Result<FullSpaceResult, OptimizeError> {
-    // One measure→formulate→solve→validate pipeline per benchmark, fanned
-    // out over the worker pool; the thread budget is split between the
-    // benchmark fan-out and each pipeline's per-variable fan-out, so hosts
-    // with more cores than benchmarks stay saturated without
-    // oversubscribing.  Outcomes land in per-benchmark slots, so the result
-    // (and first error) is deterministic.
-    let suite = suite(options.scale);
-    let inner = inner_threads(options.threads, suite.len());
-    let tool = AutoReconfigurator::new()
-        .with_weights(weights)
-        .with_measurement(MeasurementOptions { threads: inner, ..options.measurement() });
-    let results =
-        run_indexed(suite.len(), options.threads, |i| tool.optimize(suite[i].as_ref()));
-    let mut outcomes = Vec::with_capacity(results.len());
-    for r in results {
-        outcomes.push(r?);
-    }
-    Ok(FullSpaceResult { weights, outcomes })
-}
-
-/// Split a thread budget between an outer fan-out of `jobs` pipelines and
-/// each pipeline's inner fan-out: `total / jobs` workers per pipeline, at
-/// least one.
-fn inner_threads(requested: usize, jobs: usize) -> usize {
-    (crate::campaign::effective_threads(requested) / jobs.max(1)).max(1)
-}
-
 /// Run the Figure 5 experiment: application runtime optimisation
-/// (`w₁=100, w₂=1`) over the full 52-variable space for all four benchmarks.
-pub fn fig5(options: &ExperimentOptions) -> Result<FullSpaceResult, OptimizeError> {
-    full_space(options, Weights::runtime_optimized())
+/// (`w₁=100, w₂=1`, the weights of [`ExperimentOptions::engine`]) over the
+/// full 52-variable space for all four benchmarks — the session's
+/// per-application optima.
+pub fn fig5(session: &CampaignSession) -> Result<FullSpaceResult, OptimizeError> {
+    let outcomes = session.each(|i| session.per_app_outcome(i).cloned())?;
+    Ok(FullSpaceResult { weights: session.engine().weights(), outcomes })
 }
 
-/// Run the Figure 7 experiment: chip resource optimisation (`w₁=1, w₂=100`).
-pub fn fig7(options: &ExperimentOptions) -> Result<FullSpaceResult, OptimizeError> {
-    full_space(options, Weights::resource_optimized())
+/// Run the Figure 7 experiment: chip resource optimisation (`w₁=1, w₂=100`)
+/// — a resource-weighted solve on each workload's session cost table (the
+/// one Figure 5 measured), validated by replaying the workload's trace.
+pub fn fig7(session: &CampaignSession) -> Result<FullSpaceResult, OptimizeError> {
+    let weights = Weights::resource_optimized();
+    let tool = session.engine().per_app_tool().with_weights(weights);
+    let outcomes = session.each(|i| {
+        let table = session.table(i)?.clone();
+        tool.optimize_with_table_traced(&session.names()[i], table, &session.trace(i)?.trace)
+    })?;
+    Ok(FullSpaceResult { weights, outcomes })
 }
 
 // ---------------------------------------------------------------------------
@@ -544,15 +556,11 @@ impl Fig6Result {
     }
 }
 
-/// Run the Figure 6 experiment from an already computed Figure 5 result
-/// (the paper's Figure 6 lists the measured costs of exactly the
-/// perturbations chosen for BLASTN).
-pub fn fig6_from(fig5: &FullSpaceResult) -> Fig6Result {
-    let outcome = fig5
-        .outcomes
-        .iter()
-        .find(|o| o.workload == "BLASTN")
-        .expect("figure 5 includes BLASTN");
+/// Run the Figure 6 experiment: the measured costs of exactly the
+/// perturbations BLASTN's runtime optimisation (Figure 5) chose — read from
+/// the session's BLASTN optimum.
+pub fn fig6(session: &CampaignSession) -> Result<Fig6Result, OptimizeError> {
+    let outcome = session.per_app_outcome(workload_index(session, BLASTN)?)?;
     let rows = outcome
         .selected
         .iter()
@@ -565,69 +573,24 @@ pub fn fig6_from(fig5: &FullSpaceResult) -> Fig6Result {
             bram_pct: c.bram_pct.floor() as u32,
         })
         .collect();
-    Fig6Result {
+    Ok(Fig6Result {
         workload: outcome.workload.clone(),
         base_seconds: outcome.cost_table.base.seconds,
         rows,
-    }
-}
-
-/// Run the Figure 6 experiment from scratch (runs the Figure 5 pipeline for
-/// BLASTN only).
-pub fn fig6(options: &ExperimentOptions) -> Result<Fig6Result, OptimizeError> {
-    let tool = AutoReconfigurator::new()
-        .with_weights(Weights::runtime_optimized())
-        .with_measurement(options.measurement());
-    let outcome = tool.optimize(&blastn(options.scale))?;
-    let result = FullSpaceResult { weights: Weights::runtime_optimized(), outcomes: vec![outcome] };
-    Ok(fig6_from(&result))
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Campaign — multi-workload co-optimization (beyond the paper)
 // ---------------------------------------------------------------------------
 
-/// Run the full campaign over the paper's benchmark suite with an
-/// equal-share runtime mix: capture one trace per workload, measure every
-/// cost table and Figure 2 sweep from the shared [`crate::campaign::TraceSet`],
-/// solve every per-application problem, and co-optimize a single
-/// configuration for the whole mix.
-///
-/// When the `AUTORECONF_STORE` environment variable names a directory, the
-/// campaign runs on top of the incremental artifact store rooted there: a
-/// warm store serves every unchanged artifact from disk (executing zero
-/// guest instructions) and only the final co-optimization is recomputed.
-pub fn campaign(options: &ExperimentOptions) -> Result<CampaignResult, OptimizeError> {
-    campaign_with_store(options, crate::store::ArtifactStore::from_env())
-}
-
-/// [`campaign`] with an explicit (optional) artifact store — the `campaign`
-/// CLI target's `--store <dir>` entry point.
-pub fn campaign_with_store(
-    options: &ExperimentOptions,
-    store: Option<crate::store::ArtifactStore>,
-) -> Result<CampaignResult, OptimizeError> {
-    let suite = suite(options.scale);
-    let mut engine = Campaign::new()
-        .with_weights(Weights::runtime_optimized())
-        .with_measurement(options.measurement());
-    if let Some(store) = store {
-        engine = engine.with_store(store);
-    }
-    let result = engine.run(&suite, &Campaign::equal_mix(suite.len()))?;
-    if let Some(store) = engine.store() {
-        let s = store.stats();
-        eprintln!(
-            "artifact store {}: {} hits, {} misses ({} corrupt), {} writes, {} payload bytes read",
-            store.dir().display(),
-            s.hits,
-            s.misses,
-            s.corrupt,
-            s.writes,
-            s.payload_bytes_read
-        );
-    }
-    Ok(result)
+/// Run the full campaign over the session's suite with an equal-share
+/// runtime mix: every cost table and Figure 2 sweep, every per-application
+/// optimum, and a single configuration co-optimized for the whole mix.  On
+/// a warm store every artifact is served from disk (executing zero guest
+/// instructions) and only what is missing is recomputed.
+pub fn campaign(session: &CampaignSession) -> Result<CampaignResult, OptimizeError> {
+    session.result(&Campaign::equal_mix(session.len()))
 }
 
 // ---------------------------------------------------------------------------
@@ -651,40 +614,17 @@ pub enum PopulationSource {
 
 /// Batch co-optimize a population of tenant mixes and reduce them to a
 /// Pareto frontier of configurations — the `population` CLI target's entry
-/// point (same engine configuration as the `campaign` target and the
-/// service daemon, so all three share store entries).
-pub fn population_with_store(
-    options: &ExperimentOptions,
-    store: Option<crate::store::ArtifactStore>,
+/// point.
+pub fn population(
+    session: &CampaignSession,
     source: &PopulationSource,
     tolerance_pct: f64,
 ) -> Result<PopulationOutcome, OptimizeError> {
-    let suite = suite(options.scale);
-    let mut engine = Campaign::new()
-        .with_weights(Weights::runtime_optimized())
-        .with_measurement(options.measurement());
-    if let Some(store) = store {
-        engine = engine.with_store(store);
-    }
-    let session = engine.session(&suite)?;
     let profiles = match source {
         PopulationSource::Profiles(profiles) => profiles.clone(),
-        PopulationSource::Random { count, seed } => random_mixes(*count, suite.len(), *seed),
+        PopulationSource::Random { count, seed } => random_mixes(*count, session.len(), *seed),
     };
-    let outcome = session.population(&profiles, tolerance_pct)?;
-    if let Some(store) = session.engine().store() {
-        let s = store.stats();
-        eprintln!(
-            "artifact store {}: {} hits, {} misses ({} corrupt), {} writes, {} payload bytes read",
-            store.dir().display(),
-            s.hits,
-            s.misses,
-            s.corrupt,
-            s.writes,
-            s.payload_bytes_read
-        );
-    }
-    Ok(outcome)
+    session.population(&profiles, tolerance_pct)
 }
 
 // ---------------------------------------------------------------------------
@@ -692,58 +632,24 @@ pub fn population_with_store(
 // ---------------------------------------------------------------------------
 
 /// Search a shipped candidate space for each requested workload's measured
-/// optimum — the `search` CLI target's entry point (same engine
-/// configuration as the `campaign` target and the service daemon, so all
-/// three share store entries).  `workload = None` searches the whole suite.
+/// optimum — the `search` CLI target's entry point.  `workload = None`
+/// searches the whole suite.
 ///
-/// [`crate::SearchMode::Pruned`] and [`crate::SearchMode::Exhaustive`]
-/// return the byte-identical optimum; pruned walk-validates a fraction of
-/// the candidates (the `search_budget` suite pins how small).
-pub fn search_with_store(
-    options: &ExperimentOptions,
-    store: Option<crate::store::ArtifactStore>,
+/// [`SearchMode::Pruned`] and [`SearchMode::Exhaustive`] return the
+/// byte-identical optimum; pruned walk-validates a fraction of the
+/// candidates (the `search_budget` suite pins how small).
+pub fn search(
+    session: &CampaignSession,
     workload: Option<&str>,
-    choice: crate::search::SearchSpaceChoice,
-    mode: crate::search::SearchMode,
-) -> Result<Vec<crate::search::SearchOutcome>, OptimizeError> {
-    let suite = suite(options.scale);
-    let mut engine = Campaign::new()
-        .with_weights(Weights::runtime_optimized())
-        .with_measurement(options.measurement());
-    if let Some(store) = store {
-        engine = engine.with_store(store);
-    }
-    let session = engine.session(&suite)?;
-    let indices: Vec<usize> = match workload {
-        None => (0..suite.len()).collect(),
-        Some(name) => {
-            let index = session.names().iter().position(|n| n == name).ok_or_else(|| {
-                OptimizeError::InvalidMix(format!(
-                    "unknown workload `{name}` (expected one of: {})",
-                    session.names().join(", ")
-                ))
-            })?;
-            vec![index]
-        }
+    choice: SearchSpaceChoice,
+    mode: SearchMode,
+) -> Result<Vec<SearchOutcome>, OptimizeError> {
+    let indices = match workload {
+        None => (0..session.len()).collect(),
+        Some(name) => vec![workload_index(session, name)?],
     };
     let sspace = choice.space();
-    let outcomes = indices
-        .into_iter()
-        .map(|i| session.search(i, &sspace, mode))
-        .collect::<Result<Vec<_>, _>>()?;
-    if let Some(store) = session.engine().store() {
-        let s = store.stats();
-        eprintln!(
-            "artifact store {}: {} hits, {} misses ({} corrupt), {} writes, {} payload bytes read",
-            store.dir().display(),
-            s.hits,
-            s.misses,
-            s.corrupt,
-            s.writes,
-            s.payload_bytes_read
-        );
-    }
-    Ok(outcomes)
+    indices.into_iter().map(|i| session.search(i, &sspace, mode)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -776,9 +682,15 @@ mod tests {
         assert!(s.contains("52"));
     }
 
+    fn suite() -> Vec<Box<dyn workloads::Workload + Send + Sync>> {
+        workloads::benchmark_suite(ExperimentOptions::test_sized().scale)
+    }
+
     #[test]
     fn fig2_finds_an_optimum_no_worse_than_base() {
-        let r = fig2(&ExperimentOptions::test_sized()).unwrap();
+        let suite = suite();
+        let session = ExperimentOptions::test_sized().engine(None).session(&suite).unwrap();
+        let r = fig2(&session).unwrap();
         assert_eq!(r.rows.len(), 28);
         assert!(r.optimal.fits);
         assert!(r.optimal_gain_pct() >= 0.0);
@@ -787,7 +699,9 @@ mod tests {
 
     #[test]
     fn fig6_lists_only_selected_perturbations() {
-        let r = fig6(&ExperimentOptions::test_sized()).unwrap();
+        let suite = suite();
+        let session = ExperimentOptions::test_sized().engine(None).session(&suite).unwrap();
+        let r = fig6(&session).unwrap();
         assert!(!r.rows.is_empty());
         assert!(r.render().contains("runtime optimization costs"));
     }

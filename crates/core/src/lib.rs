@@ -32,7 +32,9 @@
 //! ```
 //!
 //! The [`experiments`] module regenerates every table and figure of the
-//! paper's evaluation; the `experiments` binary prints them.
+//! paper's evaluation as views over one [`CampaignSession`], which measures
+//! each application once for all of them; the `experiments` binary prints
+//! them.
 
 #![warn(missing_docs)]
 

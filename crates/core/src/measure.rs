@@ -263,7 +263,7 @@ pub fn measure_cost_table(
     options: &MeasurementOptions,
 ) -> Result<CostTable, SimError> {
     let (_, trace) = workloads::capture_verified(workload, base, options.max_cycles)?;
-    measure_cost_table_traced(space, workload, base, model, options, &trace)
+    measure_cost_table_traced(space, workload.name(), base, model, options, &trace)
 }
 
 /// Measure the cost table from an already-captured trace (the campaign-engine
@@ -272,10 +272,11 @@ pub fn measure_cost_table(
 ///
 /// The trace must have been captured on `base`; base costs are reconstructed
 /// by replaying the trace on its own capture configuration, which is
-/// bit-identical to the capturing run.
+/// bit-identical to the capturing run.  `workload_name` names the table: the
+/// trace alone is all the measurement reads of the workload.
 pub fn measure_cost_table_traced(
     space: &ParameterSpace,
-    workload: &(dyn Workload + Sync),
+    workload_name: &str,
     base: &LeonConfig,
     model: &SynthesisModel,
     options: &MeasurementOptions,
@@ -290,7 +291,7 @@ pub fn measure_cost_table_traced(
         base.cycles_to_seconds(base_stats.cycles),
     );
     let costs = measure_all(space.variables(), base, &base_costs, model, options, trace)?;
-    Ok(CostTable { workload: workload.name().to_string(), base: base_costs, costs })
+    Ok(CostTable { workload: workload_name.to_string(), base: base_costs, costs })
 }
 
 #[cfg(test)]
@@ -389,7 +390,7 @@ mod tests {
         let space = ParameterSpace::dcache_geometry();
         let (run, trace) = workloads::capture_verified(&w, &base, options().max_cycles).unwrap();
         let traced =
-            measure_cost_table_traced(&space, &w, &base, &model, &options(), &trace).unwrap();
+            measure_cost_table_traced(&space, w.name(), &base, &model, &options(), &trace).unwrap();
         let direct = measure_cost_table(&space, &w, &base, &model, &options()).unwrap();
         assert_eq!(traced.base, direct.base);
         assert_eq!(traced.costs, direct.costs, "shared-trace measurement must be bit-identical");

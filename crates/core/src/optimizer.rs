@@ -199,7 +199,7 @@ impl AutoReconfigurator {
             workloads::capture_verified(workload, &self.base, self.measurement.max_cycles)?;
         let table = measure_cost_table_traced(
             &self.space,
-            workload,
+            workload.name(),
             &self.base,
             &self.model,
             &self.measurement,

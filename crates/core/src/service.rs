@@ -40,9 +40,8 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 use workloads::Scale;
 
-use crate::campaign::{Campaign, CampaignSession};
+use crate::campaign::CampaignSession;
 use crate::experiments::ExperimentOptions;
-use crate::formulation::Weights;
 use crate::params::ParameterSpace;
 use crate::store::ArtifactStore;
 
@@ -453,14 +452,11 @@ impl Server {
             }
         }
         let suite = workloads::benchmark_suite(self.config.options.scale);
-        let mut engine = Campaign::new()
+        let session = self
+            .config
+            .options
+            .engine(self.config.store.clone())
             .with_space(self.config.space.clone())
-            .with_weights(Weights::runtime_optimized())
-            .with_measurement(self.config.options.measurement());
-        if let Some(store) = self.config.store.clone() {
-            engine = engine.with_store(store);
-        }
-        let session = engine
             .session(&suite)
             .map_err(|e| io::Error::new(io::ErrorKind::Other, e.to_string()))?;
         let scale = self.config.options.scale;

@@ -15,22 +15,11 @@
 //! publish rename — holding a live lease and leaving a stray tmp behind,
 //! the worst-timed crash the store protocol allows.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static SCRATCH: AtomicU64 = AtomicU64::new(0);
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "autoreconf-crashrec-{}-{}-{tag}",
-        std::process::id(),
-        SCRATCH.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod support;
+use support::{guest_instructions, scratch_dir};
 
 /// Spawn one `experiments campaign` process (tiny scale, one worker) with a
 /// short lease TTL so a dead holder's lease expires in milliseconds, and an
@@ -58,19 +47,6 @@ fn spawn_campaign(
     };
     command.stdout(Stdio::null());
     command.spawn().expect("spawn experiments campaign")
-}
-
-/// Extract `guest_instructions` from a `--counters` JSON file.
-fn guest_instructions(counters: &Path) -> u64 {
-    let text = std::fs::read_to_string(counters).expect("counters file");
-    let needle = "\"guest_instructions\":";
-    let start = text.find(needle).expect("guest_instructions field") + needle.len();
-    text[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .expect("guest_instructions value")
 }
 
 fn doctor(store: &Path, repair: bool) -> std::process::Output {

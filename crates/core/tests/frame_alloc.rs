@@ -2,7 +2,8 @@
 //! grow the body as bytes arrive, so a peer that announces the largest
 //! frame ([`MAX_FRAME_BYTES`], 64 MiB) and sends little of it costs what it
 //! sent, not what it announced — per connection, up to the daemon's
-//! in-flight cap.
+//! in-flight cap.  Nor does a served request: a store-backed session (the
+//! daemon's) answers the same question again without holding more memory.
 //!
 //! A test binary of its own, because it tracks the peak of the process's
 //! live heap bytes through its global allocator; every test takes one lock,
@@ -14,9 +15,11 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use autoreconf::experiments::ExperimentOptions;
 use autoreconf::service::{
     read_frame, write_frame, Request, Response, Server, ServerConfig, MAX_FRAME_BYTES,
 };
+use autoreconf::ArtifactStore;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -143,4 +146,29 @@ fn a_daemon_fed_a_bare_length_prefix_stays_small_and_keeps_answering() {
     assert!(matches!(roundtrip(&mut fresh, &Request::Ping), Response::Pong { .. }));
     assert_eq!(roundtrip(&mut fresh, &Request::Shutdown), Response::Bye);
     handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn repeated_co_hits_hold_the_live_heap_flat() {
+    let _guard = lock();
+    let dir = std::env::temp_dir().join(format!("autoreconf-co-hits-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ArtifactStore::open(&dir).unwrap();
+    let options = ExperimentOptions { threads: 1, ..ExperimentOptions::test_sized() };
+    let suite = workloads::benchmark_suite(options.scale);
+    let session = options.engine(Some(store)).session(&suite).unwrap();
+    let mix = [1.0; 4];
+    // the cold solve publishes the co entry, the first hit settles the
+    // store's one-off state; every later request is a hit like it
+    let cold = session.co_optimize(&mix).unwrap();
+    assert_eq!(session.co_optimize(&mix).unwrap().selected, cold.selected);
+
+    let before = LIVE.load(Ordering::SeqCst);
+    for _ in 0..20_000 {
+        session.co_optimize(&mix).unwrap();
+    }
+    let grown = LIVE.load(Ordering::SeqCst).saturating_sub(before);
+    assert!(grown < 64 << 10, "20,000 co hits grew the live heap by {grown} bytes");
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
 }

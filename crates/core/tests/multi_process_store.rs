@@ -10,22 +10,11 @@
 //! * the store is clean afterwards (leases released, manifests merged, no
 //!   strays) — `store doctor` exits successfully with no repair.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static SCRATCH: AtomicU64 = AtomicU64::new(0);
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "autoreconf-multiproc-{}-{}-{tag}",
-        std::process::id(),
-        SCRATCH.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod support;
+use support::{guest_instructions, scratch_dir};
 
 /// Spawn one `experiments campaign` process (tiny scale, one worker).
 fn spawn_campaign(store: Option<&Path>, json_dir: &Path, counters: &Path) -> Child {
@@ -40,19 +29,6 @@ fn spawn_campaign(store: Option<&Path>, json_dir: &Path, counters: &Path) -> Chi
     command.env_remove("AUTORECONF_STORE").env_remove("AUTORECONF_STORE_BUDGET");
     command.stdout(Stdio::null()).stderr(Stdio::null());
     command.spawn().expect("spawn experiments campaign")
-}
-
-/// Extract `guest_instructions` from a `--counters` JSON file.
-fn guest_instructions(counters: &Path) -> u64 {
-    let text = std::fs::read_to_string(counters).expect("counters file");
-    let needle = "\"guest_instructions\":";
-    let start = text.find(needle).expect("guest_instructions field") + needle.len();
-    text[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .expect("guest_instructions value")
 }
 
 fn campaign_json(json_dir: &Path) -> String {

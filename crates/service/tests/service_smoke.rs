@@ -9,7 +9,7 @@ use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use autoreconf::experiments::ExperimentOptions;
-use autoreconf::{Campaign, ParameterSpace, Weights};
+use autoreconf::ParameterSpace;
 use autoreconf_service::Client;
 use workloads::{benchmark_suite, Scale};
 
@@ -47,10 +47,7 @@ struct Reference {
 
 fn reference() -> Reference {
     let options = ExperimentOptions { scale: Scale::Tiny, ..ExperimentOptions::default() };
-    let engine = Campaign::new()
-        .with_space(ParameterSpace::dcache_geometry())
-        .with_weights(Weights::runtime_optimized())
-        .with_measurement(options.measurement());
+    let engine = options.engine(None).with_space(ParameterSpace::dcache_geometry());
     let suite = benchmark_suite(Scale::Tiny);
     let session = engine.session(&suite).unwrap();
     Reference {

@@ -34,7 +34,7 @@ mod probe_guest;
 use std::collections::HashSet;
 use std::sync::Mutex;
 
-use liquid_autoreconf::apps::{benchmark_suite, capture_verified, Blastn, Scale};
+use liquid_autoreconf::apps::{benchmark_suite, capture_verified, Blastn, Scale, Workload};
 use liquid_autoreconf::fpga::SynthesisModel;
 use liquid_autoreconf::sim::{
     self, replay, trace_walks_performed, CacheConfig, LeonConfig, MemItem, ReplacementPolicy,
@@ -200,16 +200,17 @@ fn cost_table_walks_at_most_once_per_behavior_class() {
 
     // threads = 1: the whole table fuses into one pass per stream with a
     // class, and the closed-form stream is never walked
+    let name = workload.name();
     let before = trace_walks_performed();
     let serial =
-        measure_cost_table_traced(&space, &workload, &base, &model, &options(1), &trace).unwrap();
+        measure_cost_table_traced(&space, name, &base, &model, &options(1), &trace).unwrap();
     let serial_walks = trace_walks_performed() - before;
     assert_eq!(serial_walks, 1, "one memory pass, no fetch pass");
 
     // threads = 4: classes are partitioned, never duplicated
     let before = trace_walks_performed();
     let parallel =
-        measure_cost_table_traced(&space, &workload, &base, &model, &options(4), &trace.clone())
+        measure_cost_table_traced(&space, name, &base, &model, &options(4), &trace.clone())
             .unwrap();
     let parallel_walks = trace_walks_performed() - before;
     assert!(
@@ -252,7 +253,7 @@ fn cost_table_walks_at_most_once_per_behavior_class() {
     // the trace the serial leg walked remembers its classes
     let before = trace_walks_performed();
     let again =
-        measure_cost_table_traced(&space, &workload, &base, &model, &options(1), &trace).unwrap();
+        measure_cost_table_traced(&space, name, &base, &model, &options(1), &trace).unwrap();
     assert_eq!(trace_walks_performed() - before, 0, "a re-run is remembered whole");
     assert_eq!(serde_json::to_string(&again).unwrap(), serial_json);
 

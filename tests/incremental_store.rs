@@ -13,7 +13,9 @@
 //!   run;
 //! * **invalidation precision** — updating one workload of a 4-workload mix
 //!   re-captures exactly one trace and re-measures exactly one cost table;
-//!   the other three are served from the store;
+//!   the other three are served from the store; an update is all or
+//!   nothing, and what the session derives afterwards is named after the
+//!   replacement;
 //! * **store lifecycle invariants** (property-tested) — after `gc(budget)`
 //!   the store fits the budget or only pinned entries remain, eviction
 //!   strictly follows the access stamps, and the manifest matches the
@@ -31,13 +33,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use liquid_autoreconf::apps::{
-    benchmark_suite, guest_instructions_executed, trace_payload_bytes_read, Arith, Scale,
+    benchmark_suite, guest_instructions_executed, trace_payload_bytes_read, Arith, Drr, Scale,
     Workload,
 };
 use liquid_autoreconf::isa::Program;
+use liquid_autoreconf::sim::SimError;
 use liquid_autoreconf::tuner::{
-    ArtifactStore, Campaign, CampaignResult, Fingerprint, FingerprintBuilder, MeasurementOptions,
-    ParameterSpace, Weights,
+    ArtifactStore, Campaign, CampaignResult, CostTable, Fingerprint, FingerprintBuilder,
+    MeasurementOptions, OptimizeError, ParameterSpace, SearchMode, SearchSpace, Weights,
 };
 
 const MAX_CYCLES: u64 = 400_000_000;
@@ -384,6 +387,65 @@ fn update_workload_invalidates_exactly_one_entry() {
     assert_eq!(c.trace_captures, 1, "reverting must hit the store, not recapture");
     assert_eq!(c.trace_store_hits, 5);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn tables_measured_after_update_workload_are_named_after_the_replacement() {
+    let _g = lock();
+    let suite = benchmark_suite(Scale::Tiny);
+    let dir = scratch_dir("renamed");
+    let store = ArtifactStore::open(&dir).unwrap();
+
+    // slot 3 opened as Arith, then replaced by DRR; the Figure 2 search
+    // space differs from the session's, so the search measures a second
+    // table for the slot
+    let mut session = engine(2, Some(store.clone())).session(&suite).unwrap();
+    session.update_workload(3, &Drr::scaled(Scale::Tiny)).unwrap();
+    session.search(3, &SearchSpace::figure2(), SearchMode::Pruned).unwrap();
+    drop(session);
+
+    let names: Vec<String> = store
+        .manifest()
+        .entries
+        .iter()
+        .filter(|e| e.kind == "table")
+        .map(|e| {
+            let table: CostTable = store.load_json("table", Fingerprint(e.fingerprint)).unwrap();
+            table.workload
+        })
+        .collect();
+    assert_eq!(names.len(), 2, "the session's table and the search space's: {names:?}");
+    assert!(
+        names.iter().all(|n| n == "DRR"),
+        "every table keyed by DRR's fingerprint must be named DRR: {names:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_update_workload_leaves_the_slot_unchanged() {
+    let _g = lock();
+    // Small Arith's base run takes 2,820,071 cycles and fits; its slowest
+    // perturbation (4,920,071) does not, so its cost table fails after its
+    // trace was captured.  Every Tiny configuration (at most 300,123) fits.
+    let campaign = Campaign::new()
+        .with_measurement(MeasurementOptions { max_cycles: 2_820_071 + 1_000, threads: 2 });
+    let suite = benchmark_suite(Scale::Tiny);
+    let mut session = campaign.session(&suite).unwrap();
+    let err = session.update_workload(3, &Arith::scaled(Scale::Small)).unwrap_err();
+    assert!(
+        matches!(err, OptimizeError::Simulation(SimError::CycleLimitExceeded { .. })),
+        "{err:?}"
+    );
+    assert_eq!(session.counters().trace_captures, 1, "the replacement's trace was captured");
+
+    // the slot still holds the Tiny Arith it was opened with
+    let fresh = campaign.session(&suite).unwrap();
+    assert_eq!(
+        json(&session.result(&MIX).unwrap()),
+        json(&fresh.result(&MIX).unwrap()),
+        "a failed update must leave the session as it was"
+    );
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! under the parameter-independence assumption is compared against the
 //! exhaustive optimum on the dcache geometry sub-space (Figures 2–4).
 
+use liquid_autoreconf::apps::benchmark_suite;
 use liquid_autoreconf::fpga::SynthesisModel;
 use liquid_autoreconf::prelude::*;
 use liquid_autoreconf::tuner::experiments::{fig2, fig3, fig4, ExperimentOptions};
@@ -11,9 +12,16 @@ fn options() -> ExperimentOptions {
     ExperimentOptions::test_sized()
 }
 
+/// The benchmark suite the figure drivers' session is opened over.
+fn suite() -> Vec<Box<dyn Workload + Send + Sync>> {
+    benchmark_suite(options().scale)
+}
+
 #[test]
 fn figure2_optimum_beats_or_matches_the_base_configuration() {
-    let r = fig2(&options()).expect("figure 2 runs");
+    let suite = suite();
+    let session = options().engine(None).session(&suite).unwrap();
+    let r = fig2(&session).expect("figure 2 runs");
     assert_eq!(r.rows.len(), 28);
     assert_eq!(r.rows.iter().filter(|row| row.fits).count(), 19);
     assert!(r.optimal_gain_pct() >= 0.0);
@@ -26,7 +34,9 @@ fn figure2_optimum_beats_or_matches_the_base_configuration() {
 fn figure3_optimizer_is_near_optimal_for_blastn() {
     // the paper reports a 0.02% gap between the optimiser's dcache choice and
     // the exhaustive optimum; allow a modest tolerance at test scale
-    let r = fig3(&options()).expect("figure 3 runs");
+    let suite = suite();
+    let session = options().engine(None).session(&suite).unwrap();
+    let r = fig3(&session).expect("figure 3 runs");
     let gap = r.comparison.gap_pct();
     assert!(gap >= -1e-9, "the optimiser cannot beat the exhaustive optimum (gap {gap})");
     assert!(gap < 1.0, "optimiser choice must be within 1% of the exhaustive optimum, gap {gap:.3}%");
@@ -36,7 +46,9 @@ fn figure3_optimizer_is_near_optimal_for_blastn() {
 
 #[test]
 fn figure4_other_benchmarks_match_or_do_not_care() {
-    let r = fig4(&options()).expect("figure 4 runs");
+    let suite = suite();
+    let session = options().engine(None).session(&suite).unwrap();
+    let r = fig4(&session).expect("figure 4 runs");
     assert_eq!(r.comparisons.len(), 3);
     for c in &r.comparisons {
         if c.no_effect {
@@ -83,7 +95,9 @@ fn exhaustive_sweep_and_optimizer_agree_on_total_capacity_for_drr() {
     let rows = dcache_exhaustive(&w, &LeonConfig::base(), &SynthesisModel::default(), 400_000_000, 0)
         .unwrap();
     let best = best_runtime_row(&rows).unwrap();
-    let comparison = fig4(&options()).unwrap();
+    let suite = suite();
+    let session = options().engine(None).session(&suite).unwrap();
+    let comparison = fig4(&session).unwrap();
     let drr = comparison.comparisons.iter().find(|c| c.workload == "DRR").unwrap();
     let optimizer_total = drr.optimizer_choice.0 as u32 * drr.optimizer_choice.1;
     // allow one binary step of difference in total capacity

@@ -1,6 +1,7 @@
 //! Integration tests for experiment artifacts: serialisation of outcomes and
 //! the rendered figure tables.
 
+use liquid_autoreconf::apps::benchmark_suite;
 use liquid_autoreconf::prelude::*;
 use liquid_autoreconf::tuner::experiments::{fig2, fig6, ExperimentOptions};
 use liquid_autoreconf::tuner::{MeasurementOptions, Outcome, ParameterSpace};
@@ -42,14 +43,16 @@ fn leon_configs_serialize_round_trip() {
 #[test]
 fn rendered_tables_have_the_papers_shape() {
     let opts = ExperimentOptions::test_sized();
-    let f2 = fig2(&opts).unwrap();
+    let suite = benchmark_suite(opts.scale);
+    let session = opts.engine(None).session(&suite).unwrap();
+    let f2 = fig2(&session).unwrap();
     let table = f2.render();
     assert!(table.contains("exhaustive: dcache sets,setsize"));
     assert!(table.contains("Optimal runtime"));
     // one line per feasible row plus headers and the optimum
     assert!(table.lines().count() >= 19 + 3);
 
-    let f6 = fig6(&opts).unwrap();
+    let f6 = fig6(&session).unwrap();
     let table6 = f6.render();
     assert!(table6.contains("runtime optimization costs"));
     assert!(table6.contains("LUTs(%)"));
